@@ -28,9 +28,10 @@ from multiprocessing import Pool
 import numpy as np
 
 from .wires import (
-    TheoryViolation,
+    VERDICT_BY_CODE,
     Verdict,
     WireFunction,
+    _verdict_codes,
     classify,
     make_wire,
     marginal_table,
@@ -65,15 +66,6 @@ def _diagonal_masks(q: int) -> np.ndarray:
     return masks
 
 
-if hasattr(np, "bitwise_count"):
-    _popcount = np.bitwise_count
-else:  # numpy < 2.0
-    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def _popcount(a):
-        return _POP8[a.view(np.uint8).reshape(a.shape + (4,))].sum(axis=-1)
-
-
 def _check_q(q: int):
     if not 1 <= q <= MAX_CENSUS_Q:
         raise ValueError(
@@ -93,26 +85,17 @@ def classify_packed(q: int, wires) -> tuple[np.ndarray, np.ndarray]:
         bits = w & m
         vi &= (bits == 0) | (bits == m)
     diags = _diagonal_masks(q)
-    first = _popcount(w & diags[0])
+    first = np.bitwise_count(w & diags[0])
     cm = np.ones(w.shape, dtype=bool)
     for m in diags[1:]:
-        cm &= _popcount(w & m) == first
+        cm &= np.bitwise_count(w & m) == first
     return vi, cm
 
 
 def packed_verdict(q: int, wire_index: int) -> Verdict:
     """Verdict of one wire straight off the packed representation."""
     vi, cm = classify_packed(q, np.array([wire_index], dtype=np.uint32))
-    if vi[0]:
-        if not cm[0]:
-            raise TheoryViolation(
-                f"packed wire {wire_index} at q={q} is value-independent "
-                "with a non-constant marginal"
-            )
-        return Verdict.VALUE_INDEPENDENT
-    if cm[0]:
-        return Verdict.CONSTANT_MARGINAL_ONLY
-    return Verdict.NON_CONSTANT_MARGINAL
+    return VERDICT_BY_CODE[_verdict_codes(q, vi, cm, f"packed wire {wire_index}")[0]]
 
 
 def index_to_wire(q: int, wire_index: int) -> WireFunction:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,19 +80,31 @@ class WireFunction:
     def __call__(self, s0: int, s1: int) -> int:
         return int(self.table[s0 * self.q + s1])
 
+    @cached_property
+    def _analysis(self) -> tuple[int, np.ndarray]:
+        """(verdict code, read-only marginal table), as a batch of one."""
+        codes, m = _analyze(self.q, self.table[None, :], self.alphabet_size, "wire")
+        m.setflags(write=False)
+        return int(codes[0]), m[0]
+
 
 def make_wire(q, table, alphabet_size: int = 2,
               cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     """Validate and build a WireFunction from a flat s0-major table."""
-    modulus = _as_modulus(q)
-    qq = modulus.q
+    qq = _as_modulus(q).q
     if alphabet_size < 1:
         raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    if qq * qq > cell_cap:
+    # Bounds both the table (q^2 cells) and the marginal table (q * alphabet).
+    cells = qq * max(qq, alphabet_size)
+    if cells > cell_cap:
         raise ValueError(
-            f"q={qq} needs {qq * qq} table cells, above cap {cell_cap}"
+            f"q={qq} with alphabet {alphabet_size} needs {cells} table cells, "
+            f"above cap {cell_cap}"
         )
-    arr = np.asarray(table, dtype=np.int64)
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64; the range check names it
+        arr = np.asarray(table, dtype=object)
     if arr.ndim != 1 or arr.size != qq * qq:
         raise ValueError(
             f"table has {arr.size} entries, expected q^2 = {qq * qq}"
@@ -125,11 +137,12 @@ def _as_residue(x, q: int) -> int:
     return xv
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)  # callers work at one q at a time
 def _reparam_index(q: int) -> np.ndarray:
-    """Flat table indices arranged so that gather yields w(x - s1, s1)."""
-    x = np.arange(q, dtype=np.int64)[:, None]
-    s1 = np.arange(q, dtype=np.int64)[None, :]
+    """(q, q) flat table indices arranged so that gather yields w(x - s1, s1)."""
+    dtype = np.int32 if q * q < 1 << 31 else np.int64
+    x = np.arange(q, dtype=dtype)[:, None]
+    s1 = np.arange(q, dtype=dtype)[None, :]
     idx = ((x - s1) % q) * q + s1
     idx.setflags(write=False)
     return idx
@@ -138,10 +151,51 @@ def _reparam_index(q: int) -> np.ndarray:
 def reparam_table(w: WireFunction) -> np.ndarray:
     """The (q, q) array R with R[x, s1] = w(x - s1, s1).
 
-    Row x is the wire's output over all masks for secret x; everything in
-    this module (value-independence, histograms, MI) reads off this view.
+    Row x is the wire's output over all masks for secret x; the verdict,
+    the histograms and MI all read off this view.
     """
     return w.table[_reparam_index(w.q)]
+
+
+# Verdict codes of the analysis kernels, in fixed order.
+VERDICT_BY_CODE = (
+    Verdict.VALUE_INDEPENDENT,
+    Verdict.CONSTANT_MARGINAL_ONLY,
+    Verdict.NON_CONSTANT_MARGINAL,
+)
+
+
+def _verdict_codes(q: int, vi: np.ndarray, cm: np.ndarray, what: str) -> np.ndarray:
+    """Codes into VERDICT_BY_CODE from the two predicates of each row.
+
+    Raises TheoryViolation, naming the row as `what.format(row)`, where a
+    value-independent row lacks a constant marginal.
+    """
+    bad = vi & ~cm
+    if bad.any():
+        raise TheoryViolation(
+            f"{what.format(int(np.argmax(bad)))} at q={q} is value-independent "
+            "but its marginal histogram varies with the secret"
+        )
+    return np.add(~vi, ~cm, dtype=np.int8)  # how many predicates fail
+
+
+def _analyze(q: int, cells: np.ndarray, alphabet: int,
+             what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict codes (n,) and marginal tables (n, q, alphabet) of a batch.
+
+    `cells` holds n flat s0-major tables with entries in [0, alphabet).
+    The reparametrized view is gathered once; value independence is read
+    off it (every column constant over the secrets), and all n*q
+    histograms come from one offset bincount.
+    """
+    r = cells[:, _reparam_index(q)]
+    vi = (r == r[:, 0:1, :]).all(axis=(1, 2))
+    n = len(r)
+    r += np.arange(0, n * q * alphabet, alphabet, dtype=r.dtype).reshape(n, q, 1)
+    m = np.bincount(r.ravel(), minlength=n * q * alphabet).reshape(n, q, alphabet)
+    cm = (m == m[:, 0:1, :]).all(axis=(1, 2))
+    return _verdict_codes(q, vi, cm, what), m
 
 
 def is_value_independent(w: WireFunction) -> bool:
@@ -150,8 +204,7 @@ def is_value_independent(w: WireFunction) -> bool:
     Checked exactly as stated: for each mask s1, the column of
     reparametrized outputs over all secrets must be constant.  O(q^2).
     """
-    r = reparam_table(w)
-    return bool((r == r[0:1, :]).all())
+    return VERDICT_BY_CODE[w._analysis[0]] is Verdict.VALUE_INDEPENDENT
 
 
 def marginal_histogram(w: WireFunction, x) -> np.ndarray:
@@ -160,79 +213,43 @@ def marginal_histogram(w: WireFunction, x) -> np.ndarray:
     counts[v] = #{s1 : w(x - s1, s1) = v}; the counts always sum to q
     because each mask contributes exactly one output.
     """
-    xv = _as_residue(x, w.q)
-    s1 = np.arange(w.q, dtype=np.int64)
-    row = w.table[((xv - s1) % w.q) * w.q + s1]
-    return np.bincount(row, minlength=w.alphabet_size)
+    return marginal_table(w)[_as_residue(x, w.q)]
 
 
 def marginal_table(w: WireFunction) -> np.ndarray:
-    """All marginal histograms stacked: shape (q, alphabet_size)."""
-    q, b = w.q, w.alphabet_size
-    r = reparam_table(w)
-    offsets = np.arange(q, dtype=np.int64)[:, None] * b
-    flat = np.bincount((r + offsets).ravel(), minlength=q * b)
-    return flat.reshape(q, b)
+    """All marginal histograms stacked: shape (q, alphabet_size), read-only."""
+    return w._analysis[1]
 
 
 def has_constant_marginal(w: WireFunction) -> bool:
     """True iff every secret yields the same output histogram."""
-    m = marginal_table(w)
-    return bool((m == m[0:1, :]).all())
+    return VERDICT_BY_CODE[w._analysis[0]] is not Verdict.NON_CONSTANT_MARGINAL
 
 
 def classify(w: WireFunction) -> Verdict:
     """Three-way verdict for one wire.
 
     VALUE_INDEPENDENT implies a constant marginal; that implication is
-    re-checked here on every call and a failure raises TheoryViolation
-    rather than returning a verdict.
+    checked when the wire is analysed, and a failure raises
+    TheoryViolation rather than returning a verdict.
     """
-    vi = is_value_independent(w)
-    cm = has_constant_marginal(w)
-    if vi and not cm:
-        raise TheoryViolation(
-            f"wire at q={w.q} is value-independent but its marginal "
-            "histogram varies with the secret"
-        )
-    if vi:
-        return Verdict.VALUE_INDEPENDENT
-    if cm:
-        return Verdict.CONSTANT_MARGINAL_ONLY
-    return Verdict.NON_CONSTANT_MARGINAL
-
-
-# Verdict codes emitted by the bulk kernel, in fixed order.
-VERDICT_BY_CODE = (
-    Verdict.VALUE_INDEPENDENT,
-    Verdict.CONSTANT_MARGINAL_ONLY,
-    Verdict.NON_CONSTANT_MARGINAL,
-)
+    return VERDICT_BY_CODE[w._analysis[0]]
 
 
 def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
     """Verdict codes for many flat s0-major tables at once.
 
-    `cells` has shape (n, q*q); the result holds one code per row, indexing
-    into VERDICT_BY_CODE.  Constant-marginal detection compares rows of the
-    reparametrized view as multisets (sorted rows), which for any alphabet
-    agrees with histogram equality.  The soundness cross-check runs on
+    `cells` has shape (n, q*q) and non-negative entries; the alphabet is
+    taken as the largest entry plus one.  The result holds one code per
+    row, indexing into VERDICT_BY_CODE.  The soundness cross-check runs on
     every row, same as `classify`.
     """
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != q * q:
         raise ValueError(f"cells must have shape (n, {q * q})")
-    r = cells[:, _reparam_index(q).ravel()].reshape(-1, q, q)
-    vi = (r == r[:, 0:1, :]).all(axis=(1, 2))
-    srt = np.sort(r, axis=2)
-    cm = (srt == srt[:, 0:1, :]).all(axis=(1, 2))
-    if bool(np.any(vi & ~cm)):
-        bad = int(np.nonzero(vi & ~cm)[0][0])
-        raise TheoryViolation(
-            f"bulk row {bad} at q={q} is value-independent but its marginal "
-            "histogram varies with the secret"
-        )
-    return np.where(vi, 0, np.where(cm, 1, 2)).astype(np.int8)
+    if cells.min(initial=0) < 0:
+        raise ValueError("cells must be non-negative")
+    return _analyze(q, cells, int(cells.max(initial=0)) + 1, "bulk row {}")[0]
 
 
 @dataclass(frozen=True)
@@ -258,7 +275,6 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     0.0 with no cancellation.
     """
     m = marginal_table(w)
-    is_zero = bool((m == m[0:1, :]).all())
     q = w.q
     colsum = m.sum(axis=0)
     h = m.astype(np.float64)
@@ -266,7 +282,7 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     nz = m > 0
     ratios = (h[nz] * q) / np.broadcast_to(colsum, m.shape)[nz]
     bits = float(np.sum((h[nz] / total) * np.log2(ratios)))
-    return MutualInformation(bits=bits, is_zero=is_zero)
+    return MutualInformation(bits=bits, is_zero=has_constant_marginal(w))
 
 
 def t6_witness(q) -> WireFunction:
@@ -343,9 +359,9 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     q = doc["q"]
     alphabet = doc["alphabet"]
     table = doc["table"]
-    if not isinstance(q, int) or q < 1:
+    if type(q) is not int or q < 1:
         raise WireFormatError(f"q must be a positive integer, got {q!r}")
-    if not isinstance(alphabet, int) or alphabet < 1:
+    if type(alphabet) is not int or alphabet < 1:
         raise WireFormatError(f"alphabet must be a positive integer, got {alphabet!r}")
     if not isinstance(table, list):
         raise WireFormatError("table must be a JSON array")
@@ -354,13 +370,12 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
             f"table has {len(table)} entries, expected q^2 = {q * q} "
             f"(first missing index {min(len(table), q * q)})"
         )
-    for i, v in enumerate(table):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise WireFormatError(f"table entry at index {i} is not an integer: {v!r}")
-        if not 0 <= v < alphabet:
-            raise WireFormatError(
-                f"table entry {v} at index {i} outside alphabet [0, {alphabet})"
-            )
+    # One pass over the entry types; make_wire checks the range.
+    bad = set(map(type, table)) - {int}
+    if bad:
+        types = list(map(type, table))
+        i = min(types.index(t) for t in bad)
+        raise WireFormatError(f"table entry at index {i} is not an integer: {table[i]!r}")
     try:
         return make_wire(q, table, alphabet, cell_cap)
     except ValueError as exc:

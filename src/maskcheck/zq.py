@@ -156,8 +156,8 @@ def arith_reparam_is_bijection(
     if qq > cap:
         raise ValueError(f"q={qq} exceeds enumeration cap {cap}")
     s1v = s1.value if isinstance(s1, ZqElement) else int(s1) % qq
-    images = (np.arange(qq, dtype=np.int64) - s1v) % qq
-    return len(np.unique(images)) == qq
+    images = np.sort((np.arange(qq, dtype=np.int64) - s1v) % qq)
+    return 1 + np.count_nonzero(np.diff(images)) == qq
 
 
 def bool_reparam(x: BitWord, s1: BitWord) -> BitWord:

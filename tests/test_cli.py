@@ -50,6 +50,42 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(tmp_path / "absent.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["q", "alphabet"])
+    def test_bool_header_exits_2(self, capsys, tmp_path, key):
+        doc = {"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 1, 0]}
+        doc[key] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert f"{key} must be a positive integer, got True" in err
+
+    def test_huge_alphabet_exits_2_before_allocating(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"q": 2, "alphabet": 10**12, "order": "s0_major",
+                                    "table": [0, 1, 1, 0]}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert "above cap" in err
+
+    @pytest.mark.parametrize("table,message", [
+        ([0, True, 0, 0], "table entry at index 1 is not an integer: True"),
+        ([0, 0, 1.0, 0], "table entry at index 2 is not an integer: 1.0"),
+        ([0, 10**30, 0, 0], f"table entry {10**30} at index 1 outside alphabet [0, 2)"),
+        ([0, 0, -1, 0], "table entry -1 at index 2 outside alphabet [0, 2)"),
+        ([0, 1, 1, 2], "table entry 2 at index 3 outside alphabet [0, 2)"),
+    ], ids=["bool", "float", "beyond-int64", "negative", "last-index"])
+    def test_bad_entry_named_by_index(self, capsys, tmp_path, table, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"q": 2, "alphabet": 2, "order": "s0_major",
+                                    "table": table}))
+        with pytest.raises(mc.WireFormatError) as info:
+            mc.load_wire(path)
+        assert str(info.value) == message
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert message in err
+
 
 class TestCensus:
     def test_q2_numbers(self, capsys):

@@ -1,0 +1,89 @@
+"""Golden stdout: the CLI's exact bytes for fixed inputs, in every format.
+
+The expected files under data/golden were captured from the CLI before the
+dense analysis was folded into one kernel; any change to the verdicts,
+marginals, float formatting or layout of the output shows up here as a
+byte difference.  Regenerate them (only for an intended output change)
+with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import maskcheck as mc
+from maskcheck.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+FORMATS = {"json": "json", "csv": "csv", "human": "txt"}
+
+# Alphabet-3 table at q = 7, drawn once from np.random.default_rng(7) and
+# frozen here so the input does not depend on the generator's stream.
+RANDOM_Q7_A3 = [
+    2, 1, 2, 2, 1, 2, 2, 0, 0, 0, 0, 2, 2, 0, 1, 2, 0, 2, 0, 1, 2, 0, 1, 0, 2,
+    0, 2, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1, 2, 1, 0, 2, 0, 2, 1, 0, 0, 1,
+]
+
+
+WIRES = {
+    "and-q2": lambda: mc.wire_from_fn(2, lambda s0, s1: int(s0 == 0 and s1 == 0)),
+    "witness-q5": lambda: mc.t6_witness(5),
+    "random-q7-a3": lambda: mc.make_wire(7, RANDOM_Q7_A3, alphabet_size=3),
+    # An affine permutation of the mask: value-independent.
+    "perm-q31": lambda: mc.wire_from_fn(31, lambda s0, s1: (11 * s1 + 4) % 31,
+                                        alphabet_size=31),
+    # Only the digest of this one's JSON stdout is kept (about 140 kB).
+    "residue-q257": lambda: mc.wire_from_fn(
+        257, lambda s0, s1: (s0 * s0 + 3 * s1) % 257, alphabet_size=257),
+}
+
+CASES = [(f"classify-{name}", fmt) for name in WIRES if name != "residue-q257"
+         for fmt in FORMATS]
+CASES += [("witness-q5", fmt) for fmt in FORMATS]
+DIGEST_CASE = ("classify-residue-q257", "json")
+
+
+def run_case(name, fmt, tmp):
+    """The invocation's stdout, and the golden file it must equal."""
+    if name.startswith("classify-"):
+        path = tmp / f"{name}.json"
+        mc.save_wire(WIRES[name[len("classify-"):]](), path)
+        argv = ["classify", str(path), "--format", fmt]
+    else:
+        argv = ["witness", "--q", "5", "--format", fmt]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue().encode(), GOLDEN / f"{name}.{FORMATS[fmt]}"
+
+
+@pytest.mark.parametrize("name,fmt", CASES)
+def test_golden_stdout(name, fmt, tmp_path):
+    out, golden = run_case(name, fmt, tmp_path)
+    assert out == golden.read_bytes()
+
+
+def test_golden_residue_wire_digest(tmp_path):
+    out, golden = run_case(*DIGEST_CASE, tmp_path)
+    digest = Path(f"{golden}.sha256").read_text()
+    assert hashlib.sha256(out).hexdigest() + "\n" == digest
+
+
+def _regenerate():
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fmt in CASES:
+            out, golden = run_case(name, fmt, Path(tmp))
+            golden.write_bytes(out)
+        out, golden = run_case(*DIGEST_CASE, Path(tmp))
+        Path(f"{golden}.sha256").write_text(hashlib.sha256(out).hexdigest() + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()

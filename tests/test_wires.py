@@ -168,6 +168,11 @@ class TestMarginals:
                         q, table, x, alphabet
                     )
 
+    def test_table_computed_once_and_read_only(self):
+        w = mc.t6_witness(5)
+        m = mc.marginal_table(w)
+        assert mc.marginal_table(w) is m and not m.flags.writeable
+
     def test_secret_out_of_range(self):
         w = mc.t6_witness(3)
         with pytest.raises(ValueError):
@@ -224,6 +229,19 @@ class TestBulkClassifier:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             mc.classify_cells_bulk(2, np.zeros((3, 5), dtype=np.int64))
+
+    def test_alphabet_taken_from_entries(self):
+        rng = np.random.default_rng(22)
+        for q, alphabet in ((3, 3), (5, 5), (7, 4)):
+            cells = rng.integers(0, alphabet, size=(64, q * q))
+            codes = mc.classify_cells_bulk(q, cells)
+            for row, code in zip(cells, codes):
+                w = mc.make_wire(q, row, alphabet_size=alphabet + 2)
+                assert mc.classify(w) is mc.wires.VERDICT_BY_CODE[code]
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            mc.classify_cells_bulk(2, np.array([[0, 1, -1, 0]]))
 
 
 class TestMutualInformation:
