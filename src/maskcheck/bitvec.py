@@ -21,6 +21,10 @@ class WordOverflowError(ArithmeticError):
     """An intermediate left the w-bit unsigned range instead of wrapping."""
 
 
+# Widest register accepted: 2^width must still print as a decimal integer.
+MAX_WIDTH = 4096
+
+
 @dataclass(frozen=True)
 class WidthConfig:
     """A modulus paired with the register width meant to carry it."""
@@ -31,8 +35,8 @@ class WidthConfig:
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+        if not 1 <= self.width <= MAX_WIDTH:
+            raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
 
     @property
     def admissible(self) -> bool:

@@ -334,6 +334,10 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
         )
     if twiddle_set is None:
         twiddle_set = tuple(range(1, q))
+    for t in twiddle_set:
+        if int(t) % q == 0:
+            # A zero twiddle drops the secret from the recombined probe.
+            raise ValueError(f"twiddle {t} is 0 mod {q}; twiddles must be nonzero mod q")
     twiddle_set = tuple(int(t) % q for t in twiddle_set)
     for role in secret_roles:
         if role not in ("a", "b"):

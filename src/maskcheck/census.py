@@ -20,6 +20,7 @@ and diagonal masks keep modular arithmetic out of the loop entirely.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from math import comb
@@ -172,13 +173,21 @@ def _count_range(args) -> tuple[int, int, int]:
     return n_vi, n_cm, n_bad
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_census(q: int, parallelism: int = 1,
                batch_size: int = DEFAULT_BATCH_SIZE) -> CensusReport:
     """Classify every Boolean wire at modulus q and tally the verdicts.
 
     The wire-index range is split into contiguous chunks; per-chunk counts
     merge by addition, so the report is identical for any worker count.
-    With parallelism 1 everything runs in the calling process.
+    With parallelism 1 everything runs in the calling process; otherwise
+    the pool has min(parallelism, usable CPUs, chunks) workers.
     """
     _check_q(q)
     if parallelism < 1:
@@ -196,7 +205,7 @@ def run_census(q: int, parallelism: int = 1,
             for i in range(n_chunks)
             if bounds[i] < bounds[i + 1]
         ]
-        with Pool(parallelism) as pool:
+        with Pool(min(parallelism, _usable_cpus(), len(jobs))) as pool:
             parts = pool.map(_count_range, jobs)
 
     n_vi = sum(p[0] for p in parts)

@@ -113,7 +113,7 @@ def cmd_classify(args, out) -> int:
         "q": wire.q,
         "alphabet": wire.alphabet_size,
         "verdict": verdict.value,
-        "marginals": [[int(c) for c in row] for row in marginals],
+        "marginals": marginals.tolist(),
         "mutual_information_bits": mi.bits,
         "mutual_information_is_zero": mi.is_zero,
     }
@@ -130,7 +130,7 @@ def cmd_classify(args, out) -> int:
             f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})",
             "marginal histograms (one row per secret):",
         ]
-        lines += [f"  x={x}: {list(map(int, row))}" for x, row in enumerate(marginals)]
+        lines += [f"  x={x}: {row}" for x, row in enumerate(doc["marginals"])]
         _emit_human(lines, out)
     return EXIT_OK
 
@@ -263,6 +263,8 @@ def cmd_bounds(args, out) -> int:
 def cmd_urem_check(args, out) -> int:
     try:
         cfg = WidthConfig(args.q, args.w)
+        if args.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {args.samples}")
         if not cfg.admissible:
             raise ValueError(
                 f"width {args.w} inadmissible for q={args.q} (needs 2q < 2^w)"
@@ -436,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="exhaustive verdict census at small q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--workers", type=int, default=_default_workers(),
-                   help=f"worker processes (default: ${WORKERS_ENV} or 1)")
+                   help=f"most worker processes, further capped by usable CPUs "
+                        f"(default: ${WORKERS_ENV} or 1)")
     _add_format(p)
     p.set_defaults(func=cmd_census)
 

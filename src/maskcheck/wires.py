@@ -363,7 +363,9 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
         raise WireFormatError(f"q must be a positive integer, got {q!r}")
     if type(alphabet) is not int or alphabet < 1:
         raise WireFormatError(f"alphabet must be a positive integer, got {alphabet!r}")
-    if not isinstance(table, list):
+    # load_wire hands over an int64 array when it parsed the table itself.
+    typed = isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 1
+    if not (typed or isinstance(table, list)):
         raise WireFormatError("table must be a JSON array")
     if len(table) != q * q:
         raise WireFormatError(
@@ -371,7 +373,7 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
             f"(first missing index {min(len(table), q * q)})"
         )
     # One pass over the entry types; make_wire checks the range.
-    bad = set(map(type, table)) - {int}
+    bad = set() if typed else set(map(type, table)) - {int}
     if bad:
         types = list(map(type, table))
         i = min(types.index(t) for t in bad)
@@ -382,18 +384,124 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
         raise WireFormatError(str(exc)) from exc
 
 
-def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
-    """Read a wire-function JSON file; raises WireFormatError with the
-    offending position on malformed input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+# Bytes a table body may hold for the numpy parse: digits, commas, JSON whitespace.
+_JSON_WS_BYTES = b" \t\n\r"
+_INT_BODY_BYTES = b"0123456789," + _JSON_WS_BYTES
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _parse_int_body(body: bytes) -> np.ndarray | None:
+    """The entries of a JSON array body of plain non-negative integers.
+
+    Returns None for any body that json.loads would not read as exactly
+    these integers.  np.fromstring alone is too lenient: it reads "01",
+    invents a value after a trailing comma or in an empty body, and
+    saturates at INT64_MAX, so the digit count and the maximum are checked
+    against the parsed values.
+    """
+    if body.translate(None, _INT_BODY_BYTES):
+        return None
+    if body.rstrip(_JSON_WS_BYTES).endswith(b","):
+        return None  # np.fromstring would read past the end for the last value
+    commas = body.count(b",")
     try:
-        doc = json.loads(text)
+        arr = np.fromstring(body, dtype=np.int64, sep=",", count=commas + 1)
+    except ValueError:
+        return None
+    top = int(arr.max())
+    if top >= _INT64_MAX:
+        return None
+    # Every digit must belong to one value written without leading zeros.
+    digits = len(body.translate(None, b"," + _JSON_WS_BYTES))
+    widths = arr.size + sum(
+        np.count_nonzero(arr >= 10 ** k) for k in range(1, len(str(top)))
+    )
+    return arr if digits == widths else None
+
+
+def _scan_int_wire(data: bytes) -> dict | None:
+    """The wire document in `data` with its table parsed by numpy.
+
+    Walks the top-level object, decoding every value but "table" with the
+    json module.  Returns None, so that the caller falls back to json.loads,
+    unless the file is ASCII and each "table" value is an array that
+    `_parse_int_body` accepts.
+    """
+    if not data.isascii():
+        return None
+    text = data.decode("ascii")
+    ws = json.decoder.WHITESPACE.match
+    decode = json.JSONDecoder().raw_decode
+    doc = {}
+    i = ws(text).end()
+    if not text.startswith("{", i):
+        return None
+    i = ws(text, i + 1).end()
+    try:
+        while True:
+            if not text.startswith('"', i):
+                return None
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = ws(text, i).end()
+            if not text.startswith(":", i):
+                return None
+            i = ws(text, i + 1).end()
+            if key == "table" and text.startswith("[", i):
+                end = text.find("]", i)
+                value = _parse_int_body(data[i + 1:end]) if end > 0 else None
+                if value is None:
+                    return None
+                i = end + 1
+            else:
+                value, i = decode(text, i)
+            doc[key] = value  # the last duplicate wins, as in json.loads
+            i = ws(text, i).end()
+            if text.startswith("}", i):
+                break
+            if not text.startswith(",", i):
+                return None
+            i = ws(text, i + 1).end()
+    except (ValueError, RecursionError):
+        return None
+    return doc if ws(text, i + 1).end() == len(text) else None
+
+
+def _decode_wire_json(data: bytes):
+    """json.loads of the file, with every failure as a WireFormatError."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(
+            f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from exc
+    # Positions in messages count newlines as text-mode reading translates them.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise WireFormatError(
             f"invalid JSON at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise WireFormatError("invalid JSON: nested too deeply to decode") from exc
+    except ValueError as exc:  # an integer beyond the int-to-str digit limit
+        raise WireFormatError(f"invalid JSON: {exc}") from exc
+
+
+def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
+    """Read a wire-function JSON file; raises WireFormatError with the
+    offending position on malformed input.
+
+    A table of plain non-negative integers is parsed straight into numpy;
+    any other document goes through json.loads, which is then the only
+    source of JSON and entry-type error messages.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = _scan_int_wire(data)
+    if doc is None:
+        doc = _decode_wire_json(data)
     return wire_from_dict(doc, cell_cap)
 
 

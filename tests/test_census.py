@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 import maskcheck as mc
+from maskcheck import census
 
 from test_wires import naive_constant_marginal, naive_is_vi
 
@@ -76,6 +79,37 @@ class TestDeterminism:
         base = mc.run_census(4, parallelism=1).to_dict()
         for workers in (2, 3):
             assert mc.run_census(4, parallelism=workers).to_dict() == base
+
+    @pytest.mark.parametrize("parallelism,cpus,batch_size,expected", [
+        (10**6, 3, 8, 3),     # 64 chunks: capped by the CPUs
+        (10**6, 64, 256, 2),  # 2 chunks: capped by the chunks
+        (2, 64, 8, 2),
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, parallelism, cpus,
+                                  batch_size, expected):
+        sizes = []
+
+        class RecordingPool:  # runs the jobs in-process; starts nothing
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return list(map(fn, jobs))
+
+        monkeypatch.setattr(census, "Pool", RecordingPool)
+        monkeypatch.setattr(census, "_usable_cpus", lambda: cpus)
+        report = mc.run_census(3, parallelism=parallelism, batch_size=batch_size)
+        assert sizes == [expected]
+        assert report.to_dict() == mc.run_census(3).to_dict()
+
+    def test_usable_cpus_within_affinity(self):
+        assert 1 <= census._usable_cpus() <= (os.cpu_count() or 1)
 
     def test_batch_size_does_not_matter(self):
         a = mc.run_census(3, batch_size=7).to_dict()

@@ -46,6 +46,27 @@ class TestClassify:
         assert code == 2
         assert "line 1" in err
 
+    def test_invalid_utf8_exits_2_naming_byte(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"q": 1, "note": "caf\xe9", "alphabet": 2}')
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert "invalid UTF-8 at byte 21: invalid continuation byte" in err
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert "invalid JSON: nested too deeply" in err
+
+    def test_integer_beyond_digit_limit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"q": ' + "1" * 5000 + "}")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert "invalid JSON" in err and "digits" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", str(tmp_path / "absent.json"))
         assert code == 2
@@ -176,6 +197,11 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--q", "0", "--w", "24")
         assert code == 2
 
+    def test_huge_width_exits_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "--q", "3329", "--w", "20000")
+        assert code == 2 and not out
+        assert "width must be in [1, 4096], got 20000" in err
+
 
 class TestUremCheck:
     def test_sampled_run(self, capsys):
@@ -202,6 +228,11 @@ class TestUremCheck:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_negative_samples_exits_2(self, capsys):
+        code, out, err = run(capsys, "urem-check", "--q", "3329", "--samples", "-5")
+        assert code == 2 and not out
+        assert "samples must be >= 1, got -5" in err
 
     def test_inadmissible_exits_2(self, capsys):
         code, _, err = run(capsys, "urem-check", "--q", "8388608", "--w", "24")
@@ -246,6 +277,12 @@ class TestButterfly:
     def test_bad_config_exits_2(self, capsys):
         code, _, _ = run(capsys, "butterfly", "--q", "11", "--stages", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("twiddles", ["0", "2,5"])
+    def test_zero_twiddle_exits_2(self, capsys, twiddles):
+        code, out, err = run(capsys, "butterfly", "--q", "5", "--twiddles", twiddles)
+        assert code == 2 and not out
+        assert "0 mod 5; twiddles must be nonzero mod q" in err
 
 
 class TestOutputStability:
