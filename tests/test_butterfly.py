@@ -1,4 +1,6 @@
+import json
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,16 @@ class TestTaints:
         taints = mc.trace_taints(3, "a")
         assert taints["s2.c0"] == {"secret0"}
         assert taints["s2.c1"] == {"secret1"}
+
+    def test_full_maps_pinned(self):
+        # Captured from the hand-written taint tracker that preceded the
+        # generic pipeline evaluation: every tap, 1-3 stages, both roles.
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "trace_taints.json").read_text())
+        for role, by_stages in pinned.items():
+            for n_stages, expected in by_stages.items():
+                taints = mc.trace_taints(int(n_stages), role)
+                assert {tap: sorted(t) for tap, t in taints.items()} == expected
 
 
 class TestConjectureSweep:

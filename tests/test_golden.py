@@ -1,9 +1,10 @@
 """Golden stdout: the CLI's exact bytes for fixed inputs, in every format.
 
 The expected files under data/golden were captured from the CLI before the
-dense analysis was folded into one kernel; any change to the verdicts,
-marginals, float formatting or layout of the output shows up here as a
-byte difference.  Regenerate them (only for an intended output change)
+dense analysis was folded into one kernel (classify, witness) and before
+the subcommands shared one output emitter (the rest); any change to the
+verdicts, counts, float formatting or layout of the output shows up here
+as a byte difference.  The census wall time is the one masked number.  Regenerate them (only for an intended output change)
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,6 +12,7 @@ with
 
 import hashlib
 import io
+import re
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -43,9 +45,25 @@ WIRES = {
         257, lambda s0, s1: (s0 * s0 + 3 * s1) % 257, alphabet_size=257),
 }
 
+# Every other subcommand, by golden-file stem: both bias csv layouts (full
+# counts up to q = 2^16, key,value above), urem-check in both modes.
+COMMANDS = {
+    "witness-q5": ["witness", "--q", "5"],
+    "census-q2": ["census", "--q", "2", "--workers", "1"],
+    "bias-n4096-q3329": ["bias", "--n", "4096", "--q", "3329"],
+    "bias-n16777216-q8380417": ["bias", "--n", str(1 << 24), "--q", "8380417"],
+    "bounds-q3329-w24": ["bounds", "--q", "3329", "--w", "24"],
+    "urem-check-sampled-q3329": ["urem-check", "--q", "3329", "--w", "24",
+                                 "--seed", "7", "--samples", "300"],
+    "urem-check-exhaustive-q17": ["urem-check", "--q", "17", "--w", "24",
+                                  "--exhaustive"],
+    "butterfly-q3-s1": ["butterfly", "--q", "3", "--stages", "1"],
+}
+WALL_TIME = re.compile(rb"wall time: [0-9.]+ s")
+
 CASES = [(f"classify-{name}", fmt) for name in WIRES if name != "residue-q257"
          for fmt in FORMATS]
-CASES += [("witness-q5", fmt) for fmt in FORMATS]
+CASES += [(name, fmt) for name in COMMANDS for fmt in FORMATS]
 DIGEST_CASE = ("classify-residue-q257", "json")
 
 
@@ -56,11 +74,12 @@ def run_case(name, fmt, tmp):
         mc.save_wire(WIRES[name[len("classify-"):]](), path)
         argv = ["classify", str(path), "--format", fmt]
     else:
-        argv = ["witness", "--q", "5", "--format", fmt]
+        argv = COMMANDS[name] + ["--format", fmt]
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert main(argv) == 0
-    return buf.getvalue().encode(), GOLDEN / f"{name}.{FORMATS[fmt]}"
+    out = WALL_TIME.sub(b"wall time: * s", buf.getvalue().encode())
+    return out, GOLDEN / f"{name}.{FORMATS[fmt]}"
 
 
 @pytest.mark.parametrize("name,fmt", CASES)
