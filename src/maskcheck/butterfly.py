@@ -28,6 +28,7 @@ import numpy as np
 
 from .wires import (
     DEFAULT_CELL_CAP,
+    VERDICT_BY_CODE,
     Verdict,
     WireFunction,
     classify_cells_bulk,
@@ -123,22 +124,35 @@ def is_adversarial_tap(tap: str) -> bool:
     return tap.split(".", 1)[-1] in ADVERSARIAL_SIGNALS
 
 
-def _signal_grid(q: int, twiddles, a0, a1, b_ops) -> dict:
-    """Evaluate every signal of the pipeline on (broadcastable) share arrays.
+def _residue_ops(q: int):
+    """(+, -, x t) on residue arrays mod q."""
+    return (lambda x, y: (x + y) % q, lambda x, y: (x - y) % q,
+            lambda t, x: (t * x) % q)
 
-    `b_ops[k]` holds the share pair of stage k's fresh operand; the a input
-    of stage k > 0 is the c output of stage k - 1.
+
+# (+, -, x t) on taint sets: a sum or difference carries the shares of both
+# operands, and a twiddle product those of its operand.
+_TAINT_OPS = (frozenset.union, frozenset.union, lambda t, x: x)
+
+
+def _signal_grid(ops, twiddles, operands) -> dict:
+    """Evaluate every signal of the pipeline over a carrier.
+
+    `ops` is the carrier's (+, -, x t).  `operands` holds share pairs:
+    stage 0's a operand, then stage k's fresh b operand at k + 1.  The a
+    input of stage k > 0 is the c output of stage k - 1.
     """
+    add, sub, scale = ops
     sig = {}
-    acc0, acc1 = a0, a1
+    acc0, acc1 = operands[0]
     for k, t in enumerate(twiddles):
-        b0, b1 = b_ops[k]
-        tb0 = (t * b0) % q
-        tb1 = (t * b1) % q
-        c0 = (acc0 + tb0) % q
-        c1 = (acc1 + tb1) % q
-        d0 = (acc0 - tb0) % q
-        d1 = (acc1 - tb1) % q
+        b0, b1 = operands[k + 1]
+        tb0 = scale(t, b0)
+        tb1 = scale(t, b1)
+        c0 = add(acc0, tb0)
+        c1 = add(acc1, tb1)
+        d0 = sub(acc0, tb0)
+        d1 = sub(acc1, tb1)
         sig[f"s{k}.a0"] = acc0
         sig[f"s{k}.a1"] = acc1
         sig[f"s{k}.b0"] = b0
@@ -149,10 +163,29 @@ def _signal_grid(q: int, twiddles, a0, a1, b_ops) -> dict:
         sig[f"s{k}.c1"] = c1
         sig[f"s{k}.d0"] = d0
         sig[f"s{k}.d1"] = d1
-        sig[f"s{k}.c_recombined"] = (c0 + c1) % q
-        sig[f"s{k}.d_recombined"] = (d0 + d1) % q
+        sig[f"s{k}.c_recombined"] = add(c0, c1)
+        sig[f"s{k}.d_recombined"] = add(d0, d1)
         acc0, acc1 = c0, c1
     return sig
+
+
+def _place_secret(secret_role: str, secret, context) -> list:
+    """The operands of `_signal_grid`, with the secret's share pair as
+    stage 0's a operand (role 'a') or b operand (role 'b').
+
+    `context`, one share pair per stage, fills the other operands in order.
+    """
+    if secret_role not in ("a", "b"):
+        raise ValueError(f"secret_role must be 'a' or 'b', got {secret_role!r}")
+    operands = list(context)
+    operands.insert(0 if secret_role == "a" else 1, secret)
+    return operands
+
+
+def _share_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """All q^2 share pairs (s0, s1) in s0-major order, as two flat arrays."""
+    return (np.repeat(np.arange(q, dtype=np.int64), q),
+            np.tile(np.arange(q, dtype=np.int64), q))
 
 
 def _context_shares(q: int, pair) -> tuple[int, int]:
@@ -176,9 +209,7 @@ def extract_wire_function(pipeline, tap: str, secret_role: str,
     for st in pipeline:
         if st.q != q:
             raise ValueError(f"modulus mismatch in pipeline: {st.q} vs {q}")
-    if secret_role not in ("a", "b"):
-        raise ValueError(f"secret_role must be 'a' or 'b', got {secret_role!r}")
-    context = list(fixed_context)
+    context = [_context_shares(q, pair) for pair in fixed_context]
     if len(context) != len(pipeline):
         raise ValueError(
             f"fixed_context has {len(context)} pairs, expected one per stage "
@@ -193,17 +224,8 @@ def extract_wire_function(pipeline, tap: str, secret_role: str,
         raise ValueError(f"q={q} needs {q * q} cells, above cap {cell_cap}")
 
     twiddles = [st.twiddle.value for st in pipeline]
-    s0 = np.repeat(np.arange(q, dtype=np.int64), q)
-    s1 = np.tile(np.arange(q, dtype=np.int64), q)
-    if secret_role == "a":
-        a0, a1 = s0, s1
-        b_ops = [_context_shares(q, context[k]) for k in range(len(pipeline))]
-    else:
-        a0, a1 = _context_shares(q, context[0])
-        b_ops = [(s0, s1)] + [
-            _context_shares(q, context[k]) for k in range(1, len(pipeline))
-        ]
-    sig = _signal_grid(q, twiddles, a0, a1, b_ops)
+    operands = _place_secret(secret_role, _share_pairs(q), context)
+    sig = _signal_grid(_residue_ops(q), twiddles, operands)
     cells = np.broadcast_to(np.asarray(sig[tap], dtype=np.int64), (q * q,))
     return make_wire(q, cells, alphabet_size=q, cell_cap=cell_cap)
 
@@ -211,40 +233,15 @@ def extract_wire_function(pipeline, tap: str, secret_role: str,
 def trace_taints(n_stages: int, secret_role: str) -> dict:
     """Which secret shares flow into each signal, tracked structurally.
 
-    Returns tap -> subset of {'secret0', 'secret1'}.  Sharewise signals
-    must never carry both; the recombined probes do by construction.
+    Evaluates the same pipeline as `extract_wire_function` over taint
+    sets instead of residues.  Returns tap -> subset of {'secret0',
+    'secret1'}.  Sharewise signals must never carry both; the recombined
+    probes do by construction.
     """
-    if secret_role not in ("a", "b"):
-        raise ValueError(f"secret_role must be 'a' or 'b', got {secret_role!r}")
-    empty = frozenset()
-    t0, t1 = frozenset({"secret0"}), frozenset({"secret1"})
-    taints = {}
-    if secret_role == "a":
-        acc0, acc1 = t0, t1
-        b_first0, b_first1 = empty, empty
-    else:
-        acc0, acc1 = empty, empty
-        b_first0, b_first1 = t0, t1
-    for k in range(n_stages):
-        b0 = b_first0 if k == 0 else empty
-        b1 = b_first1 if k == 0 else empty
-        tb0, tb1 = b0, b1
-        c0, c1 = acc0 | tb0, acc1 | tb1
-        d0, d1 = acc0 | tb0, acc1 | tb1
-        taints[f"s{k}.a0"] = acc0
-        taints[f"s{k}.a1"] = acc1
-        taints[f"s{k}.b0"] = b0
-        taints[f"s{k}.b1"] = b1
-        taints[f"s{k}.tb0"] = tb0
-        taints[f"s{k}.tb1"] = tb1
-        taints[f"s{k}.c0"] = c0
-        taints[f"s{k}.c1"] = c1
-        taints[f"s{k}.d0"] = d0
-        taints[f"s{k}.d1"] = d1
-        taints[f"s{k}.c_recombined"] = c0 | c1
-        taints[f"s{k}.d_recombined"] = d0 | d1
-        acc0, acc1 = c0, c1
-    return taints
+    secret = (frozenset({"secret0"}), frozenset({"secret1"}))
+    context = [(frozenset(), frozenset())] * n_stages
+    operands = _place_secret(secret_role, secret, context)
+    return _signal_grid(_TAINT_OPS, (None,) * n_stages, operands)
 
 
 @dataclass(frozen=True)
@@ -339,63 +336,51 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
             # A zero twiddle drops the secret from the recombined probe.
             raise ValueError(f"twiddle {t} is 0 mod {q}; twiddles must be nonzero mod q")
     twiddle_set = tuple(int(t) % q for t in twiddle_set)
-    for role in secret_roles:
-        if role not in ("a", "b"):
-            raise ValueError(f"invalid secret role {role!r}")
 
     taps = tap_inventory(n_stages, include_adversarial)
     verdict_counts = {tap: {v: 0 for v in Verdict} for tap in taps}
     ncm_findings: list[TapFinding] = []
     adv_vi_findings: list[TapFinding] = []
 
+    # Secret share pairs run along axis 1, the q^2 contexts along axis 0; one
+    # (plain, mask) context pair is applied to every non-secret operand.
     n_ctx = q * q
-    ctx_plain = np.repeat(np.arange(q, dtype=np.int64), q)[:, None]
-    ctx_mask = np.tile(np.arange(q, dtype=np.int64), q)[:, None]
-    ctx_share0 = (ctx_plain - ctx_mask) % q
-    s0 = np.repeat(np.arange(q, dtype=np.int64), q)[None, :]
-    s1 = np.tile(np.arange(q, dtype=np.int64), q)[None, :]
+    pairs = _share_pairs(q)
+    ctx_plain, ctx_mask = (v[:, None] for v in pairs)
+    context = [((ctx_plain - ctx_mask) % q, ctx_mask)] * n_stages
+    placed = {role: _place_secret(role, tuple(v[None, :] for v in pairs), context)
+              for role in secret_roles}
+    ops = _residue_ops(q)
 
     n_configurations = 0
     for twiddles in product(twiddle_set, repeat=n_stages):
         for role in secret_roles:
-            if role == "a":
-                a0, a1 = s0, s1
-                b_ops = [(ctx_share0, ctx_mask)] * n_stages
-            else:
-                a0, a1 = ctx_share0, ctx_mask
-                b_ops = [(s0, s1)] + [(ctx_share0, ctx_mask)] * (n_stages - 1)
-            sig = _signal_grid(q, twiddles, a0, a1, b_ops)
+            sig = _signal_grid(ops, twiddles, placed[role])
             n_configurations += n_ctx
             for tap in taps:
                 cells = np.broadcast_to(
                     np.asarray(sig[tap], dtype=np.int64), (n_ctx, q * q)
                 )
                 codes = classify_cells_bulk(q, cells)
-                counts = np.bincount(codes, minlength=3)
-                verdict_counts[tap][Verdict.VALUE_INDEPENDENT] += int(counts[0])
-                verdict_counts[tap][Verdict.CONSTANT_MARGINAL_ONLY] += int(counts[1])
-                verdict_counts[tap][Verdict.NON_CONSTANT_MARGINAL] += int(counts[2])
-                adversarial = is_adversarial_tap(tap)
-                if not adversarial and counts[2]:
-                    for ctx_idx in np.nonzero(codes == 2)[0]:
-                        if len(ncm_findings) >= max_findings:
-                            break
-                        pair = (int(ctx_plain[ctx_idx, 0]), int(ctx_mask[ctx_idx, 0]))
-                        ncm_findings.append(TapFinding(
-                            tap=tap, twiddles=twiddles, secret_role=role,
-                            context=(pair,) * n_stages,
-                            verdict=Verdict.NON_CONSTANT_MARGINAL,
-                        ))
-                if adversarial and counts[0]:
-                    for ctx_idx in np.nonzero(codes == 0)[0]:
-                        if len(adv_vi_findings) >= max_findings:
-                            break
-                        pair = (int(ctx_plain[ctx_idx, 0]), int(ctx_mask[ctx_idx, 0]))
-                        adv_vi_findings.append(TapFinding(
-                            tap=tap, twiddles=twiddles, secret_role=role,
-                            context=(pair,) * n_stages,
-                            verdict=Verdict.VALUE_INDEPENDENT,
-                        ))
+                counts = np.bincount(codes, minlength=3).tolist()
+                for verdict, n in zip(VERDICT_BY_CODE, counts):
+                    verdict_counts[tap][verdict] += n
+                # Would-be counterexamples: a sharewise tap with a non-constant
+                # marginal, or a recombination probe read as value-independent.
+                if is_adversarial_tap(tap):
+                    findings, flagged = adv_vi_findings, 0
+                else:
+                    findings, flagged = ncm_findings, 2
+                if not counts[flagged]:
+                    continue
+                hits = np.nonzero(codes == flagged)[0][:max_findings - len(findings)]
+                for ctx_idx in hits.tolist():
+                    pair = (int(pairs[0][ctx_idx]), int(pairs[1][ctx_idx]))
+                    findings.append(TapFinding(
+                        tap=tap, twiddles=twiddles, secret_role=role,
+                        context=(pair,) * n_stages,
+                        verdict=VERDICT_BY_CODE[flagged],
+                    ))
 
     return SweepReport(
         q=q,

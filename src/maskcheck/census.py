@@ -132,6 +132,7 @@ class CensusReport:
     count_non_constant: int
     soundness_violations: int
     wall_time_seconds: float
+    workers: int = 1  # processes that ran the count; not part of to_dict
 
     def __post_init__(self):
         if self.count_constant_marginal + self.count_non_constant != self.total_wires:
@@ -186,8 +187,9 @@ def run_census(q: int, parallelism: int = 1,
 
     The wire-index range is split into contiguous chunks; per-chunk counts
     merge by addition, so the report is identical for any worker count.
-    With parallelism 1 everything runs in the calling process; otherwise
-    the pool has min(parallelism, usable CPUs, chunks) workers.
+    With parallelism 1, or a single batch of work, everything runs in the
+    calling process; otherwise the pool has min(parallelism, usable CPUs,
+    chunks) workers.  The report's `workers` is that count.
     """
     _check_q(q)
     if parallelism < 1:
@@ -196,6 +198,7 @@ def run_census(q: int, parallelism: int = 1,
     t0 = time.perf_counter()
 
     if parallelism == 1 or total <= batch_size:
+        workers = 1
         parts = [_count_range((q, 0, total, batch_size))]
     else:
         n_chunks = min(parallelism * 4, max(1, total // batch_size))
@@ -205,7 +208,8 @@ def run_census(q: int, parallelism: int = 1,
             for i in range(n_chunks)
             if bounds[i] < bounds[i + 1]
         ]
-        with Pool(min(parallelism, _usable_cpus(), len(jobs))) as pool:
+        workers = min(parallelism, _usable_cpus(), len(jobs))
+        with Pool(workers) as pool:
             parts = pool.map(_count_range, jobs)
 
     n_vi = sum(p[0] for p in parts)
@@ -221,6 +225,7 @@ def run_census(q: int, parallelism: int = 1,
         count_non_constant=total - n_cm,
         soundness_violations=n_bad,
         wall_time_seconds=wall,
+        workers=workers,
     )
 
 

@@ -19,6 +19,8 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +50,10 @@ EXIT_THEORY_VIOLATION = 3
 # Residue count arrays are omitted from bias output above this q.
 FULL_COUNTS_MAX_Q = 1 << 16
 
+# urem-check runs a Python loop over its pairs (q^2 of them when
+# exhaustive, --samples otherwise); larger runs are refused up front.
+UREM_MAX_PAIRS = 1 << 24
+
 WORKERS_ENV = "MASKCHECK_WORKERS"
 
 
@@ -70,40 +76,69 @@ def _default_workers() -> int:
         return 1
 
 
-def _emit_json(doc: dict, out) -> None:
-    out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    out.write("\n")
+@dataclass(frozen=True)
+class Result:
+    """What one subcommand found, ready to be written in any format.
+
+    `human` and `csv` are called only when their format is asked for, so
+    large outputs cost nothing in the other formats.  Without `csv` the
+    csv output is key,value rows of `doc`.  An `alarm` reports a
+    theory-contradicting result: it goes to stderr after the output and
+    sets exit code 3.
+    """
+
+    doc: dict
+    human: Callable[[], Iterable[str]]
+    csv: Callable[[], Iterable[str]] | None = None
+    alarm: str | None = None
+
+    @property
+    def exit_code(self) -> int:
+        return EXIT_THEORY_VIOLATION if self.alarm else EXIT_OK
 
 
-def _emit_kv_csv(doc: dict, out) -> None:
-    out.write("key,value\n")
-    for key in sorted(doc):
+def _csv_rows(header: str, rows):
+    yield header
+    for row in rows:
+        yield ",".join(map(str, row))
+
+
+def _kv_rows(doc: dict, omit=()):
+    yield "key,value"
+    for key in sorted(doc.keys() - set(omit)):
         value = doc[key]
         if isinstance(value, (dict, list)):
             value = json.dumps(value, sort_keys=True, separators=(",", ":"))
             value = '"' + value.replace('"', '""') + '"'
-        out.write(f"{key},{value}\n")
+        yield f"{key},{value}"
 
 
-def _emit_human(lines, out) -> None:
+def _emit(result: Result, fmt: str, out) -> None:
+    """Write `result` to `out` as json, csv or human lines."""
+    if fmt == "json":
+        out.write(json.dumps(result.doc, sort_keys=True, separators=(",", ":")))
+        out.write("\n")
+        return
+    if fmt == "csv":
+        lines = result.csv() if result.csv else _kv_rows(result.doc)
+    else:
+        lines = result.human()
     for line in lines:
         out.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each computes a Result; a ValueError means bad input.
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args) -> Result:
     try:
         wire = load_wire(args.wire)
     except OSError as exc:
-        print(f"error: cannot read {args.wire}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"cannot read {args.wire}: {exc}") from exc
     except WireFormatError as exc:
-        print(f"error: {args.wire}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"{args.wire}: {exc}") from exc
     verdict = classify(wire)
     marginals = marginal_table(wire)
     mi = mutual_information(wire)
@@ -117,66 +152,43 @@ def cmd_classify(args, out) -> int:
         "mutual_information_bits": mi.bits,
         "mutual_information_is_zero": mi.is_zero,
     }
-    if args.format == "json":
-        _emit_json(doc, out)
-    elif args.format == "csv":
-        flat = dict(doc)
-        flat.pop("marginals")
-        _emit_kv_csv(flat, out)
-    else:
-        lines = [
-            f"wire: q={wire.q} alphabet={wire.alphabet_size}",
-            f"verdict: {verdict.value}",
-            f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})",
-            "marginal histograms (one row per secret):",
-        ]
-        lines += [f"  x={x}: {row}" for x, row in enumerate(doc["marginals"])]
-        _emit_human(lines, out)
-    return EXIT_OK
+
+    def human():
+        yield f"wire: q={wire.q} alphabet={wire.alphabet_size}"
+        yield f"verdict: {verdict.value}"
+        yield f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})"
+        yield "marginal histograms (one row per secret):"
+        for x, row in enumerate(doc["marginals"]):
+            yield f"  x={x}: {row}"
+
+    return Result(doc, human, csv=lambda: _kv_rows(doc, omit=("marginals",)))
 
 
-def cmd_census(args, out) -> int:
-    try:
-        report = run_census(args.q, parallelism=args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    doc = {"schema": SCHEMA, "command": "census"}
-    doc.update(report.to_dict(include_wall_time=False))
-    if args.format == "json":
-        _emit_json(doc, out)
-    elif args.format == "csv":
-        out.write("verdict,count\n")
-        out.write(f"VALUE_INDEPENDENT,{report.count_value_independent}\n")
-        out.write(f"CONSTANT_MARGINAL_ONLY,{report.count_conservative}\n")
-        out.write(f"NON_CONSTANT_MARGINAL,{report.count_non_constant}\n")
-    else:
-        _emit_human([
-            f"census at q={report.q}: {report.total_wires} wires",
-            f"  value-independent:      {report.count_value_independent}",
-            f"  constant marginal:      {report.count_constant_marginal}",
-            f"  conservative (CM only): {report.count_conservative}",
-            f"  non-constant marginal:  {report.count_non_constant}",
-            f"  soundness violations:   {report.soundness_violations}",
-            f"  wall time: {report.wall_time_seconds:.2f} s "
-            f"({args.workers} worker(s))",
-        ], out)
+def cmd_census(args) -> Result:
+    report = run_census(args.q, parallelism=args.workers)
+    doc = {"schema": SCHEMA, "command": "census", **report.to_dict()}
+    alarm = None
     if report.soundness_violations > 0:
-        print(
-            f"error: census found {report.soundness_violations} soundness "
-            "violations (value-independent wires with non-constant marginals)",
-            file=sys.stderr,
-        )
-        return EXIT_THEORY_VIOLATION
-    return EXIT_OK
+        alarm = (f"census found {report.soundness_violations} soundness "
+                 "violations (value-independent wires with non-constant marginals)")
+    return Result(doc, lambda: [
+        f"census at q={report.q}: {report.total_wires} wires",
+        f"  value-independent:      {report.count_value_independent}",
+        f"  constant marginal:      {report.count_constant_marginal}",
+        f"  conservative (CM only): {report.count_conservative}",
+        f"  non-constant marginal:  {report.count_non_constant}",
+        f"  soundness violations:   {report.soundness_violations}",
+        f"  wall time: {report.wall_time_seconds:.2f} s "
+        f"({report.workers} worker(s))",
+    ], csv=lambda: _csv_rows("verdict,count", [
+        ("VALUE_INDEPENDENT", report.count_value_independent),
+        ("CONSTANT_MARGINAL_ONLY", report.count_conservative),
+        ("NON_CONSTANT_MARGINAL", report.count_non_constant),
+    ]), alarm=alarm)
 
 
-def cmd_bias(args, out) -> int:
-    try:
-        profile = bias_profile(args.n, args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_bias(args) -> Result:
+    profile = bias_profile(args.n, args.q)
     bounds_ok = verify_bounds(profile)
     doc = {
         "schema": SCHEMA,
@@ -192,44 +204,28 @@ def cmd_bias(args, out) -> int:
         "bounds_verified": bounds_ok,
     }
     if profile.q <= FULL_COUNTS_MAX_Q:
-        doc["counts"] = [int(c) for c in profile.counts]
+        doc["counts"] = profile.counts.tolist()
     else:
         doc["counts_omitted"] = f"q > {FULL_COUNTS_MAX_Q}, summary only"
-    if args.format == "json":
-        _emit_json(doc, out)
-    elif args.format == "csv":
-        if profile.q <= FULL_COUNTS_MAX_Q:
-            out.write("residue,count\n")
-            for r, c in enumerate(profile.counts):
-                out.write(f"{r},{int(c)}\n")
-        else:
-            flat = dict(doc)
-            _emit_kv_csv(flat, out)
-    else:
-        lines = [
-            f"bias profile of {{0..{profile.n_values - 1}}} mod {profile.q}",
-            f"  min count: {profile.min_count}   max count: {profile.max_count}",
-            f"  ratio: {profile.ratio_str}   divides exactly: {profile.divides_exactly}",
-            f"  bounds [floor, ceil] = [{profile.floor_bound}, {profile.ceil_bound}]"
-            f"   verified: {bounds_ok}",
-        ]
-        _emit_human(lines, out)
-    if not bounds_ok:
-        print("error: residue counts violate the floor/ceil bounds", file=sys.stderr)
-        return EXIT_THEORY_VIOLATION
-    return EXIT_OK
+
+    def csv():
+        return _csv_rows("residue,count", enumerate(doc["counts"]))
+
+    return Result(doc, lambda: [
+        f"bias profile of {{0..{profile.n_values - 1}}} mod {profile.q}",
+        f"  min count: {profile.min_count}   max count: {profile.max_count}",
+        f"  ratio: {profile.ratio_str}   divides exactly: {profile.divides_exactly}",
+        f"  bounds [floor, ceil] = [{profile.floor_bound}, {profile.ceil_bound}]"
+        f"   verified: {bounds_ok}",
+    ], csv=csv if "counts" in doc else None,
+        alarm=None if bounds_ok else "residue counts violate the floor/ceil bounds")
 
 
-def cmd_bounds(args, out) -> int:
-    try:
-        cfg = WidthConfig(args.q, args.w)
-        # Corner inputs of the no-overflow range double as a smoke check.
-        lo_ok = no_overflow_bounds(args.q, 0, args.q - 1)
-        hi_ok = no_overflow_bounds(args.q, args.q - 1, 0)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    corners_ok = all(lo_ok) and all(hi_ok)
+def cmd_bounds(args) -> Result:
+    cfg = WidthConfig(args.q, args.w)
+    # Corner inputs of the no-overflow range double as a smoke check.
+    corners_ok = all(no_overflow_bounds(cfg.q, 0, cfg.q - 1)
+                     + no_overflow_bounds(cfg.q, cfg.q - 1, 0))
     doc = {
         "schema": SCHEMA,
         "command": "bounds",
@@ -242,48 +238,35 @@ def cmd_bounds(args, out) -> int:
         "intermediate_max_exclusive": 2 * cfg.q,
         "corner_checks_ok": corners_ok,
     }
-    if args.format == "json":
-        _emit_json(doc, out)
-    elif args.format == "csv":
-        _emit_kv_csv(doc, out)
-    else:
-        verdict = "admissible" if cfg.admissible else "NOT admissible"
-        _emit_human([
-            f"q={cfg.q} at width {cfg.width}: {verdict} "
-            f"(2q = {2 * cfg.q} vs 2^w = {1 << cfg.width})",
-            f"intermediate x + q - s1 ranges over [1, {2 * cfg.q})",
-            f"corner checks ok: {corners_ok}",
-        ], out)
-    if not corners_ok:
-        print("error: no-overflow corner check failed", file=sys.stderr)
-        return EXIT_THEORY_VIOLATION
-    return EXIT_OK
+    verdict = "admissible" if cfg.admissible else "NOT admissible"
+    return Result(doc, lambda: [
+        f"q={cfg.q} at width {cfg.width}: {verdict} "
+        f"(2q = {2 * cfg.q} vs 2^w = {1 << cfg.width})",
+        f"intermediate x + q - s1 ranges over [1, {2 * cfg.q})",
+        f"corner checks ok: {corners_ok}",
+    ], alarm=None if corners_ok else "no-overflow corner check failed")
 
 
-def cmd_urem_check(args, out) -> int:
-    try:
-        cfg = WidthConfig(args.q, args.w)
-        if args.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {args.samples}")
-        if not cfg.admissible:
-            raise ValueError(
-                f"width {args.w} inadmissible for q={args.q} (needs 2q < 2^w)"
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_urem_check(args) -> Result:
+    cfg = WidthConfig(args.q, args.w)
+    if args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
+    if not cfg.admissible:
+        raise ValueError(f"width {args.w} inadmissible for q={args.q} (needs 2q < 2^w)")
     q = args.q
     exhaustive = args.exhaustive or q * q <= args.samples
+    n_pairs = q * q if exhaustive else args.samples
+    if n_pairs > UREM_MAX_PAIRS:
+        raise ValueError(
+            f"{n_pairs} pairs to check, above the cap of {UREM_MAX_PAIRS}")
     if exhaustive:
         pairs = ((x, s1) for x in range(q) for s1 in range(q))
-        n_pairs = q * q
         mode = "exhaustive"
     else:
         rng = stream_rng(args.seed, "urem-check")
-        xs = rng.integers(0, q, size=args.samples)
-        s1s = rng.integers(0, q, size=args.samples)
+        xs = rng.integers(0, q, size=n_pairs)
+        s1s = rng.integers(0, q, size=n_pairs)
         pairs = zip(xs.tolist(), s1s.tolist())
-        n_pairs = args.samples
         mode = "sampled"
     mismatches = 0
     round_trip_failures = 0
@@ -304,34 +287,26 @@ def cmd_urem_check(args, out) -> int:
         "mismatches": mismatches,
         "round_trip_failures": round_trip_failures,
     }
-    if args.format == "json":
-        _emit_json(doc, out)
-    elif args.format == "csv":
-        _emit_kv_csv(doc, out)
-    else:
-        _emit_human([
-            f"urem encoding check at q={q}, width {args.w} ({mode}, "
-            f"{n_pairs} pairs, seed {args.seed})",
-            f"  mismatches vs ring subtraction: {mismatches}",
-            f"  round-trip failures: {round_trip_failures}",
-        ], out)
+    alarm = None
     if mismatches or round_trip_failures:
-        print("error: word-level encoding disagrees with ring arithmetic",
-              file=sys.stderr)
-        return EXIT_THEORY_VIOLATION
-    return EXIT_OK
+        alarm = "word-level encoding disagrees with ring arithmetic"
+    return Result(doc, lambda: [
+        f"urem encoding check at q={q}, width {args.w} ({mode}, "
+        f"{n_pairs} pairs, seed {args.seed})",
+        f"  mismatches vs ring subtraction: {mismatches}",
+        f"  round-trip failures: {round_trip_failures}",
+    ], alarm=alarm)
 
 
-def cmd_witness(args, out) -> int:
-    try:
-        wire = t6_witness(args.q)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_witness(args) -> Result:
+    wire = t6_witness(args.q)
     verdict = classify(wire)
     mi = mutual_information(wire)
     if args.wire_out:
-        save_wire(wire, args.wire_out)
+        try:
+            save_wire(wire, args.wire_out)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.wire_out}: {exc}") from exc
     doc = {
         "schema": SCHEMA,
         "command": "witness",
@@ -341,84 +316,52 @@ def cmd_witness(args, out) -> int:
         "mutual_information_is_zero": mi.is_zero,
         "wire": wire_to_dict(wire),
     }
-    if args.format == "json":
-        _emit_json(doc, out)
-    elif args.format == "csv":
-        flat = dict(doc)
-        flat.pop("wire")
-        _emit_kv_csv(flat, out)
-    else:
-        _emit_human([
-            f"indicator-of-zero witness at q={wire.q}",
-            f"verdict: {verdict.value}",
-            f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})",
-            "a constant-marginal wire that is not value-independent: the "
-            "conservative gap is real at this modulus",
-        ], out)
-    return EXIT_OK
+    return Result(doc, lambda: [
+        f"indicator-of-zero witness at q={wire.q}",
+        f"verdict: {verdict.value}",
+        f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})",
+        "a constant-marginal wire that is not value-independent: the "
+        "conservative gap is real at this modulus",
+    ], csv=lambda: _kv_rows(doc, omit=("wire",)))
 
 
-def cmd_butterfly(args, out) -> int:
-    try:
-        twiddles = None
-        if args.twiddles:
-            twiddles = tuple(int(t) for t in args.twiddles.split(","))
-        report = conjecture_sweep(
-            q=args.q,
-            n_stages=args.stages,
-            twiddle_set=twiddles,
-            secret_roles=tuple(args.roles.split(",")),
-            include_adversarial=not args.no_adversarial,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    doc = {"schema": SCHEMA, "command": "butterfly"}
-    doc.update(report.to_dict())
-    if args.format == "json":
-        _emit_json(doc, out)
-    elif args.format == "csv":
-        out.write("tap,verdict,count\n")
-        for tap in sorted(report.tap_verdict_counts):
-            for verdict, n in report.tap_verdict_counts[tap].items():
-                if n:
-                    out.write(f"{tap},{verdict.value},{n}\n")
-    else:
-        lines = [
-            f"butterfly sweep: q={report.q}, {report.n_stages} stage(s), "
-            f"twiddles {list(report.twiddle_set)}, roles {list(report.secret_roles)}",
-            f"configurations: {report.n_configurations}",
-            f"clean: {report.clean}",
-        ]
-        for tap in sorted(report.tap_verdict_counts):
-            counts = {
-                v.value: n for v, n in report.tap_verdict_counts[tap].items() if n
-            }
-            lines.append(f"  {tap}: {counts}")
-        lines.append(report.note)
-        _emit_human(lines, out)
-    if not report.clean:
-        print(
-            "error: sweep flagged "
-            f"{len(report.non_constant_marginal)} sharewise non-constant-marginal "
-            f"taps and {len(report.value_independent_adversarial)} "
-            "value-independent recombination probes",
-            file=sys.stderr,
-        )
-        return EXIT_THEORY_VIOLATION
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-
-def _add_format(parser):
-    parser.add_argument(
-        "--format", choices=("json", "csv", "human"), default="human",
-        help="output format (default: human)",
+def cmd_butterfly(args) -> Result:
+    twiddles = None
+    if args.twiddles:
+        twiddles = tuple(int(t) for t in args.twiddles.split(","))
+    report = conjecture_sweep(
+        q=args.q,
+        n_stages=args.stages,
+        twiddle_set=twiddles,
+        secret_roles=tuple(args.roles.split(",")),
+        include_adversarial=not args.no_adversarial,
     )
+    doc = {"schema": SCHEMA, "command": "butterfly", **report.to_dict()}
+    taps = doc["tap_verdict_counts"]  # only the nonzero counts, in verdict order
+
+    def human():
+        yield (f"butterfly sweep: q={report.q}, {report.n_stages} stage(s), "
+               f"twiddles {list(report.twiddle_set)}, roles {list(report.secret_roles)}")
+        yield f"configurations: {report.n_configurations}"
+        yield f"clean: {report.clean}"
+        for tap in sorted(taps):
+            yield f"  {tap}: {taps[tap]}"
+        yield report.note
+
+    alarm = None
+    if not report.clean:
+        alarm = (f"sweep flagged {len(report.non_constant_marginal)} sharewise "
+                 f"non-constant-marginal taps and "
+                 f"{len(report.value_independent_adversarial)} "
+                 "value-independent recombination probes")
+    return Result(doc, human, csv=lambda: _csv_rows("tap,verdict,count", (
+        (tap, verdict, n) for tap in sorted(taps) for verdict, n in taps[tap].items()
+    )), alarm=alarm)
+
+
+# ---------------------------------------------------------------------------
+# Parser and entry point
+# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,53 +372,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format", choices=("json", "csv", "human"), default="human",
+        help="output format (default: human)",
+    )
 
-    p = sub.add_parser("classify", help="classify a wire-function JSON file")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("classify", cmd_classify, "classify a wire-function JSON file")
     p.add_argument("wire", help="path to a wire-function JSON file")
-    _add_format(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("census", help="exhaustive verdict census at small q")
+    p = command("census", cmd_census, "exhaustive verdict census at small q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--workers", type=int, default=_default_workers(),
                    help=f"most worker processes, further capped by usable CPUs "
                         f"(default: ${WORKERS_ENV} or 1)")
-    _add_format(p)
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("bias", help="residue bias of {0..N-1} reduced mod q")
+    p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q")
     p.add_argument("--n", type=int, required=True,
                    help="sample-space size N (e.g. 4096 for a 12-bit RNG)")
     p.add_argument("--q", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_bias)
 
-    p = sub.add_parser("bounds", help="width admissibility and overflow range")
+    p = command("bounds", cmd_bounds, "width admissibility and overflow range")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help="register width in bits")
-    _add_format(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("urem-check",
-                       help="word-level vs ring reparametrization equivalence")
+    p = command("urem-check", cmd_urem_check,
+                "word-level vs ring reparametrization equivalence")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--exhaustive", action="store_true",
                    help="check all q^2 pairs instead of sampling")
-    _add_format(p)
-    p.set_defaults(func=cmd_urem_check)
 
-    p = sub.add_parser("witness",
-                       help="the constant-marginal, non-value-independent wire")
+    p = command("witness", cmd_witness,
+                "the constant-marginal, non-value-independent wire")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--wire-out", default=None,
                    help="also write the wire-function JSON to this path")
-    _add_format(p)
-    p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("butterfly", help="masked butterfly composition sweep")
+    p = command("butterfly", cmd_butterfly, "masked butterfly composition sweep")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--stages", type=int, default=1)
     p.add_argument("--twiddles", default=None,
@@ -484,20 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated secret roles (default: a,b)")
     p.add_argument("--no-adversarial", action="store_true",
                    help="skip the hypothetical recombination probes")
-    _add_format(p)
-    p.set_defaults(func=cmd_butterfly)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        result = args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except TheoryViolation as exc:
         print(f"theory violation: {exc}", file=sys.stderr)
         return EXIT_THEORY_VIOLATION
+    _emit(result, args.format, sys.stdout)
+    if result.alarm:
+        print(f"error: {result.alarm}", file=sys.stderr)
+    return result.exit_code
 
 
 if __name__ == "__main__":

@@ -21,6 +21,11 @@ import numpy as np
 # brute_force_counts iterates all N values; keep it desk-scale.
 BRUTE_FORCE_LIMIT = 1 << 26
 
+# A profile holds one int64 count per residue: q is capped (ML-DSA's
+# 8380417 fits) and N must keep every count within int64.
+PROFILE_MAX_Q = 1 << 24
+PROFILE_MAX_N = (1 << 63) - 1
+
 
 @dataclass(frozen=True, eq=False)
 class BiasProfile:
@@ -71,6 +76,10 @@ def bias_profile(n_values: int, q: int) -> BiasProfile:
         raise ValueError(f"n_values must be a positive integer, got {n_values!r}")
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
+    if q > PROFILE_MAX_Q:
+        raise ValueError(f"q={q} above the profile cap {PROFILE_MAX_Q} (one count per residue)")
+    if n_values > PROFILE_MAX_N:
+        raise ValueError(f"n_values={n_values} above {PROFILE_MAX_N} (int64 counts)")
     a, b = divmod(n_values, q)
     counts = np.full(q, a, dtype=np.int64)
     counts[:b] += 1

@@ -299,6 +299,10 @@ def t6_witness(q) -> WireFunction:
             f"witness needs q >= 2 (no nonzero element exists at q={modulus.q})"
         )
     qq = modulus.q
+    if qq * qq > DEFAULT_CELL_CAP:
+        raise ValueError(
+            f"q={qq} needs {qq * qq} table cells, above cap {DEFAULT_CELL_CAP}"
+        )
     table = np.zeros(qq * qq, dtype=np.int64)
     table[:qq] = 1  # s0 = 0 row
     return WireFunction(qq, 2, table)

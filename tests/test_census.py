@@ -108,6 +108,27 @@ class TestDeterminism:
         assert sizes == [expected]
         assert report.to_dict() == mc.run_census(3).to_dict()
 
+    def test_report_gives_workers_used(self, monkeypatch):
+        class InlinePool:  # runs the jobs in-process; starts nothing
+            def __init__(self, n):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return list(map(fn, jobs))
+
+        monkeypatch.setattr(census, "Pool", InlinePool)
+        monkeypatch.setattr(census, "_usable_cpus", lambda: 3)
+        assert mc.run_census(3, parallelism=64, batch_size=8).workers == 3
+        report = mc.run_census(3, parallelism=64)  # one batch: in-process
+        assert report.workers == 1
+        assert "workers" not in report.to_dict(include_wall_time=True)
+
     def test_usable_cpus_within_affinity(self):
         assert 1 <= census._usable_cpus() <= (os.cpu_count() or 1)
 

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 import maskcheck as mc
+from maskcheck import cli
 from maskcheck.cli import main, stream_rng
 
 
@@ -10,6 +14,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_large(monkeypatch, name):
+    """Make np.<name> fail on any request above 2^20 cells, so that a size
+    check missing before it shows as a test failure, never an allocation."""
+    real = getattr(np, name)
+
+    def guarded(shape, *args, **kwargs):
+        if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 1 << 20:
+            raise AssertionError(f"np.{name} asked for {shape} cells")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, guarded)
+
+
+def refuse_call(monkeypatch, module, name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(module, name, refused)
 
 
 class TestClassify:
@@ -140,6 +164,12 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--q", "9")
         assert code == 2
 
+    def test_human_line_reports_workers_used(self, capsys):
+        # 512 wires are one batch: the count runs in-process.
+        code, out, _ = run(capsys, "census", "--q", "3", "--workers", "64")
+        assert code == 0
+        assert out.splitlines()[-1].endswith(" s (1 worker(s))")
+
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MASKCHECK_WORKERS", "2")
         from maskcheck.cli import build_parser
@@ -175,6 +205,17 @@ class TestBias:
     def test_bad_n_exits_2(self, capsys):
         code, _, _ = run(capsys, "bias", "--n", "0", "--q", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("n,q,message", [
+        (4096, 10**14, "above the profile cap 16777216"),
+        (10**30, 5, "int64 counts"),
+    ], ids=["huge-q", "huge-n"])
+    def test_oversize_exits_2_before_allocating(self, capsys, monkeypatch,
+                                                n, q, message):
+        refuse_large(monkeypatch, "full")
+        code, out, err = run(capsys, "bias", "--n", str(n), "--q", str(q))
+        assert code == 2 and not out
+        assert message in err
 
 
 class TestBounds:
@@ -234,6 +275,17 @@ class TestUremCheck:
         assert code == 2 and not out
         assert "samples must be >= 1, got -5" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--q", "8380417", "--exhaustive"),
+        ("--q", "8380417", "--samples", str(10**12)),
+    ], ids=["exhaustive-mldsa", "huge-samples"])
+    def test_oversize_run_exits_2_before_the_loop(self, capsys, monkeypatch, argv):
+        refuse_call(monkeypatch, cli, "urem_reparam")
+        refuse_call(monkeypatch, cli, "stream_rng")
+        code, out, err = run(capsys, "urem-check", "--w", "24", *argv)
+        assert code == 2 and not out
+        assert f"pairs to check, above the cap of {cli.UREM_MAX_PAIRS}" in err
+
     def test_inadmissible_exits_2(self, capsys):
         code, _, err = run(capsys, "urem-check", "--q", "8388608", "--w", "24")
         assert code == 2
@@ -256,6 +308,21 @@ class TestWitness:
     def test_q1_exits_2(self, capsys):
         code, _, _ = run(capsys, "witness", "--q", "1")
         assert code == 2
+
+    def test_over_cell_cap_exits_2_before_allocating(self, capsys, monkeypatch):
+        refuse_large(monkeypatch, "zeros")
+        with pytest.raises(ValueError, match="above cap"):
+            mc.t6_witness(8193)  # 8193^2 cells, just above 2^26
+        code, out, err = run(capsys, "witness", "--q", "8193")
+        assert code == 2 and not out
+        assert "needs 67125249 table cells, above cap 67108864" in err
+
+    def test_unwritable_wire_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "w.json"
+        code, out, err = run(capsys, "witness", "--q", "5", "--wire-out", str(path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "No such file or directory" in err
 
 
 class TestButterfly:
@@ -283,6 +350,55 @@ class TestButterfly:
         code, out, err = run(capsys, "butterfly", "--q", "5", "--twiddles", twiddles)
         assert code == 2 and not out
         assert "0 mod 5; twiddles must be nonzero mod q" in err
+
+
+class TestTheoryViolationExits3:
+    """A contradicted check still writes its output, then one stderr line."""
+
+    def test_census_soundness_violation(self, capsys, monkeypatch):
+        real = cli.run_census
+        monkeypatch.setattr(cli, "run_census", lambda q, parallelism: dataclasses.replace(
+            real(q), soundness_violations=2))
+        code, out, err = run(capsys, "census", "--q", "2")
+        assert code == 3 and "  soundness violations:   2\n" in out
+        assert err == ("error: census found 2 soundness violations "
+                       "(value-independent wires with non-constant marginals)\n")
+
+    def test_bias_bound_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_bounds", lambda profile: False)
+        code, out, err = run(capsys, "bias", "--n", "8", "--q", "4", "--format", "csv")
+        assert code == 3 and out.startswith("residue,count\n0,2\n")
+        assert err == "error: residue counts violate the floor/ceil bounds\n"
+
+    def test_urem_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "urem_reparam", lambda cfg, x, s1: 0)
+        code, out, err = run(capsys, "urem-check", "--q", "5", "--format", "json")
+        assert code == 3 and json.loads(out)["mismatches"] == 20
+        assert err == "error: word-level encoding disagrees with ring arithmetic\n"
+
+    def test_butterfly_flagged_tap(self, capsys, monkeypatch):
+        real = cli.conjecture_sweep
+
+        def flagged(**kwargs):
+            report = real(**kwargs)
+            report.non_constant_marginal.append(mc.butterfly.TapFinding(
+                "s0.c0", (1,), "a", ((0, 0),), mc.Verdict.NON_CONSTANT_MARGINAL))
+            return report
+
+        monkeypatch.setattr(cli, "conjecture_sweep", flagged)
+        code, out, err = run(capsys, "butterfly", "--q", "2", "--format", "json")
+        assert code == 3 and json.loads(out)["clean"] is False
+        assert err == ("error: sweep flagged 1 sharewise non-constant-marginal taps "
+                       "and 0 value-independent recombination probes\n")
+
+    def test_raised_theory_violation_writes_no_output(self, capsys, monkeypatch):
+        def contradiction(wire):
+            raise mc.TheoryViolation("cross-check failed")
+
+        monkeypatch.setattr(cli, "classify", contradiction)
+        code, out, err = run(capsys, "witness", "--q", "3")
+        assert code == 3 and not out
+        assert err == "theory violation: cross-check failed\n"
 
 
 class TestOutputStability:
