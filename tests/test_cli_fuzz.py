@@ -36,13 +36,13 @@ def num(lo, hi, huge=False):
     return st.one_of(values, values, values, JUNK)
 
 
-def given_(flag, value):
-    return value.map(lambda v: [flag, v])
+def required(name, value):
+    return value.map(lambda v: [name, v])
 
 
-def option(flag, value):
-    """`flag value`, or the option left out."""
-    return st.just([]) | given_(flag, value)
+def option(name, value):
+    """`name value`, or the option left out."""
+    return st.just([]) | required(name, value)
 
 
 def flag(name):
@@ -58,42 +58,42 @@ FORMAT = option("--format", st.sampled_from(["json", "csv", "human", "xml"]))
 ARGV = {
     "census": command(
         "census",
-        given_("--q", num(-3, 4) | st.integers(6, 10**30).map(str)),
+        required("--q", num(-3, 4) | st.integers(6, 10**30).map(str)),
         option("--workers", num(-3, 8, huge=True)),
         FORMAT,
     ),
     "bias": command(
         "bias",
-        given_("--n", num(-5, 10**6) | st.integers(-5, (1 << 63) - 1).map(str)
+        required("--n", num(-5, 10**6) | st.integers(-5, (1 << 63) - 1).map(str)
                | st.integers(1 << 63, 10**40).map(str)),
-        given_("--q", num(-5, 70_000) | st.integers((1 << 24) + 1, 10**40).map(str)),
+        required("--q", num(-5, 70_000) | st.integers((1 << 24) + 1, 10**40).map(str)),
         FORMAT,
     ),
     "bounds": command(
         "bounds",
-        given_("--q", num(-5, 10**6, huge=True)),
-        given_("--w", num(-5, 4100, huge=True)),
+        required("--q", num(-5, 10**6, huge=True)),
+        required("--w", num(-5, 4100, huge=True)),
         FORMAT,
     ),
     "urem-check": command(
         "urem-check",
-        given_("--q", num(1, 31) | num(-3, 0) | st.integers(4097, 10**30).map(str)),
+        required("--q", num(1, 31) | num(-3, 0) | st.integers(4097, 10**30).map(str)),
         option("--w", num(-3, 64) | st.integers(4090, 4100).map(str) | HUGE.map(str)),
         option("--seed", num(-3, 10, huge=True)),
-        given_("--samples", num(-3, 1000)),
+        required("--samples", num(-3, 1000)),
         flag("--exhaustive"),
         FORMAT,
     ),
     "witness": command(
         "witness",
-        given_("--q", num(-5, 40) | st.integers(8193, 10**30).map(str)),
+        required("--q", num(-5, 40) | st.integers(8193, 10**30).map(str)),
         option("--wire-out", st.sampled_from(["{tmp}/w.json", "{tmp}/missing/w.json",
                                               "{tmp}", ""])),
         FORMAT,
     ),
     "butterfly": command(
         "butterfly",
-        given_("--q", num(2, 3) | num(-3, 1) | st.integers(8, 10**30).map(str)),
+        required("--q", num(2, 3) | num(-3, 1) | st.integers(8, 10**30).map(str)),
         option("--stages", num(1, 2) | num(-3, 0) | st.integers(4, 10**30).map(str)),
         option("--twiddles", st.lists(num(-5, 10, huge=True), max_size=3).map(",".join)),
         option("--roles", st.lists(st.sampled_from(["a", "b", "c", "", "A"]),
