@@ -56,6 +56,13 @@ UREM_MAX_PAIRS = 1 << 24
 
 WORKERS_ENV = "MASKCHECK_WORKERS"
 
+# Rows of an integer matrix rendered per write of JSON output; bounds the
+# renderer's temporaries to a few dozen bytes per entry of one block.
+JSON_BLOCK_ROWS = 256
+# 10^1 .. 10^18: a non-negative int64 has one digit more than the number
+# of these it reaches.
+_POW10 = tuple(10**k for k in range(1, 19))
+
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """Named, seeded PRNG stream.
@@ -81,8 +88,10 @@ class Result:
     """What one subcommand found, ready to be written in any format.
 
     `human` and `csv` are called only when their format is asked for, so
-    large outputs cost nothing in the other formats.  Without `csv` the
-    csv output is key,value rows of `doc`.  An `alarm` reports a
+    large outputs cost nothing in the other formats.  A `doc` value is a
+    JSON value or a matrix of non-negative integers (np.ndarray), which
+    the json output streams.  Without `csv` the csv output is key,value
+    rows of `doc`.  An `alarm` reports a
     theory-contradicting result: it goes to stderr after the output and
     sets exit code 3.
     """
@@ -113,11 +122,70 @@ def _kv_rows(doc: dict, omit=()):
         yield f"{key},{value}"
 
 
+def _json_matrix(m: np.ndarray):
+    """A 2-D array of non-negative signed integers as JSON text, in blocks.
+
+    The blocks joined equal json.dumps(m.tolist(), separators=(",", ":")).
+    Each block of JSON_BLOCK_ROWS rows is rendered into a byte buffer by
+    numpy, so no Python int or str is made per entry.
+    """
+    if m.ndim != 2 or m.dtype.kind != "i":
+        raise TypeError(f"not a matrix of signed integers: {m.ndim}-D {m.dtype}")
+    if m.size and m.min() < 0:
+        raise ValueError("negative entries are not rendered")
+    rows, cols = m.shape
+    if not m.size:
+        yield "[" + ",".join(["[]"] * rows) + "]"
+        return
+    for start in range(0, rows, JSON_BLOCK_ROWS):
+        block = m[start:start + JSON_BLOCK_ROWS]
+        digits = np.ones(block.shape, dtype=np.int64)
+        for power in _POW10[:len(str(block.max())) - 1]:
+            digits += block >= power
+        # Each entry is its digits and a separator, and each row starts
+        # with ",[": the matrix's opening "[" takes the first row's ",".
+        lengths = digits + 1
+        lengths[:, 0] += 2
+        ends = np.cumsum(lengths.ravel())
+        buf = np.empty(int(ends[-1]), dtype=np.uint8)
+        buf[ends - 1] = ord(",")
+        buf[ends[cols - 1::cols] - 1] = ord("]")
+        opens = ends[::cols] - digits[:, 0] - 2
+        buf[opens] = ord("[")
+        buf[opens - 1] = ord(",")
+        if start == 0:
+            buf[0] = ord("[")
+        # Digits right to left; an entry drops out after its leading digit.
+        pos, x = ends - 2, block.ravel()
+        while pos.size:
+            x, digit = np.divmod(x, 10)
+            buf[pos] = digit + ord("0")
+            more = x > 0
+            pos, x = pos[more] - 1, x[more]
+        yield buf.tobytes().decode("ascii")
+    yield "]"
+
+
 def _emit(result: Result, fmt: str, out) -> None:
-    """Write `result` to `out` as json, csv or human lines."""
+    """Write `result` to `out` as json, csv or human lines.
+
+    JSON is written key by key in sorted order; integer array values are
+    streamed in blocks of rows by `_json_matrix`, and every other value goes
+    through json.dumps.  The bytes equal json.dumps(doc, sort_keys=True,
+    separators=(",", ":")) of the document with its arrays as lists, plus
+    a newline.
+    """
     if fmt == "json":
-        out.write(json.dumps(result.doc, sort_keys=True, separators=(",", ":")))
-        out.write("\n")
+        out.write("{")
+        for i, key in enumerate(sorted(result.doc)):
+            out.write(("," if i else "") + json.dumps(key) + ":")
+            value = result.doc[key]
+            if isinstance(value, np.ndarray):
+                for text in _json_matrix(value):
+                    out.write(text)
+            else:
+                out.write(json.dumps(value, sort_keys=True, separators=(",", ":")))
+        out.write("}\n")
         return
     if fmt == "csv":
         lines = result.csv() if result.csv else _kv_rows(result.doc)
@@ -148,7 +216,7 @@ def cmd_classify(args) -> Result:
         "q": wire.q,
         "alphabet": wire.alphabet_size,
         "verdict": verdict.value,
-        "marginals": marginals.tolist(),
+        "marginals": marginals,
         "mutual_information_bits": mi.bits,
         "mutual_information_is_zero": mi.is_zero,
     }
@@ -158,8 +226,8 @@ def cmd_classify(args) -> Result:
         yield f"verdict: {verdict.value}"
         yield f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})"
         yield "marginal histograms (one row per secret):"
-        for x, row in enumerate(doc["marginals"]):
-            yield f"  x={x}: {row}"
+        for x, row in enumerate(marginals):
+            yield f"  x={x}: {row.tolist()}"
 
     return Result(doc, human, csv=lambda: _kv_rows(doc, omit=("marginals",)))
 
@@ -263,6 +331,9 @@ def cmd_urem_check(args) -> Result:
         pairs = ((x, s1) for x in range(q) for s1 in range(q))
         mode = "exhaustive"
     else:
+        if q > 1 << 63:
+            raise ValueError(f"q={q} is above 2^63, but sampled residues "
+                             "are drawn as int64")
         rng = stream_rng(args.seed, "urem-check")
         xs = rng.integers(0, q, size=n_pairs)
         s1s = rng.integers(0, q, size=n_pairs)

@@ -270,10 +270,13 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     Both the secret and the mask are uniform on Z_q, so the q^2 pairs
     (x, s1) are equiprobable and every probability in sight is a ratio of
     integer counts.  Per-term ratios p(v|x)/p(v) reduce to
-    (counts[x][v] * q) / colsum[v]; when the histogram is constant those
-    integers are equal, each ratio is exactly 1.0 and the sum is exactly
-    0.0 with no cancellation.
+    (counts[x][v] * q) / colsum[v].  When the histogram is constant,
+    colsum[v] = q * counts[x][v] for every x, so each ratio is exactly 1.0,
+    each term exactly 0.0 and the sum exactly 0.0 with no cancellation;
+    that case returns 0.0 without making the float arrays at all.
     """
+    if has_constant_marginal(w):
+        return MutualInformation(bits=0.0, is_zero=True)
     m = marginal_table(w)
     q = w.q
     colsum = m.sum(axis=0)
@@ -282,7 +285,7 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     nz = m > 0
     ratios = (h[nz] * q) / np.broadcast_to(colsum, m.shape)[nz]
     bits = float(np.sum((h[nz] / total) * np.log2(ratios)))
-    return MutualInformation(bits=bits, is_zero=has_constant_marginal(w))
+    return MutualInformation(bits=bits, is_zero=False)
 
 
 def t6_witness(q) -> WireFunction:

@@ -1,9 +1,12 @@
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maskcheck as mc
 from maskcheck import cli
@@ -286,6 +289,22 @@ class TestUremCheck:
         assert code == 2 and not out
         assert f"pairs to check, above the cap of {cli.UREM_MAX_PAIRS}" in err
 
+    def test_sampled_q_beyond_int64_exits_2_before_drawing(self, capsys, monkeypatch):
+        refuse_call(monkeypatch, cli, "urem_reparam")
+        refuse_call(monkeypatch, cli, "stream_rng")
+        code, out, err = run(capsys, "urem-check", "--q", str(10**20), "--w", "80",
+                             "--samples", "10")
+        assert code == 2 and not out
+        assert err == (f"error: q={10**20} is above 2^63, but sampled residues "
+                       "are drawn as int64\n")
+
+    def test_sampled_q_at_two_to_the_63_runs(self, capsys):
+        code, out, _ = run(capsys, "urem-check", "--q", str(1 << 63), "--w", "65",
+                           "--samples", "5", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pairs_checked"] == 5 and doc["mismatches"] == 0
+
     def test_inadmissible_exits_2(self, capsys):
         code, _, err = run(capsys, "urem-check", "--q", "8388608", "--w", "24")
         assert code == 2
@@ -422,3 +441,90 @@ class TestStreamRng:
         a2 = stream_rng(7, "alpha").integers(0, 1 << 30, size=8)
         assert list(a) == list(a2)
         assert list(a) != list(b)
+
+
+def dumps_compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def rendered(m):
+    return "".join(cli._json_matrix(m))
+
+
+BLOCK = cli.JSON_BLOCK_ROWS
+# Every digit-count boundary of a non-negative int64.
+DIGIT_EDGES = sorted({0, 1, 9, 2**62, 2**63 - 1}
+                     | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)})
+
+
+@st.composite
+def int_matrices(draw):
+    """Non-negative int64 matrices: tiny shapes and row counts around the
+    render block, values from the digit edges or anywhere in range, laid
+    out contiguous, read-only, transposed or strided."""
+    rows = draw(st.integers(1, 4) | st.sampled_from(
+        [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    cols = draw(st.integers(1, 6))
+    values = draw(st.lists(st.sampled_from(DIGIT_EDGES) | st.integers(0, 2**63 - 1),
+                           min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["contiguous", "read-only", "transposed", "strided"]))
+    values = np.array(values, dtype=np.int64)
+    if layout == "transposed":
+        return rng.choice(values, size=(cols, rows)).T
+    if layout == "strided":
+        return rng.choice(values, size=(2 * rows, 3 * cols))[::2, 1::3]
+    m = rng.choice(values, size=(rows, cols))
+    m.setflags(write=layout == "contiguous")
+    return m
+
+
+def json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text())
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
+
+
+class TestJsonEmitter:
+    @pytest.mark.parametrize("m", [
+        np.zeros((1, 1), dtype=np.int64),
+        np.array([DIGIT_EDGES], dtype=np.int64),
+        np.array([DIGIT_EDGES], dtype=np.int64).T,
+        np.zeros((BLOCK - 1, 3), dtype=np.int64),
+        np.zeros((BLOCK, 3), dtype=np.int64),
+        np.zeros((BLOCK + 1, 3), dtype=np.int64),
+        np.arange(3 * (2 * BLOCK + 1), dtype=np.int64).reshape(-1, 3) * 997,
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+        np.array([[7, 1000]], dtype=np.int32),
+    ], ids=["1x1", "one-row", "one-column", "zeros-below-block", "zeros-at-block",
+            "zeros-above-block", "two-blocks-and-a-row", "no-rows", "no-columns",
+            "int32"])
+    def test_matrix_matches_json_dumps(self, m):
+        assert rendered(m) == dumps_compact(m.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_matrix_matches_json_dumps_generated(self, m):
+        assert rendered(m) == dumps_compact(m.tolist())
+
+    def test_rejects_what_it_cannot_render(self):
+        with pytest.raises(ValueError, match="negative"):
+            rendered(np.array([[1, -1]]))
+        with pytest.raises(TypeError):
+            rendered(np.array([[0.5]]))
+        with pytest.raises(TypeError):
+            rendered(np.array([1, 2]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.text(), json_values(), max_size=6),
+           st.text(), st.none() | int_matrices())
+    def test_document_matches_json_dumps(self, doc, key, m):
+        if m is not None:
+            doc[key] = m
+        buf = io.StringIO()
+        cli._emit(cli.Result(doc, human=list), "json", buf)
+        plain = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                 for k, v in doc.items()}
+        assert buf.getvalue() == dumps_compact(plain) + "\n"

@@ -271,6 +271,43 @@ class TestMutualInformation:
                 expected = naive_mi_bits(q, list(w.table))
                 assert abs(mc.mutual_information(w).bits - expected) < 1e-12
 
+    def test_matches_dense_float_formula(self):
+        """All 512 wires at q = 3, and seeded residue wires at q = 5..31 with
+        every alphabet 2..q: a function of s1 alone (value-independent), of
+        s0 alone (constant marginal), and random.  MI is recomputed here by
+        the dense formula from counts gathered off the raw table."""
+        wires = [mc.make_wire(3, [(idx >> p) & 1 for p in range(9)])
+                 for idx in range(512)]
+        rng = np.random.default_rng(33)
+        for q in range(5, 32):
+            s0, s1 = np.divmod(np.arange(q * q), q)
+            for alphabet in range(2, q + 1):
+                g = rng.integers(0, alphabet, size=q)
+                for table in (g[s1], g[s0], rng.integers(0, alphabet, size=q * q)):
+                    wires.append(mc.make_wire(q, table, alphabet_size=alphabet))
+        n_constant = 0
+        for w in wires:
+            q = w.q
+            x, s1 = np.divmod(np.arange(q * q), q)
+            outputs = w.table[((x - s1) % q) * q + s1]
+            joint = np.zeros((q, w.alphabet_size), dtype=np.int64)
+            np.add.at(joint, (x, outputs), 1)
+            constant = bool((joint == joint[0]).all())
+            nz = joint > 0
+            colsum = np.broadcast_to(joint.sum(axis=0), joint.shape)
+            ratio = joint[nz] * q / colsum[nz]
+            expected = float(np.sum(joint[nz] / (q * q) * np.log2(ratio)))
+            mi = mc.mutual_information(w)
+            assert mi.is_zero == constant
+            if constant:
+                n_constant += 1
+                assert mi.bits == 0.0 and expected == 0.0
+            else:
+                assert expected > 0.0
+            assert math.isclose(mi.bits, expected, rel_tol=1e-9)
+        # The 56 at q = 3, and the two structured wires of every (q, alphabet).
+        assert n_constant >= 56 + 2 * sum(q - 1 for q in range(5, 32))
+
     def test_is_zero_iff_constant_marginal_sampled(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
