@@ -66,7 +66,6 @@ from .bitvec import (
     urem_recombine,
     urem_reparam,
     urem_round_trip,
-    width_admissible,
 )
 from .butterfly import (
     ButterflyStage,
@@ -102,7 +101,7 @@ __all__ = [
     "index_to_wire", "wire_to_index",
     "BiasProfile", "bias_profile", "brute_force_counts", "verify_bounds",
     "WidthConfig", "WordOverflowError",
-    "no_overflow_bounds", "width_admissible",
+    "no_overflow_bounds",
     "urem_reparam", "urem_recombine", "urem_round_trip",
     "MaskedValue", "ButterflyStage", "SweepReport", "TapFinding",
     "mask_value", "butterfly_plain", "butterfly_masked",

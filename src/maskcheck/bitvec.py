@@ -44,10 +44,6 @@ class WidthConfig:
         return 2 * self.q < (1 << self.width)
 
 
-def width_admissible(cfg: WidthConfig) -> bool:
-    return cfg.admissible
-
-
 def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
     """Check 1 <= x + q - s1 < 2q for naturals x, s1 < q.
 

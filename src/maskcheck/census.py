@@ -10,21 +10,24 @@ that value-independence implies a constant marginal histogram: the
 Encoding is normative so reports are comparable across implementations:
 wire index i has bit (s0 * q + s1) as its output for share pair (s0, s1).
 
-The hot loop never touches a dense table.  Value-independence of a packed
-wire is a per-mask column test (all q bits at positions {s0*q + s1 : s0}
-equal), and the marginal histogram reduces to popcounts over the q
-"reparametrization diagonals" (cells with s0 + s1 = x mod q).  Both checks
-run bit-parallel over numpy batches of wire indices; precomputed column
-and diagonal masks keep modular arithmetic out of the loop entirely.
+The hot loop never touches a dense table.  A wire is value-independent iff
+every mask column {s0*q + s1 : s0} holds 0 or q true cells, and has a
+constant marginal iff the q reparametrization diagonals (cells with
+s0 + s1 = x mod q) hold equal numbers of true cells.  Both are counts,
+and counts add across any split of the index bits.  So the index splits
+into a low half of q^2 // 2 bits and a high half; every pattern of each
+half gets a column key and a diagonal key holding one 3-bit count field
+per column (per diagonal).  A count is at most q <= 5 < 8, so the sum of
+a low and a high key adds the fields without carry, and two tables over
+all 2^(3q) keys turn a sum into the verdict predicates.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -42,29 +45,13 @@ from .wires import (
 # the space has 2^36 wires and is out of desk scale.
 MAX_CENSUS_Q = 5
 
-DEFAULT_BATCH_SIZE = 1 << 20
+# High-half patterns per census step.  At q = 5, 256 of them against the
+# 2^12 low patterns make 2^20 wires per step and each temporary 1-2 MB; a
+# `census --q 5` process then peaks near 40 MB resident, where 1024 per
+# step peak near 58 MB and run no faster.
+CENSUS_BLOCK = 256
 
-
-def _column_masks(q: int) -> np.ndarray:
-    """masks[s1] has a bit at (s0*q + s1) for every s0."""
-    masks = np.zeros(q, dtype=np.uint32)
-    for s1 in range(q):
-        m = 0
-        for s0 in range(q):
-            m |= 1 << (s0 * q + s1)
-        masks[s1] = m
-    return masks
-
-
-def _diagonal_masks(q: int) -> np.ndarray:
-    """masks[x] has a bit at (s0*q + s1) for every pair with s0 + s1 = x mod q."""
-    masks = np.zeros(q, dtype=np.uint32)
-    for x in range(q):
-        m = 0
-        for s1 in range(q):
-            m |= 1 << (((x - s1) % q) * q + s1)
-        masks[x] = m
-    return masks
+_FIELD_BITS = 3
 
 
 def _check_q(q: int):
@@ -74,39 +61,83 @@ def _check_q(q: int):
         )
 
 
-def classify_packed(q: int, wires) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-parallel verdict predicates for a batch of packed wire indices.
-
-    Returns (value_independent, constant_marginal) boolean arrays.
-    """
+def _check_index(q: int, wire_index):
     _check_q(q)
-    w = np.asarray(wires, dtype=np.uint32)
-    vi = np.ones(w.shape, dtype=bool)
-    for m in _column_masks(q):
-        bits = w & m
-        vi &= (bits == 0) | (bits == m)
-    diags = _diagonal_masks(q)
-    first = np.bitwise_count(w & diags[0])
-    cm = np.ones(w.shape, dtype=bool)
-    for m in diags[1:]:
-        cm &= np.bitwise_count(w & m) == first
-    return vi, cm
-
-
-def packed_verdict(q: int, wire_index: int) -> Verdict:
-    """Verdict of one wire straight off the packed representation."""
-    vi, cm = classify_packed(q, np.array([wire_index], dtype=np.uint32))
-    return VERDICT_BY_CODE[_verdict_codes(q, vi, cm, f"packed wire {wire_index}")[0]]
-
-
-def index_to_wire(q: int, wire_index: int) -> WireFunction:
-    """Decode a packed wire index into a dense Boolean WireFunction."""
-    _check_q(q)
+    if not isinstance(wire_index, (int, np.integer)):
+        raise ValueError(f"wire index {wire_index!r} is not an integer")
     n = q * q
     if not 0 <= wire_index < (1 << n):
         raise ValueError(
             f"wire index {wire_index} out of range [0, 2^{n}) for q={q}"
         )
+
+
+@lru_cache(maxsize=None)
+def _key_tables(q: int) -> tuple[np.ndarray, ...]:
+    """(col_lo, col_hi, diag_lo, diag_hi, VI, CM) for the split at q^2 // 2.
+
+    col_lo[p] holds, in field s1, the true cells of column s1 among the
+    low-half bits set in p; diag_* do the same per diagonal x.  VI[key]
+    says every field is 0 or q, CM[key] that every field is equal.
+    """
+    n = q * q
+    k = n // 2
+    pos = np.arange(n)
+    col = 1 << _FIELD_BITS * (pos % q)
+    diag = 1 << _FIELD_BITS * ((pos // q + pos % q) % q)
+
+    def keys(weights):
+        bits = (np.arange(1 << len(weights))[:, None] >> np.arange(len(weights))) & 1
+        return (bits @ weights).astype(np.uint16)
+
+    fields = (np.arange(1 << _FIELD_BITS * q)[:, None]
+              >> _FIELD_BITS * np.arange(q)) & ((1 << _FIELD_BITS) - 1)
+    tables = (keys(col[:k]), keys(col[k:]), keys(diag[:k]), keys(diag[k:]),
+              ((fields == 0) | (fields == q)).all(axis=1),
+              (fields == fields[:, :1]).all(axis=1))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _predicates(q: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(value_independent, constant_marginal) of the wires (hi << q^2 // 2) | lo.
+
+    lo and hi are index arrays into the half patterns; they broadcast.
+    """
+    col_lo, col_hi, diag_lo, diag_hi, vi, cm = _key_tables(q)
+    return vi[col_lo[lo] + col_hi[hi]], cm[diag_lo[lo] + diag_hi[hi]]
+
+
+def classify_packed(q: int, wires) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict predicates for an array of packed wire indices.
+
+    Returns (value_independent, constant_marginal) boolean arrays.  Every
+    index must be an integer in [0, 2^(q^2)).
+    """
+    _check_q(q)
+    w = np.asarray(wires)
+    if w.dtype.kind not in "iu":
+        raise ValueError(f"packed wire indices must be integers, got {w.dtype}")
+    bad = (w < 0) | (w >= 1 << q * q)
+    if bad.any():
+        _check_index(q, w[bad][0].item())
+    w = w.astype(np.uint32, copy=False)
+    k = q * q // 2
+    return _predicates(q, w & np.uint32((1 << k) - 1), w >> np.uint32(k))
+
+
+def packed_verdict(q: int, wire_index: int) -> Verdict:
+    """Verdict of one wire straight off the packed representation."""
+    _check_index(q, wire_index)
+    vi, cm = classify_packed(q, np.array([wire_index]))
+    return VERDICT_BY_CODE[_verdict_codes(q, vi, cm, f"packed wire {wire_index}")[0]]
+
+
+def index_to_wire(q: int, wire_index: int) -> WireFunction:
+    """Decode a packed wire index into a dense Boolean WireFunction."""
+    _check_index(q, wire_index)
+    n = q * q
     table = [(wire_index >> pos) & 1 for pos in range(n)]
     return make_wire(q, table, alphabet_size=2)
 
@@ -132,7 +163,6 @@ class CensusReport:
     count_non_constant: int
     soundness_violations: int
     wall_time_seconds: float
-    workers: int = 1  # processes that ran the count; not part of to_dict
 
     def __post_init__(self):
         if self.count_constant_marginal + self.count_non_constant != self.total_wires:
@@ -155,67 +185,31 @@ class CensusReport:
         return doc
 
 
-def _count_range(args) -> tuple[int, int, int]:
-    """Census counts over a contiguous index range [start, stop).
-
-    Returns (n_value_independent, n_constant_marginal, n_violations);
-    merging partial results is plain addition, so any partition of the
-    full range yields identical totals.
-    """
-    q, start, stop, batch_size = args
-    n_vi = n_cm = n_bad = 0
-    for lo in range(start, stop, batch_size):
-        hi = min(lo + batch_size, stop)
-        batch = np.arange(lo, hi, dtype=np.uint32)
-        vi, cm = classify_packed(q, batch)
-        n_vi += int(vi.sum())
-        n_cm += int(cm.sum())
-        n_bad += int((vi & ~cm).sum())
-    return n_vi, n_cm, n_bad
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def run_census(q: int, parallelism: int = 1,
-               batch_size: int = DEFAULT_BATCH_SIZE) -> CensusReport:
+def run_census(q: int, parallelism: int = 1) -> CensusReport:
     """Classify every Boolean wire at modulus q and tally the verdicts.
 
-    The wire-index range is split into contiguous chunks; per-chunk counts
-    merge by addition, so the report is identical for any worker count.
-    With parallelism 1, or a single batch of work, everything runs in the
-    calling process; otherwise the pool has min(parallelism, usable CPUs,
-    chunks) workers.  The report's `workers` is that count.
+    Each step looks up the predicates of every low-half pattern against
+    CENSUS_BLOCK high-half patterns, so every wire gets its own value
+    independence and constant-marginal bits and a soundness violation is
+    counted wire by wire.  The count always runs in the calling process;
+    `parallelism` is still accepted and must be >= 1.
     """
     _check_q(q)
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    total = 1 << (q * q)
+    k = q * q // 2
+    n_hi = 1 << (q * q - k)
     t0 = time.perf_counter()
-
-    if parallelism == 1 or total <= batch_size:
-        workers = 1
-        parts = [_count_range((q, 0, total, batch_size))]
-    else:
-        n_chunks = min(parallelism * 4, max(1, total // batch_size))
-        bounds = np.linspace(0, total, n_chunks + 1, dtype=np.int64)
-        jobs = [
-            (q, int(bounds[i]), int(bounds[i + 1]), batch_size)
-            for i in range(n_chunks)
-            if bounds[i] < bounds[i + 1]
-        ]
-        workers = min(parallelism, _usable_cpus(), len(jobs))
-        with Pool(workers) as pool:
-            parts = pool.map(_count_range, jobs)
-
-    n_vi = sum(p[0] for p in parts)
-    n_cm = sum(p[1] for p in parts)
-    n_bad = sum(p[2] for p in parts)
+    lo = np.arange(1 << k)
+    n_vi = n_cm = n_bad = 0
+    for start in range(0, n_hi, CENSUS_BLOCK):
+        hi = np.arange(start, min(start + CENSUS_BLOCK, n_hi))[:, None]
+        vi, cm = _predicates(q, lo, hi)
+        n_vi += int(np.count_nonzero(vi))
+        n_cm += int(np.count_nonzero(cm))
+        n_bad += int(np.count_nonzero(vi & ~cm))
     wall = time.perf_counter() - t0
+    total = 1 << (q * q)
     return CensusReport(
         q=q,
         total_wires=total,
@@ -225,7 +219,6 @@ def run_census(q: int, parallelism: int = 1,
         count_non_constant=total - n_cm,
         soundness_violations=n_bad,
         wall_time_seconds=wall,
-        workers=workers,
     )
 
 

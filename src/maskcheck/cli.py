@@ -247,7 +247,7 @@ def cmd_census(args) -> Result:
         f"  non-constant marginal:  {report.count_non_constant}",
         f"  soundness violations:   {report.soundness_violations}",
         f"  wall time: {report.wall_time_seconds:.2f} s "
-        f"({report.workers} worker(s))",
+        "(1 worker(s))",
     ], csv=lambda: _csv_rows("verdict,count", [
         ("VALUE_INDEPENDENT", report.count_value_independent),
         ("CONSTANT_MARGINAL_ONLY", report.count_conservative),
@@ -460,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("census", cmd_census, "exhaustive verdict census at small q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--workers", type=int, default=_default_workers(),
-                   help=f"most worker processes, further capped by usable CPUs "
-                        f"(default: ${WORKERS_ENV} or 1)")
+                   help=f"accepted for compatibility, must be >= 1; the count "
+                        f"always runs in one process (default: ${WORKERS_ENV} or 1)")
 
     p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q")
     p.add_argument("--n", type=int, required=True,

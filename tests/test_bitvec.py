@@ -56,13 +56,13 @@ class TestNoOverflowBounds:
 
 class TestWidthAdmissibility:
     def test_nist_instances_at_24_bits(self):
-        assert mc.width_admissible(mc.WidthConfig(ML_KEM_Q, 24))
-        assert mc.width_admissible(mc.WidthConfig(ML_DSA_Q, 24))
+        assert mc.WidthConfig(ML_KEM_Q, 24).admissible
+        assert mc.WidthConfig(ML_DSA_Q, 24).admissible
 
     def test_boundary_is_strict(self):
         # 2q = 2^24 exactly: does not fit
-        assert not mc.width_admissible(mc.WidthConfig(8388608, 24))
-        assert mc.width_admissible(mc.WidthConfig(8388607, 24))
+        assert not mc.WidthConfig(8388608, 24).admissible
+        assert mc.WidthConfig(8388607, 24).admissible
 
     def test_validation(self):
         with pytest.raises(ValueError):

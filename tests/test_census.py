@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -46,7 +44,7 @@ class TestSmallCensuses:
             report.soundness_violations,
         )
 
-    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_expected_counts(self, q):
         report = mc.run_census(q)
         exp = EXPECTED[q]
@@ -80,62 +78,16 @@ class TestDeterminism:
         for workers in (2, 3):
             assert mc.run_census(4, parallelism=workers).to_dict() == base
 
-    @pytest.mark.parametrize("parallelism,cpus,batch_size,expected", [
-        (10**6, 3, 8, 3),     # 64 chunks: capped by the CPUs
-        (10**6, 64, 256, 2),  # 2 chunks: capped by the chunks
-        (2, 64, 8, 2),
-    ])
-    def test_pool_size_is_bounded(self, monkeypatch, parallelism, cpus,
-                                  batch_size, expected):
-        sizes = []
+    def test_parallelism_below_one_rejected(self):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            mc.run_census(2, parallelism=0)
 
-        class RecordingPool:  # runs the jobs in-process; starts nothing
-            def __init__(self, n):
-                sizes.append(n)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return list(map(fn, jobs))
-
-        monkeypatch.setattr(census, "Pool", RecordingPool)
-        monkeypatch.setattr(census, "_usable_cpus", lambda: cpus)
-        report = mc.run_census(3, parallelism=parallelism, batch_size=batch_size)
-        assert sizes == [expected]
-        assert report.to_dict() == mc.run_census(3).to_dict()
-
-    def test_report_gives_workers_used(self, monkeypatch):
-        class InlinePool:  # runs the jobs in-process; starts nothing
-            def __init__(self, n):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return list(map(fn, jobs))
-
-        monkeypatch.setattr(census, "Pool", InlinePool)
-        monkeypatch.setattr(census, "_usable_cpus", lambda: 3)
-        assert mc.run_census(3, parallelism=64, batch_size=8).workers == 3
-        report = mc.run_census(3, parallelism=64)  # one batch: in-process
-        assert report.workers == 1
-        assert "workers" not in report.to_dict(include_wall_time=True)
-
-    def test_usable_cpus_within_affinity(self):
-        assert 1 <= census._usable_cpus() <= (os.cpu_count() or 1)
-
-    def test_batch_size_does_not_matter(self):
-        a = mc.run_census(3, batch_size=7).to_dict()
-        b = mc.run_census(3, batch_size=512).to_dict()
-        assert a == b
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_block_size_does_not_matter(self, monkeypatch, block):
+        # q = 4 has 256 high-half patterns: one step at the default block.
+        base = mc.run_census(4).to_dict()
+        monkeypatch.setattr(census, "CENSUS_BLOCK", block)
+        assert mc.run_census(4).to_dict() == base
 
 
 class TestPackedDenseAgreement:
@@ -168,6 +120,47 @@ class TestPackedDenseAgreement:
             mc.index_to_wire(2, 16)
         with pytest.raises(ValueError):
             mc.spot_check(2, -1)
+
+    def test_packed_matches_dense_on_every_wire_q4(self):
+        indices = np.arange(1 << 16)
+        vi, cm = mc.classify_packed(4, indices.astype(np.uint32))
+        tables = (indices[:, None] >> np.arange(16)[None, :]) & 1
+        codes = mc.classify_cells_bulk(4, tables)
+        assert np.array_equal(codes, np.where(vi, 0, np.where(cm, 1, 2)))
+
+    @pytest.mark.parametrize("q,index", [
+        (5, 1 << 25), (2, 16), (2, -1), (1, 2), (3, 1 << 40),
+    ])
+    def test_packed_out_of_range_rejected(self, q, index):
+        with pytest.raises(ValueError) as dense:
+            mc.index_to_wire(q, index)
+        with pytest.raises(ValueError) as scalar:
+            mc.packed_verdict(q, index)
+        with pytest.raises(ValueError) as batch:
+            mc.classify_packed(q, np.array([0, index, 1]))
+        assert str(scalar.value) == str(batch.value) == str(dense.value)
+
+    def test_packed_uint32_above_range_rejected(self):
+        with pytest.raises(ValueError, match=r"out of range \[0, 2\^4\)"):
+            mc.classify_packed(2, np.array([1 << 31], dtype=np.uint32))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1.0, 2.0]), np.array([True]), np.array(["3"]),
+    ])
+    def test_packed_non_integer_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            mc.classify_packed(2, bad)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "3", None])
+    def test_packed_verdict_non_integer_rejected(self, bad):
+        with pytest.raises(ValueError, match="is not an integer"):
+            mc.packed_verdict(2, bad)
+
+    def test_packed_accepts_any_integer_dtype(self):
+        for dtype in (np.uint8, np.int8, np.int64, np.uint64):
+            vi, cm = mc.classify_packed(2, np.array([0, 3, 10], dtype=dtype))
+            assert vi.tolist() == [True, False, True]
+            assert cm.tolist() == [True, True, True]
 
     def test_packed_matches_dense_on_random_indices_q5(self):
         rng = np.random.default_rng(55)

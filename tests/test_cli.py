@@ -173,6 +173,11 @@ class TestCensus:
         assert code == 0
         assert out.splitlines()[-1].endswith(" s (1 worker(s))")
 
+    def test_zero_workers_exits_2(self, capsys):
+        code, out, err = run(capsys, "census", "--q", "2", "--workers", "0")
+        assert code == 2 and out == ""
+        assert "parallelism must be >= 1" in err
+
     def test_workers_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("MASKCHECK_WORKERS", "2")
         from maskcheck.cli import build_parser

@@ -6,7 +6,7 @@ exit 3 (a theory violation) never fires.  An argv that argparse rejects
 exits 2 through SystemExit, as the console script would.
 
 Values include bools, floats, negative, huge and malformed numbers, but
-work stays cheap: census q <= 4 (no pool starts), --samples <= 1000,
+work stays cheap: census q <= 4 (at most 65,536 wires), --samples <= 1000,
 butterfly q <= 3 with <= 2 stages, and values above a size cap only where
 that cap rejects them before any work.
 """
