@@ -6,7 +6,10 @@ the subcommands shared one output emitter (the rest); any change to the
 verdicts, counts, float formatting or layout of the output shows up here
 as a byte difference.  The census wall time is the one masked number.
 The residue wires' stdout in every format, and q = 1031 at all, were
-captured before classify's marginals were streamed as JSON blocks.
+captured before classify's marginals were streamed as JSON blocks.  The
+three Boolean q = 257 wires were captured while the dense kernel still
+gathered the reparametrized table and every table went through
+np.fromstring.
 Regenerate them (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -44,6 +47,15 @@ def residue_q1031():
     table = np.where(s1 >= 15, s1 < 30, (s0 * s0 + 3 * s1) % 1031)
     return mc.make_wire(1031, table, alphabet_size=1031)
 
+
+def random_bits_q257():
+    """Bits of a SHA-256 stream (seeds 0, 1, ...), independent of numpy's
+    generators; its marginal is not constant."""
+    stream = b"".join(hashlib.sha256(b"%d" % i).digest() for i in range(259))
+    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))
+    return mc.make_wire(257, bits[:257 * 257])
+
+
 WIRES = {
     "and-q2": lambda: mc.wire_from_fn(2, lambda s0, s1: int(s0 == 0 and s1 == 0)),
     "witness-q5": lambda: mc.t6_witness(5),
@@ -55,6 +67,12 @@ WIRES = {
     "residue-q257": lambda: mc.wire_from_fn(
         257, lambda s0, s1: (s0 * s0 + 3 * s1) % 257, alphabet_size=257),
     "residue-q1031": residue_q1031,
+    # Boolean wires whose 257 marginal rows span two JSON render blocks:
+    # a function of the mask alone (value-independent), the indicator of a
+    # set of first shares (constant marginal only) and random bits.
+    "mask-q257": lambda: mc.wire_from_fn(257, lambda s0, s1: int(s1 * s1 % 257 < 100)),
+    "share-set-q257": lambda: mc.wire_from_fn(257, lambda s0, s1: int(s0 % 3 == 1)),
+    "random-bits-q257": random_bits_q257,
 }
 
 # Every other subcommand, by golden-file stem: both bias csv layouts (full
