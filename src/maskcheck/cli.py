@@ -75,12 +75,14 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
+def _default_workers() -> int | None:
+    """--workers when not given: $MASKCHECK_WORKERS, else 1, or None for a
+    value that is not an integer >= 1 (refused by census, read by no other)."""
+    raw = os.environ.get(WORKERS_ENV) or "1"
     try:
-        return max(1, int(raw))
+        return int(raw) if int(raw) >= 1 else None
     except ValueError:
-        return 1
+        return None
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,9 @@ def cmd_classify(args) -> Result:
 
 
 def cmd_census(args) -> Result:
+    if args.workers is None:
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, "
+                         f"got {os.environ.get(WORKERS_ENV)!r}")
     report = run_census(args.q, parallelism=args.workers)
     doc = {"schema": SCHEMA, "command": "census", **report.to_dict()}
     alarm = None

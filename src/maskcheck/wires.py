@@ -137,24 +137,14 @@ def _as_residue(x, q: int) -> int:
     return xv
 
 
-@lru_cache(maxsize=1)  # callers work at one q at a time
-def _reparam_index(q: int) -> np.ndarray:
-    """(q, q) flat table indices arranged so that gather yields w(x - s1, s1)."""
-    dtype = np.int32 if q * q < 1 << 31 else np.int64
-    x = np.arange(q, dtype=dtype)[:, None]
-    s1 = np.arange(q, dtype=dtype)[None, :]
-    idx = ((x - s1) % q) * q + s1
-    idx.setflags(write=False)
-    return idx
-
-
 def reparam_table(w: WireFunction) -> np.ndarray:
     """The (q, q) array R with R[x, s1] = w(x - s1, s1).
 
-    Row x is the wire's output over all masks for secret x; the verdict,
-    the histograms and MI all read off this view.
+    Row x is the wire's output over all masks for secret x.  The analysis
+    never builds this view (see `_analyze`); it is here to be printed.
     """
-    return w.table[_reparam_index(w.q)]
+    x, s1 = np.ogrid[:w.q, :w.q]
+    return w.table[(x - s1) % w.q * w.q + s1]
 
 
 # Verdict codes of the analysis kernels, in fixed order.
@@ -180,20 +170,33 @@ def _verdict_codes(q: int, vi: np.ndarray, cm: np.ndarray, what: str) -> np.ndar
     return np.add(~vi, ~cm, dtype=np.int8)  # how many predicates fail
 
 
+@lru_cache(maxsize=16)  # the butterfly sweep repeats a few batch shapes
+def _diagonal_keys(q: int, n: int, alphabet: int) -> np.ndarray:
+    """Read-only (n, q, q) K[b, s0, s1] = (b*q + (s0+s1) % q) * alphabet, a
+    view of run[b, k] = (b*q + k % q) * alphabet (k < 2q) in which the s0
+    and the s1 stride both step one k."""
+    run = np.arange(2 * q, dtype=np.int64) % q + np.arange(0, n * q, q)[:, None]
+    run *= alphabet
+    run.setflags(write=False)
+    return np.ndarray((n, q, q), run.dtype, run, strides=run.strides + run.strides[1:])
+
+
 def _analyze(q: int, cells: np.ndarray, alphabet: int,
              what: str) -> tuple[np.ndarray, np.ndarray]:
     """Verdict codes (n,) and marginal tables (n, q, alphabet) of a batch.
 
-    `cells` holds n flat s0-major tables with entries in [0, alphabet).
-    The reparametrized view is gathered once; value independence is read
-    off it (every column constant over the secrets), and all n*q
-    histograms come from one offset bincount.
+    `cells` holds n flat s0-major int64 tables t[s0, s1] with entries in
+    [0, alphabet).  For a fixed mask s1, s0 = x - s1 runs over Z_q as the
+    secret x does: value independence is every column t[:, s1] constant,
+    and secret x's histogram counts the diagonal s0 + s1 = x, all n*q of
+    them in one bincount of t + `_diagonal_keys`.  The soundness check of
+    each row thus compares its columns with its diagonals.
     """
-    r = cells[:, _reparam_index(q)]
-    vi = (r == r[:, 0:1, :]).all(axis=(1, 2))
-    n = len(r)
-    r += np.arange(0, n * q * alphabet, alphabet, dtype=r.dtype).reshape(n, q, 1)
-    m = np.bincount(r.ravel(), minlength=n * q * alphabet).reshape(n, q, alphabet)
+    n = len(cells)
+    t = cells.reshape(n, q, q)
+    vi = (t == t[:, :1, :]).all(axis=(1, 2))
+    keys = t + _diagonal_keys(q, n, alphabet)
+    m = np.bincount(keys.ravel(), minlength=n * q * alphabet).reshape(n, q, alphabet)
     cm = (m == m[:, 0:1, :]).all(axis=(1, 2))
     return _verdict_codes(q, vi, cm, what), m
 
@@ -201,8 +204,9 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
 def is_value_independent(w: WireFunction) -> bool:
     """Does w(x - s1, s1) never depend on x?
 
-    Checked exactly as stated: for each mask s1, the column of
-    reparametrized outputs over all secrets must be constant.  O(q^2).
+    For each mask s1, x -> x - s1 is a bijection of Z_q, so the outputs
+    over all secrets are exactly the column w(., s1) of the raw table; the
+    wire is value-independent iff every such column is constant.  O(q^2).
     """
     return VERDICT_BY_CODE[w._analysis[0]] is Verdict.VALUE_INDEPENDENT
 
@@ -391,9 +395,7 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
         raise WireFormatError(str(exc)) from exc
 
 
-# Bytes a table body may hold for the numpy parse: digits, commas, JSON whitespace.
 _JSON_WS_BYTES = b" \t\n\r"
-_INT_BODY_BYTES = b"0123456789," + _JSON_WS_BYTES
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -401,38 +403,49 @@ def _parse_int_body(body: bytes) -> np.ndarray | None:
     """The entries of a JSON array body of plain non-negative integers.
 
     Returns None for any body that json.loads would not read as exactly
-    these integers.  np.fromstring alone is too lenient: it reads "01",
-    invents a value after a trailing comma or in an empty body, and
-    saturates at INT64_MAX, so the digit count and the maximum are checked
-    against the parsed values.
+    these integers.  Without commas and whitespace it must be all digits.
+    One digit per value (any alphabet up to 10) in a "d,d,...,d" body are
+    the values themselves.  Longer ones go through np.fromstring, which
+    alone is too lenient: it reads "01", invents a value in a blank or
+    empty body or after a trailing comma, and saturates at INT64_MAX, so
+    the ends, the digit count and the maximum are checked.
     """
-    if body.translate(None, _INT_BODY_BYTES):
+    digits = body.translate(None, b"," + _JSON_WS_BYTES)
+    if not digits.isdigit():
         return None
-    if body.rstrip(_JSON_WS_BYTES).endswith(b","):
-        return None  # np.fromstring would read past the end for the last value
     commas = body.count(b",")
+    if len(digits) == commas + 1:
+        # The digits and commas alternate iff every odd position is a comma.
+        if body.translate(None, _JSON_WS_BYTES)[1::2] != b"," * commas:
+            return None
+        return np.frombuffer(digits, dtype=np.uint8) - np.int64(ord("0"))
+    ends = body.strip(_JSON_WS_BYTES)
+    if ends.startswith(b",") or ends.endswith(b","):
+        return None  # np.fromstring would make up a value there
     try:
-        arr = np.fromstring(body, dtype=np.int64, sep=",", count=commas + 1)
+        # The space in the separator eats the blanks after each comma, so
+        # a blank value between commas fails instead of reading as 0.
+        arr = np.fromstring(body, dtype=np.int64, sep=", ", count=commas + 1)
     except ValueError:
         return None
     top = int(arr.max())
     if top >= _INT64_MAX:
         return None
     # Every digit must belong to one value written without leading zeros.
-    digits = len(body.translate(None, b"," + _JSON_WS_BYTES))
     widths = arr.size + sum(
         np.count_nonzero(arr >= 10 ** k) for k in range(1, len(str(top)))
     )
-    return arr if digits == widths else None
+    return arr if len(digits) == widths else None
 
 
 def _scan_int_wire(data: bytes) -> dict | None:
     """The wire document in `data` with its table parsed by numpy.
 
     Walks the top-level object, decoding every value but "table" with the
-    json module.  Returns None, so that the caller falls back to json.loads,
-    unless the file is ASCII and each "table" value is an array that
-    `_parse_int_body` accepts.
+    json module; the decoded text is dropped before `_parse_int_body`
+    reads the table's span.  Returns None, so that the caller falls back
+    to json.loads, unless the file is ASCII and has one "table", an array
+    that `_parse_int_body` accepts.
     """
     if not data.isascii():
         return None
@@ -440,6 +453,7 @@ def _scan_int_wire(data: bytes) -> dict | None:
     ws = json.decoder.WHITESPACE.match
     decode = json.JSONDecoder().raw_decode
     doc = {}
+    span = None
     i = ws(text).end()
     if not text.startswith("{", i):
         return None
@@ -453,12 +467,11 @@ def _scan_int_wire(data: bytes) -> dict | None:
             if not text.startswith(":", i):
                 return None
             i = ws(text, i + 1).end()
-            if key == "table" and text.startswith("[", i):
+            if key == "table":
                 end = text.find("]", i)
-                value = _parse_int_body(data[i + 1:end]) if end > 0 else None
-                if value is None:
-                    return None
-                i = end + 1
+                if key in doc or not text.startswith("[", i) or end < 0:
+                    return None  # json.loads reports it or keeps the last duplicate
+                span, value, i = slice(i + 1, end), None, end + 1
             else:
                 value, i = decode(text, i)
             doc[key] = value  # the last duplicate wins, as in json.loads
@@ -470,7 +483,11 @@ def _scan_int_wire(data: bytes) -> dict | None:
             i = ws(text, i + 1).end()
     except (ValueError, RecursionError):
         return None
-    return doc if ws(text, i + 1).end() == len(text) else None
+    if ws(text, i + 1).end() != len(text) or span is None:
+        return None
+    del text
+    doc["table"] = _parse_int_body(data[span])
+    return None if doc["table"] is None else doc
 
 
 def _decode_wire_json(data: bytes):
@@ -500,9 +517,11 @@ def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     """Read a wire-function JSON file; raises WireFormatError with the
     offending position on malformed input.
 
-    A table of plain non-negative integers is parsed straight into numpy;
-    any other document goes through json.loads, which is then the only
-    source of JSON and entry-type error messages.
+    A table of plain non-negative integers is parsed straight into numpy:
+    one-digit values from the bytes themselves, longer ones with
+    np.fromstring.  Any other document, and any with a repeated "table"
+    key, goes through json.loads, which is then the only source of JSON
+    and entry-type error messages.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -184,6 +184,16 @@ class TestCensus:
         args = build_parser().parse_args(["census", "--q", "2"])
         assert args.workers == 2
 
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_workers_env_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MASKCHECK_WORKERS", value)
+        code, out, err = run(capsys, "census", "--q", "2", "--format", "json")
+        assert code == 2 and out == ""
+        assert "MASKCHECK_WORKERS" in err and repr(value) in err
+        # --workers overrides the variable, and no other subcommand reads it.
+        assert run(capsys, "census", "--q", "2", "--workers", "1")[0] == 0
+        assert run(capsys, "bounds", "--q", "3329", "--w", "24")[0] == 0
+
 
 class TestBias:
     def test_mlkem_instance(self, capsys):

@@ -111,6 +111,12 @@ def test_each_pitfall_matches_reference(tmp_path, entry):
 @pytest.mark.parametrize("table", [
     "[]", "[ ]", "[0,1,1,]", "[0,1,1,0,]", "[,0,1,1,0]", "[0,,1,1]", "[0,1,1,0 ]",
     "[0,1\n,1\r\n,0]", "[0,1,1]", "[0,1,1,0,0]", "[0,1,1,0", "[0,1,[1],0]",
+    # As many digits as values, but not one digit per value.
+    "[12,,3,0]", "[1 2,3,0]", "[0,1 ,\t1,0]", "[0,10,1,0]", "[ 0 ]",
+    # A blank value next to an extra digit, which np.fromstring read as a 0.
+    "[0, ,010,1]", "[0, ,10,1 1]", "[ ,010,1,1]",
+    # A second "table" key after an invalid first body: json.loads rejects it.
+    '[+1,0,0,0], "table": [0,1,1,0]',
 ])
 def test_separator_pitfalls_match_reference(tmp_path, table):
     doc = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": %s}' % table

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck.wires import WIRE_ORDER
+from maskcheck.wires import VERDICT_BY_CODE, WIRE_ORDER, _analyze
 
 # ---------------------------------------------------------------------------
 # Naive oracle: straight-off-the-definitions loops, no shared machinery with
@@ -130,6 +130,50 @@ class TestValueIndependence:
                 for s1 in range(5)
             )
             assert mc.is_value_independent(w) == s0_free
+
+
+def batch_row(rng, q, alphabet, i):
+    """Row i of a test batch: a random table, a function of s1 (VI), a
+    function of s0 (constant marginal) or a constant, using the first
+    1 + (i + q) % alphabet symbols, so many rows never reach alphabet - 1."""
+    top = 1 + (i + q) % alphabet
+    kind = i % 4
+    if kind == 0:
+        return rng.integers(0, top, q * q).tolist()
+    if kind == 1:
+        return np.tile(rng.integers(0, top, q), q).tolist()
+    if kind == 2:
+        return np.repeat(rng.integers(0, top, q), q).tolist()
+    return [top - 1] * (q * q)
+
+
+class TestDenseKernel:
+    """`_analyze` and `reparam_table` against the naive oracle."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 7])
+    def test_reparam_table_matches_naive(self, q):
+        table = np.random.default_rng(40 + q).integers(0, 4, q * q).tolist()
+        r = mc.reparam_table(mc.make_wire(q, table, alphabet_size=4))
+        assert r.tolist() == [
+            [naive_output(q, table, x, s1) for s1 in range(q)] for x in range(q)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("alphabet", [2, 3, 4, 5])
+    def test_batch_matches_naive(self, n, alphabet):
+        rng = np.random.default_rng(100 * n + alphabet)
+        for q in (1, 2, 3, 5, 7):
+            rows = [batch_row(rng, q, alphabet, i) for i in range(n)]
+            codes, m = _analyze(q, np.array(rows, dtype=np.int64), alphabet, "row {}")
+            assert m.shape == (n, q, alphabet)
+            for row, code, hists in zip(rows, codes, m):
+                assert hists.tolist() == [
+                    naive_hist(q, row, x, alphabet) for x in range(q)
+                ]
+                vi = naive_is_vi(q, row)
+                assert (VERDICT_BY_CODE[code] is mc.Verdict.VALUE_INDEPENDENT) == vi
+                cm = naive_constant_marginal(q, row, alphabet)
+                assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == cm
 
 
 class TestMarginals:
