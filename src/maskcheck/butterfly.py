@@ -31,6 +31,7 @@ from .wires import (
     VERDICT_BY_CODE,
     Verdict,
     WireFunction,
+    _check_cell_cap,
     classify_cells_bulk,
     make_wire,
 )
@@ -220,8 +221,7 @@ def extract_wire_function(pipeline, tap: str, secret_role: str,
         raise ValueError(
             f"unknown tap {tap!r}; valid taps: {', '.join(sorted(valid))}"
         )
-    if q * q > cell_cap:
-        raise ValueError(f"q={q} needs {q * q} cells, above cap {cell_cap}")
+    _check_cell_cap(q, q, cell_cap)
 
     twiddles = [st.twiddle.value for st in pipeline]
     operands = _place_secret(secret_role, _share_pairs(q), context)

@@ -137,8 +137,7 @@ def packed_verdict(q: int, wire_index: int) -> Verdict:
 def index_to_wire(q: int, wire_index: int) -> WireFunction:
     """Decode a packed wire index into a dense Boolean WireFunction."""
     _check_index(q, wire_index)
-    n = q * q
-    table = [(wire_index >> pos) & 1 for pos in range(n)]
+    table = (int(wire_index) >> np.arange(q * q)) & 1
     return make_wire(q, table, alphabet_size=2)
 
 
@@ -147,10 +146,7 @@ def wire_to_index(w: WireFunction) -> int:
     if w.alphabet_size != 2:
         raise ValueError("only Boolean wires have a packed index")
     _check_q(w.q)
-    idx = 0
-    for pos, bit in enumerate(w.table):
-        idx |= int(bit) << pos
-    return idx
+    return int(w.table @ (1 << np.arange(w.n_cells)))
 
 
 @dataclass(frozen=True)
@@ -170,8 +166,8 @@ class CensusReport:
         if self.count_value_independent > self.count_constant_marginal:
             raise ValueError("more value-independent wires than constant-marginal ones")
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "q": self.q,
             "total_wires": self.total_wires,
             "count_value_independent": self.count_value_independent,
@@ -180,9 +176,6 @@ class CensusReport:
             "count_non_constant": self.count_non_constant,
             "soundness_violations": self.soundness_violations,
         }
-        if include_wall_time:
-            doc["wall_time_seconds"] = self.wall_time_seconds
-        return doc
 
 
 def run_census(q: int, parallelism: int = 1) -> CensusReport:
@@ -267,14 +260,14 @@ def spot_check(q: int, wire_index: int) -> SpotCheck:
     """
     w = index_to_wire(q, wire_index)
     verdict = classify(w)
-    marginals = tuple(tuple(int(c) for c in row) for row in marginal_table(w))
+    marginals = tuple(map(tuple, marginal_table(w).tolist()))
     s1_dep = None
     if verdict is Verdict.VALUE_INDEPENDENT:
-        s1_dep = tuple(int(w.table[s1]) for s1 in range(q))
+        s1_dep = tuple(w.table[:q].tolist())  # w(0, s1) for every s1
     return SpotCheck(
         q=q,
         wire_index=wire_index,
-        table=tuple(int(v) for v in w.table),
+        table=tuple(w.table.tolist()),
         verdict=verdict,
         marginals=marginals,
         s1_dependence=s1_dep,

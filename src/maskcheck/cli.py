@@ -9,7 +9,7 @@ Exit codes: 0 success (any verdict counts as success for classify),
 2 malformed input or invalid parameters, 3 a theory-contradicting result
 (a soundness violation, an encoding mismatch, a bias bound failure).  Code
 3 never occurs in a correct build; CI should treat it as an alarm, not a
-test failure.
+test failure.  A reader that closes stdout early does not change the code.
 """
 
 from __future__ import annotations
@@ -515,7 +515,13 @@ def main(argv=None) -> int:
     except TheoryViolation as exc:
         print(f"theory violation: {exc}", file=sys.stderr)
         return EXIT_THEORY_VIOLATION
-    _emit(result, args.format, sys.stdout)
+    try:
+        _emit(result, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so the flush
+        # at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if result.alarm:
         print(f"error: {result.alarm}", file=sys.stderr)
     return result.exit_code

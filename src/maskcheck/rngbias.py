@@ -5,6 +5,8 @@ is only uniform when q divides N.  Otherwise the low residues are hit one
 extra time.  This module computes the exact per-residue counts in closed
 form (never by sampling), together with the universal floor/ceil bounds
 floor(N/q) <= count(r) <= ceil(N/q) and the max/min bias ratio.
+`verify_bounds` confirms the counts against the exact form those bounds
+follow from, for every q, and against a direct tally when N is small.
 
 The flagship instance: a 12-bit RNG (N = 4096) against q = 3329 gives
 count(0) = 2, count(767) = 1 and a bias ratio of exactly 2.  The module
@@ -69,8 +71,8 @@ def bias_profile(n_values: int, q: int) -> BiasProfile:
     Writing N = a*q + b, residues below b are hit a+1 times and the rest
     a times; this is floor((N-1-r)/q) + 1 without the per-residue division.
     The min/max summaries follow from the same two-segment structure, so
-    profile construction is one array write; re-deriving the extremes from
-    the actual array is verify_bounds' job.
+    profile construction is one array write; confirming the actual array
+    is verify_bounds' job.
     """
     if not isinstance(n_values, int) or n_values < 1:
         raise ValueError(f"n_values must be a positive integer, got {n_values!r}")
@@ -107,49 +109,28 @@ def brute_force_counts(n_values: int, q: int) -> np.ndarray:
     return np.bincount(np.arange(n_values, dtype=np.int64) % q, minlength=q)
 
 
-# Direct summation is worthwhile below this q; above it the closed-form
-# route confirms the counts in a single comparison pass.
+# Profiles with q and N at most these are also tallied by brute_force_counts.
 DIRECT_SUMMATION_MAX_Q = 1 << 16
+DIRECT_SUMMATION_MAX_N = 1 << 22
 
 
-def verify_bounds(profile: BiasProfile,
-                  brute_force_n_limit: int = 1 << 22) -> bool:
-    """Re-derive the floor/ceil bounds and confirm every count obeys them.
+def verify_bounds(profile: BiasProfile) -> bool:
+    """Confirm every count is exactly the one N = a*q + b forces.
 
-    For q up to 2^16 the counts array is checked residue by residue against
-    the re-derived bounds (and, when N is small enough to iterate, against
-    a direct tally of all N values).  For larger q the array is confirmed
-    elementwise against the two-segment closed form, whose extremes are
-    then compared with the bounds arithmetically.  Either way every count
-    is inspected, the sum identity is checked, and the equality branch is
-    enforced when q divides N.
+    The q counts must be a + 1 for residues below b and a from b on.  That
+    exact form implies the sum identity (a*q + b = N), the floor/ceil
+    bracket (every count is a or a + 1) and equality when q divides N
+    (b = 0), so no separate check of these is made.  Profiles with
+    q <= DIRECT_SUMMATION_MAX_Q and N <= DIRECT_SUMMATION_MAX_N are also
+    compared with `brute_force_counts`, an independent tally of all N values.
 
     A False return means the library miscounted; tests treat it as fatal.
     """
-    n, q = profile.n_values, profile.q
-    counts = profile.counts
-    lo = n // q
-    hi = -(-n // q)
+    n, q, counts = profile.n_values, profile.q, profile.counts
     a, b = divmod(n, q)
-    if q <= DIRECT_SUMMATION_MAX_Q:
-        if int(counts.sum()) != n:
-            return False
-        if int(counts.min()) < lo or int(counts.max()) > hi:
-            return False
-        if b == 0 and not bool((counts == a).all()):
-            return False
-        if n <= brute_force_n_limit:
-            if not np.array_equal(counts, brute_force_counts(n, q)):
-                return False
-    else:
-        if not bool((counts[:b] == a + 1).all()):
-            return False
-        if not bool((counts[b:] == a).all()):
-            return False
-        # structure confirmed: sum is a*q + b = N by divmod, extremes are
-        # a and a+1 (or a alone when b = 0)
-        if a * q + b != n:
-            return False
-        if a < lo or (a + 1 if b else a) > hi:
-            return False
+    exact = (counts[:b] == a + 1).all() and (counts[b:] == a).all()
+    if counts.shape != (q,) or not exact:
+        return False
+    if q <= DIRECT_SUMMATION_MAX_Q and n <= DIRECT_SUMMATION_MAX_N:
+        return np.array_equal(counts, brute_force_counts(n, q))
     return True

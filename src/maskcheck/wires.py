@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .zq import ZqElement, _as_modulus
+from .zq import DEFAULT_ENUMERATION_CAP, ZqElement, _as_modulus
 
 # Dense tables are refused above this many cells (q^2) unless the caller
 # raises the cap; keeps accidental q=8380417 table construction impossible.
@@ -88,19 +88,24 @@ class WireFunction:
         return int(codes[0]), m[0]
 
 
+def _check_cell_cap(q: int, alphabet_size: int, cell_cap: int = DEFAULT_CELL_CAP):
+    """Refuse a wire whose table (q^2 cells) or marginal table
+    (q * alphabet_size) would be larger than cell_cap, before allocating."""
+    cells = q * max(q, alphabet_size)
+    if cells > cell_cap:
+        raise ValueError(
+            f"q={q} with alphabet {alphabet_size} needs {cells} table cells, "
+            f"above cap {cell_cap}"
+        )
+
+
 def make_wire(q, table, alphabet_size: int = 2,
               cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     """Validate and build a WireFunction from a flat s0-major table."""
     qq = _as_modulus(q).q
     if alphabet_size < 1:
         raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    # Bounds both the table (q^2 cells) and the marginal table (q * alphabet).
-    cells = qq * max(qq, alphabet_size)
-    if cells > cell_cap:
-        raise ValueError(
-            f"q={qq} with alphabet {alphabet_size} needs {cells} table cells, "
-            f"above cap {cell_cap}"
-        )
+    _check_cell_cap(qq, alphabet_size, cell_cap)
     try:
         arr = np.asarray(table, dtype=np.int64)
     except OverflowError:  # an entry beyond int64; the range check names it
@@ -147,12 +152,8 @@ def reparam_table(w: WireFunction) -> np.ndarray:
     return w.table[(x - s1) % w.q * w.q + s1]
 
 
-# Verdict codes of the analysis kernels, in fixed order.
-VERDICT_BY_CODE = (
-    Verdict.VALUE_INDEPENDENT,
-    Verdict.CONSTANT_MARGINAL_ONLY,
-    Verdict.NON_CONSTANT_MARGINAL,
-)
+# Verdict codes of the analysis kernels: the order of Verdict's members.
+VERDICT_BY_CODE = tuple(Verdict)
 
 
 def _verdict_codes(q: int, vi: np.ndarray, cm: np.ndarray, what: str) -> np.ndarray:
@@ -306,17 +307,14 @@ def t6_witness(q) -> WireFunction:
             f"witness needs q >= 2 (no nonzero element exists at q={modulus.q})"
         )
     qq = modulus.q
-    if qq * qq > DEFAULT_CELL_CAP:
-        raise ValueError(
-            f"q={qq} needs {qq * qq} table cells, above cap {DEFAULT_CELL_CAP}"
-        )
+    _check_cell_cap(qq, 2)
     table = np.zeros(qq * qq, dtype=np.int64)
     table[:qq] = 1  # s0 = 0 row
     return WireFunction(qq, 2, table)
 
 
 def translation_bijection_check(
-    w: WireFunction, x, x_prime, cap: int = 1 << 20
+    w: WireFunction, x, x_prime, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
     """Verify the translation argument behind the constant marginal.
 
@@ -353,7 +351,7 @@ def wire_to_dict(w: WireFunction) -> dict:
         "q": w.q,
         "alphabet": w.alphabet_size,
         "order": WIRE_ORDER,
-        "table": [int(v) for v in w.table],
+        "table": w.table.tolist(),
     }
 
 

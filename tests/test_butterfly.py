@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import maskcheck as mc
+from maskcheck import butterfly
 
 
 def stage(q, t):
@@ -159,6 +160,15 @@ class TestWireExtraction:
     def test_invalid_role(self):
         with pytest.raises(ValueError, match="secret_role"):
             mc.extract_wire_function([stage(5, 2)], "s0.c0", "x", [(0, 0)])
+
+    def test_over_cell_cap_refused_before_allocating(self, monkeypatch):
+        def refused(q):
+            raise AssertionError(f"share pairs built at q={q}")
+
+        monkeypatch.setattr(butterfly, "_share_pairs", refused)
+        with pytest.raises(ValueError, match="q=8193 with alphabet 8193 needs "
+                                             "67125249 table cells, above cap 67108864"):
+            mc.extract_wire_function([stage(8193, 2)], "s0.c0", "a", [(0, 0)])
 
 
 class TestTaints:

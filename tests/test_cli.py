@@ -2,6 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +437,30 @@ class TestTheoryViolationExits3:
         code, out, err = run(capsys, "witness", "--q", "3")
         assert code == 3 and not out
         assert err == "theory violation: cross-check failed\n"
+
+
+class TestClosedStdout:
+    """A reader that stops after one line: no traceback, and the exit code
+    and alarm line the run would have had anyway."""
+
+    @pytest.mark.parametrize("patch,code,err", [
+        ("", 0, ""),
+        ("cli.verify_bounds = lambda profile: False", 3,
+         "error: residue counts violate the floor/ceil bounds\n"),
+    ], ids=["ok", "alarm"])
+    def test_reader_closes_after_one_line(self, patch, code, err):
+        # About 500 kB of csv rows, far more than a pipe buffers.
+        argv = ["bias", "--n", "4096", "--q", "65536", "--format", "csv"]
+        script = f"import sys\nfrom maskcheck import cli\n{patch}\nsys.exit(cli.main())"
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stdout.readline() == b"residue,count\n"
+        proc.stdout.close()
+        assert proc.stderr.read().decode() == err
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
 
 
 class TestOutputStability:

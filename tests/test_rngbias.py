@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,10 @@ class TestKnownProfiles:
         assert p.divides_exactly
         assert mc.verify_bounds(p)
 
-    def test_n_below_q_is_degenerate(self):
-        p = mc.bias_profile(4096, 8380417)
+    # 2^16 and 2^16 + 1 sit on either side of the direct-tally limit on q.
+    @pytest.mark.parametrize("q", [8380417, 1 << 16, (1 << 16) + 1])
+    def test_n_below_q_is_degenerate(self, q):
+        p = mc.bias_profile(4096, q)
         assert (p.counts[:4096] == 1).all()
         assert (p.counts[4096:] == 0).all()
         assert p.is_degenerate
@@ -39,11 +42,48 @@ class TestKnownProfiles:
         assert list(p.counts) == [820, 819, 819, 819, 819]
         assert mc.verify_bounds(p)
 
-    def test_multiple_of_large_q(self):
-        p = mc.bias_profile(3329 * 7, 3329)
+    @pytest.mark.parametrize("q", [3329, 1 << 16, (1 << 16) + 1])
+    def test_multiple_of_large_q(self, q):
+        p = mc.bias_profile(q * 7, q)
         assert (p.counts == 7).all()
         assert p.divides_exactly
         assert mc.verify_bounds(p)
+
+
+def move_hit(src, dst):
+    def edit(counts):
+        counts[src] -= 1
+        counts[dst] += 1
+    return edit
+
+
+class TestRejection:
+    """verify_bounds refuses counts that differ from the exact form; each
+    tampered profile keeps the sum, and the misplaced hits keep the bracket."""
+
+    @pytest.mark.parametrize("q,n,edit", [
+        # N = 2^23 + 50 leaves b = 58 at q = 100 and b = 50 at q = 2^17:
+        # residue 0's extra hit moves to residue 58.
+        (100, (1 << 23) + 50, move_hit(0, 58)),
+        (1 << 17, (1 << 23) + 50, move_hit(0, 58)),
+        # residue 0 above the ceiling and residue q - 1 below the floor
+        (3329, 4096, move_hit(3328, 0)),
+        (100, (1 << 23) + 50, move_hit(99, 0)),
+        (1 << 17, (1 << 23) + 50, move_hit(99, 0)),
+    ], ids=["misplaced-q100", "misplaced-q2^17", "outside-bracket-q3329",
+            "outside-bracket-q100", "outside-bracket-q2^17"])
+    def test_tampered_counts(self, q, n, edit):
+        p = mc.bias_profile(n, q)
+        assert mc.verify_bounds(p)
+        counts = p.counts.copy()
+        edit(counts)
+        assert int(counts.sum()) == n
+        assert not mc.verify_bounds(dataclasses.replace(p, counts=counts))
+
+    @pytest.mark.parametrize("q", [100, 1 << 17])
+    def test_missing_residue(self, q):
+        p = mc.bias_profile((1 << 23) + 50, q)
+        assert not mc.verify_bounds(dataclasses.replace(p, counts=p.counts[:-1]))
 
 
 class TestClosedFormAgainstBruteForce:
