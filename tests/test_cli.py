@@ -504,15 +504,18 @@ DIGIT_EDGES = sorted({0, 1, 9, 2**62, 2**63 - 1}
 def int_matrices(draw):
     """Non-negative int64 matrices: tiny shapes and row counts around the
     render block, values from the digit edges or anywhere in range, laid
-    out contiguous, read-only, transposed or strided."""
+    out contiguous, read-only, transposed, strided or as one row broadcast."""
     rows = draw(st.integers(1, 4) | st.sampled_from(
         [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
     cols = draw(st.integers(1, 6))
     values = draw(st.lists(st.sampled_from(DIGIT_EDGES) | st.integers(0, 2**63 - 1),
                            min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["contiguous", "read-only", "transposed", "strided"]))
+    layout = draw(st.sampled_from(["contiguous", "read-only", "transposed", "strided",
+                                   "broadcast"]))
     values = np.array(values, dtype=np.int64)
+    if layout == "broadcast":
+        return np.broadcast_to(rng.choice(values, size=(1, cols)), (rows, cols))
     if layout == "transposed":
         return rng.choice(values, size=(cols, rows)).T
     if layout == "strided":

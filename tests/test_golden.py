@@ -9,7 +9,8 @@ The residue wires' stdout in every format, and q = 1031 at all, were
 captured before classify's marginals were streamed as JSON blocks.  The
 three Boolean q = 257 wires were captured while the dense kernel still
 gathered the reparametrized table and every table went through
-np.fromstring.
+np.fromstring.  The s0 % 11 residue wire was captured while a constant
+marginal was still rendered row by row.
 Regenerate them (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -67,6 +68,10 @@ WIRES = {
     "residue-q257": lambda: mc.wire_from_fn(
         257, lambda s0, s1: (s0 * s0 + 3 * s1) % 257, alphabet_size=257),
     "residue-q1031": residue_q1031,
+    # A constant marginal (constant marginal only): every secret's row has
+    # counts 24 and 23, and the 257 rows span two JSON render blocks.
+    "residue-mod11-q257": lambda: mc.wire_from_fn(
+        257, lambda s0, s1: s0 % 11, alphabet_size=257),
     # Boolean wires whose 257 marginal rows span two JSON render blocks:
     # a function of the mask alone (value-independent), the indicator of a
     # set of first shares (constant marginal only) and random bits.
