@@ -31,6 +31,7 @@ from .census import run_census
 from .rngbias import bias_profile, verify_bounds
 from .wires import (
     TheoryViolation,
+    Verdict,
     WireFormatError,
     classify,
     load_wire,
@@ -129,7 +130,8 @@ def _json_matrix(m: np.ndarray):
 
     The blocks joined equal json.dumps(m.tolist(), separators=(",", ":")).
     Each block of JSON_BLOCK_ROWS rows is rendered into a byte buffer by
-    numpy, so no Python int or str is made per entry.
+    numpy, so no Python int or str is made per entry.  A matrix whose rows
+    share one row's memory (stride 0) renders that row once and repeats it.
     """
     if m.ndim != 2 or m.dtype.kind != "i":
         raise TypeError(f"not a matrix of signed integers: {m.ndim}-D {m.dtype}")
@@ -138,6 +140,13 @@ def _json_matrix(m: np.ndarray):
     rows, cols = m.shape
     if not m.size:
         yield "[" + ",".join(["[]"] * rows) + "]"
+        return
+    if rows > 1 and not m.strides[0]:
+        row = "," + "".join(_json_matrix(m[:1]))[1:-1]
+        for start in range(0, rows, JSON_BLOCK_ROWS):
+            text = row * min(JSON_BLOCK_ROWS, rows - start)
+            yield "[" + text[1:] if start == 0 else text
+        yield "]"
         return
     for start in range(0, rows, JSON_BLOCK_ROWS):
         block = m[start:start + JSON_BLOCK_ROWS]
@@ -211,6 +220,8 @@ def cmd_classify(args) -> Result:
         raise ValueError(f"{args.wire}: {exc}") from exc
     verdict = classify(wire)
     marginals = marginal_table(wire)
+    if verdict is not Verdict.NON_CONSTANT_MARGINAL:  # every row equals row 0
+        marginals = np.broadcast_to(marginals[:1], marginals.shape)
     mi = mutual_information(wire)
     doc = {
         "schema": SCHEMA,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import maskcheck as mc
-from maskcheck import census
+from maskcheck import census, cli
 
 from test_wires import naive_constant_marginal, naive_is_vi
 
@@ -82,12 +82,61 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="parallelism must be >= 1"):
             mc.run_census(2, parallelism=0)
 
-    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("block", [1, 7, 64, 256])
     def test_block_size_does_not_matter(self, monkeypatch, block):
-        # q = 4 has 256 high-half patterns: one step at the default block.
+        # q = 4 has 256 high-half patterns: one step at block 256.
         base = mc.run_census(4).to_dict()
         monkeypatch.setattr(census, "CENSUS_BLOCK", block)
         assert mc.run_census(4).to_dict() == base
+
+    def test_block_size_does_not_matter_q5(self, monkeypatch):
+        monkeypatch.setattr(census, "CENSUS_BLOCK", 64)
+        base = mc.run_census(5).to_dict()
+        monkeypatch.setattr(census, "CENSUS_BLOCK", 1024)
+        assert mc.run_census(5).to_dict() == base
+
+
+def full_diagonals_key(q):
+    """The diagonal key of the all-ones wire: q true cells on every diagonal."""
+    return sum(q << census._FIELD_BITS * x for x in range(q))
+
+
+class TestSoundnessCounter:
+    """A constant-marginal table that lies at one key must be caught there."""
+
+    @staticmethod
+    def break_cm_at(monkeypatch, key_of):
+        real = census._key_tables
+
+        def tables(q):
+            *keys, vi, cm = real(q)
+            cm = cm.copy()
+            cm[key_of(q)] = False
+            return (*keys, vi, cm)
+
+        monkeypatch.setattr(census, "_key_tables", tables)
+
+    # Key 0 is only the all-zero wire (first step); the full key only the
+    # all-ones wire (last step).  Both are value-independent.
+    @pytest.mark.parametrize("key_of", [lambda q: 0, full_diagonals_key],
+                             ids=["all-zero", "all-ones"])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_one_violation_counted(self, monkeypatch, q, key_of):
+        self.break_cm_at(monkeypatch, key_of)
+        report = mc.run_census(q)
+        assert report.soundness_violations == 1
+        assert report.count_value_independent == EXPECTED[q]["vi"]
+        assert report.count_constant_marginal == EXPECTED[q]["cm"] - 1
+
+    @pytest.mark.parametrize("key_of", [lambda q: 0, full_diagonals_key],
+                             ids=["all-zero", "all-ones"])
+    def test_cli_exits_3(self, monkeypatch, capsys, key_of):
+        self.break_cm_at(monkeypatch, key_of)
+        assert cli.main(["census", "--q", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert "  soundness violations:   1\n" in out
+        assert err == ("error: census found 1 soundness violations "
+                       "(value-independent wires with non-constant marginals)\n")
 
 
 class TestPackedDenseAgreement:
