@@ -21,7 +21,7 @@ per column (per diagonal).  A count is at most q <= 5 < 8, so the sum of
 a low and a high key adds the fields without carry, and two tables over
 all 2^(3q) keys turn a sum into the verdict predicates.  A step covers
 CENSUS_BLOCK high patterns: at q = 5, 2^18 wires and a 2 MB key sum, and
-the census takes about 0.1 s in a process that peaks near 37 MB.
+the census takes 0.1-0.16 s in a process that peaks near 37 MB.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ MAX_CENSUS_Q = 5
 
 # High-half patterns per census step.  At q = 5, 64 of them make 2^18
 # wires, a 2 MB intp key sum and two 256 KB predicates per step, which stay
-# in a core's L2; steps of 256 took twice as long.  A `census --q 5`
+# in a core's L2; steps of 256 took 1.5 times as long.  A `census --q 5`
 # process peaks near 37 MB resident, most of it interpreter and numpy.
 CENSUS_BLOCK = 64
 

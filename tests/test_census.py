@@ -118,8 +118,10 @@ class TestSoundnessCounter:
 
     # Key 0 is only the all-zero wire (first step); the full key only the
     # all-ones wire (last step).  Both are value-independent.
-    @pytest.mark.parametrize("key_of", [lambda q: 0, full_diagonals_key],
-                             ids=["all-zero", "all-ones"])
+    broken_keys = pytest.mark.parametrize(
+        "key_of", [lambda q: 0, full_diagonals_key], ids=["all-zero", "all-ones"])
+
+    @broken_keys
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_one_violation_counted(self, monkeypatch, q, key_of):
         self.break_cm_at(monkeypatch, key_of)
@@ -128,8 +130,7 @@ class TestSoundnessCounter:
         assert report.count_value_independent == EXPECTED[q]["vi"]
         assert report.count_constant_marginal == EXPECTED[q]["cm"] - 1
 
-    @pytest.mark.parametrize("key_of", [lambda q: 0, full_diagonals_key],
-                             ids=["all-zero", "all-ones"])
+    @broken_keys
     def test_cli_exits_3(self, monkeypatch, capsys, key_of):
         self.break_cm_at(monkeypatch, key_of)
         assert cli.main(["census", "--q", "5"]) == 3
