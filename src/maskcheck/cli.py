@@ -57,9 +57,10 @@ UREM_MAX_PAIRS = 1 << 24
 
 WORKERS_ENV = "MASKCHECK_WORKERS"
 
-# Rows of an integer matrix rendered per write of JSON output; bounds the
-# renderer's temporaries to a few dozen bytes per entry of one block.
-JSON_BLOCK_ROWS = 256
+# Entries of an integer matrix rendered per block of json or human output
+# (whole rows, one at least); bounds the renderer's temporaries to a few
+# dozen bytes per entry of one block, a few MB.
+MATRIX_BLOCK_CELLS = 1 << 16
 # 10^1 .. 10^18: a non-negative int64 has one digit more than the number
 # of these it reaches.
 _POW10 = tuple(10**k for k in range(1, 19))
@@ -125,56 +126,75 @@ def _kv_rows(doc: dict, omit=()):
         yield f"{key},{value}"
 
 
+def _render_rows(block: np.ndarray) -> str:
+    """The rows of a non-empty 2-D block of non-negative integers as JSON
+    arrays, each with a comma before it: ",[a,b],[c,d]".
+
+    Rendered into a byte buffer by numpy, so no Python int or str is made
+    per entry.
+    """
+    cols = block.shape[1]
+    digits = np.ones(block.shape, dtype=np.uint8)  # at most 19
+    for power in _POW10[:len(str(block.max())) - 1]:
+        digits += block >= power
+    # Each entry is its digits and a separator, and each row starts with ",[".
+    lengths = digits + np.uint8(1)
+    lengths[:, 0] += 2
+    ends = np.cumsum(lengths.ravel(), dtype=np.intp)
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    buf[ends - 1] = ord(",")
+    buf[ends[cols - 1::cols] - 1] = ord("]")
+    opens = ends[::cols] - digits[:, 0] - 2
+    buf[opens] = ord("[")
+    buf[opens - 1] = ord(",")
+    # Digits right to left; an entry drops out after its leading digit.
+    pos, x = ends - 2, block.ravel()
+    while pos.size:
+        quotient = x // 10
+        buf[pos] = (x - quotient * 10).astype(np.uint8) + np.uint8(ord("0"))
+        more = quotient > 0
+        pos, x = pos[more] - 1, quotient[more]
+    return buf.tobytes().decode("ascii")
+
+
+def _row_blocks(m: np.ndarray):
+    """The rows of a non-empty matrix as ",[a,b],[c,d]" text, one block of
+    whole rows, about MATRIX_BLOCK_CELLS entries, at a time.  A matrix
+    whose rows share one row's memory (stride 0) renders that row once
+    and repeats it."""
+    step = max(MATRIX_BLOCK_CELLS // m.shape[1], 1)
+    row = _render_rows(m[:1]) if len(m) > 1 and not m.strides[0] else None
+    for start in range(0, len(m), step):
+        count = min(step, len(m) - start)
+        yield row * count if row else _render_rows(m[start:start + count])
+
+
 def _json_matrix(m: np.ndarray):
     """A 2-D array of non-negative signed integers as JSON text, in blocks.
 
     The blocks joined equal json.dumps(m.tolist(), separators=(",", ":")).
-    Each block of JSON_BLOCK_ROWS rows is rendered into a byte buffer by
-    numpy, so no Python int or str is made per entry.  A matrix whose rows
-    share one row's memory (stride 0) renders that row once and repeats it.
+    Each holds the whole rows of about MATRIX_BLOCK_CELLS entries (see
+    `_row_blocks`), so the temporaries do not grow with the matrix.
     """
     if m.ndim != 2 or m.dtype.kind != "i":
         raise TypeError(f"not a matrix of signed integers: {m.ndim}-D {m.dtype}")
     if m.size and m.min() < 0:
         raise ValueError("negative entries are not rendered")
-    rows, cols = m.shape
     if not m.size:
-        yield "[" + ",".join(["[]"] * rows) + "]"
+        yield "[" + ",".join(["[]"] * len(m)) + "]"
         return
-    if rows > 1 and not m.strides[0]:
-        row = "," + "".join(_json_matrix(m[:1]))[1:-1]
-        for start in range(0, rows, JSON_BLOCK_ROWS):
-            text = row * min(JSON_BLOCK_ROWS, rows - start)
-            yield "[" + text[1:] if start == 0 else text
-        yield "]"
-        return
-    for start in range(0, rows, JSON_BLOCK_ROWS):
-        block = m[start:start + JSON_BLOCK_ROWS]
-        digits = np.ones(block.shape, dtype=np.int64)
-        for power in _POW10[:len(str(block.max())) - 1]:
-            digits += block >= power
-        # Each entry is its digits and a separator, and each row starts
-        # with ",[": the matrix's opening "[" takes the first row's ",".
-        lengths = digits + 1
-        lengths[:, 0] += 2
-        ends = np.cumsum(lengths.ravel())
-        buf = np.empty(int(ends[-1]), dtype=np.uint8)
-        buf[ends - 1] = ord(",")
-        buf[ends[cols - 1::cols] - 1] = ord("]")
-        opens = ends[::cols] - digits[:, 0] - 2
-        buf[opens] = ord("[")
-        buf[opens - 1] = ord(",")
-        if start == 0:
-            buf[0] = ord("[")
-        # Digits right to left; an entry drops out after its leading digit.
-        pos, x = ends - 2, block.ravel()
-        while pos.size:
-            x, digit = np.divmod(x, 10)
-            buf[pos] = digit + ord("0")
-            more = x > 0
-            pos, x = pos[more] - 1, x[more]
-        yield buf.tobytes().decode("ascii")
+    for i, text in enumerate(_row_blocks(m)):
+        # The matrix's opening "[" takes the first row's ",".
+        yield "[" + text[1:] if i == 0 else text
     yield "]"
+
+
+def _list_rows(m: np.ndarray):
+    """The rows of a non-empty 2-D array of non-negative integers as the
+    text between the brackets of Python's list repr, "a, b, ...", made
+    from the blocks of `_row_blocks`."""
+    for text in _row_blocks(m):
+        yield from text.replace(",", ", ")[3:-1].split("], [")
 
 
 def _emit(result: Result, fmt: str, out) -> None:
@@ -239,8 +259,8 @@ def cmd_classify(args) -> Result:
         yield f"verdict: {verdict.value}"
         yield f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})"
         yield "marginal histograms (one row per secret):"
-        for x, row in enumerate(marginals):
-            yield f"  x={x}: {row.tolist()}"
+        for x, row in enumerate(_list_rows(marginals)):
+            yield f"  x={x}: [{row}]"
 
     return Result(doc, human, csv=lambda: _kv_rows(doc, omit=("marginals",)))
 

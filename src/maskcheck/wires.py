@@ -34,6 +34,12 @@ from .zq import DEFAULT_ENUMERATION_CAP, ZqElement, _as_modulus
 # raises the cap; keeps accidental q=8380417 table construction impossible.
 DEFAULT_CELL_CAP = 1 << 26
 
+# Table or marginal-table cells that the dense analysis reads per step, so
+# that a classify run holds those two tables and a few MB besides.  At
+# q = 3329 a step is 19 rows; their scatter into the 88 MB marginal table
+# took no longer than one bincount of the whole table (0.16-0.30 s a wire).
+STEP_CELLS = 1 << 16
+
 
 class TheoryViolation(RuntimeError):
     """A result contradicting a proven property of the framework.
@@ -182,6 +188,27 @@ def _diagonal_keys(q: int, n: int, alphabet: int) -> np.ndarray:
     return np.ndarray((n, q, q), run.dtype, run, strides=run.strides + run.strides[1:])
 
 
+def _steps(n: int, rows: int, cols: int) -> list[tuple[slice, slice]]:
+    """(wires, rows) slices that cover an (n, rows, cols) batch in steps of
+    at most STEP_CELLS cells: groups of whole wires while one fits in a
+    step, else blocks of rows of one wire (one row at least)."""
+    wires = max(STEP_CELLS // (rows * cols), 1)
+    block = min(rows, max(STEP_CELLS // cols, 1))
+    return [(slice(b, b + wires), slice(r, r + block))
+            for b in range(0, n, wires) for r in range(0, rows, block)]
+
+
+def _rows_equal(a: np.ndarray) -> np.ndarray:
+    """(n,) bools of an (n, rows, cols) batch: does every row of a[b] equal
+    its row 0?  A step's results are one per wire of its group, or one per
+    row block of its wire."""
+    if a.size <= STEP_CELLS:
+        return (a == a[:, :1]).all(axis=(1, 2))
+    parts = [(a[wires, rows] == a[wires, :1]).all(axis=(1, 2))
+             for wires, rows in _steps(*a.shape)]
+    return np.concatenate(parts).reshape(len(a), -1).all(axis=1)
+
+
 def _analyze(q: int, cells: np.ndarray, alphabet: int,
              what: str) -> tuple[np.ndarray, np.ndarray]:
     """Verdict codes (n,) and marginal tables (n, q, alphabet) of a batch.
@@ -189,17 +216,25 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     `cells` holds n flat s0-major int64 tables t[s0, s1] with entries in
     [0, alphabet).  For a fixed mask s1, s0 = x - s1 runs over Z_q as the
     secret x does: value independence is every column t[:, s1] constant,
-    and secret x's histogram counts the diagonal s0 + s1 = x, all n*q of
-    them in one bincount of t + `_diagonal_keys`.  The soundness check of
-    each row thus compares its columns with its diagonals.
+    that is every row t[s0] equal to t[0], and secret x's histogram counts
+    the diagonal s0 + s1 = x.  The soundness check of each row thus
+    compares its columns with its diagonals.
+
+    The keys t + `_diagonal_keys` are scattered into the n*q histograms,
+    and both predicates compared, `_steps` of STEP_CELLS cells at a time;
+    a batch of one step takes one bincount, cheaper per call than add.at.
     """
     n = len(cells)
     t = cells.reshape(n, q, q)
-    vi = (t == t[:, :1, :]).all(axis=(1, 2))
-    keys = t + _diagonal_keys(q, n, alphabet)
-    m = np.bincount(keys.ravel(), minlength=n * q * alphabet).reshape(n, q, alphabet)
-    cm = (m == m[:, 0:1, :]).all(axis=(1, 2))
-    return _verdict_codes(q, vi, cm, what), m
+    keys = _diagonal_keys(q, n, alphabet)
+    if t.size <= STEP_CELLS:
+        m = np.bincount((t + keys).ravel(), minlength=n * q * alphabet)
+    else:
+        m = np.zeros(n * q * alphabet, dtype=np.int64)
+        for wires, rows in _steps(n, q, q):
+            np.add.at(m, (t[wires, rows] + keys[wires, rows]).ravel(), 1)
+    m = m.reshape(n, q, alphabet)
+    return _verdict_codes(q, _rows_equal(t), _rows_equal(m), what), m
 
 
 def is_value_independent(w: WireFunction) -> bool:
@@ -279,17 +314,23 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     colsum[v] = q * counts[x][v] for every x, so each ratio is exactly 1.0,
     each term exactly 0.0 and the sum exactly 0.0 with no cancellation;
     that case returns 0.0 without making the float arrays at all.
+    Otherwise only the nonzero counts become floats, found in blocks of
+    rows (see `_steps`), and their terms are summed as one array.
     """
     if has_constant_marginal(w):
         return MutualInformation(bits=0.0, is_zero=True)
     m = marginal_table(w)
     q = w.q
     colsum = m.sum(axis=0)
-    h = m.astype(np.float64)
     total = float(q) * float(q)
-    nz = m > 0
-    ratios = (h[nz] * q) / np.broadcast_to(colsum, m.shape)[nz]
-    bits = float(np.sum((h[nz] / total) * np.log2(ratios)))
+    terms = []
+    for _, rows in _steps(1, *m.shape):
+        block = m[rows]
+        nz = block > 0
+        h = block[nz].astype(np.float64)
+        ratios = (h * q) / np.broadcast_to(colsum, block.shape)[nz]
+        terms.append((h / total) * np.log2(ratios))
+    bits = float(np.sum(np.concatenate(terms)))
     return MutualInformation(bits=bits, is_zero=False)
 
 
@@ -406,20 +447,27 @@ def _parse_int_body(body: bytes) -> np.ndarray | None:
     the values themselves.  Longer ones go through np.fromstring, which
     alone is too lenient: it reads "01", invents a value in a blank or
     empty body or after a trailing comma, and saturates at INT64_MAX, so
-    the ends, the digit count and the maximum are checked.
+    the ends, the digit count and the maximum are checked.  Only the count
+    of the digits is kept while np.fromstring fills the table, and the
+    digit widths are counted STEP_CELLS values at a time.
     """
     digits = body.translate(None, b"," + _JSON_WS_BYTES)
     if not digits.isdigit():
         return None
     commas = body.count(b",")
     if len(digits) == commas + 1:
-        # The digits and commas alternate iff every odd position is a comma.
-        if body.translate(None, _JSON_WS_BYTES)[1::2] != b"," * commas:
+        # The digits and commas alternate iff every odd position is a comma,
+        # the lowest of these bytes.
+        odd = np.frombuffer(body.translate(None, _JSON_WS_BYTES), dtype=np.uint8)[1::2]
+        if odd.max(initial=ord(",")) != ord(","):
             return None
         return np.frombuffer(digits, dtype=np.uint8) - np.int64(ord("0"))
+    n_digits = len(digits)
+    del digits
     ends = body.strip(_JSON_WS_BYTES)
     if ends.startswith(b",") or ends.endswith(b","):
         return None  # np.fromstring would make up a value there
+    del ends
     try:
         # The space in the separator eats the blanks after each comma, so
         # a blank value between commas fails instead of reading as 0.
@@ -431,19 +479,18 @@ def _parse_int_body(body: bytes) -> np.ndarray | None:
         return None
     # Every digit must belong to one value written without leading zeros.
     widths = arr.size + sum(
-        np.count_nonzero(arr >= 10 ** k) for k in range(1, len(str(top)))
+        np.count_nonzero(arr[i:i + STEP_CELLS] >= 10 ** k)
+        for i in range(0, arr.size, STEP_CELLS) for k in range(1, len(str(top)))
     )
-    return arr if len(digits) == widths else None
+    return arr if n_digits == widths else None
 
 
-def _scan_int_wire(data: bytes) -> dict | None:
-    """The wire document in `data` with its table parsed by numpy.
+def _scan_int_wire(data: bytes) -> tuple[dict, slice] | None:
+    """The wire document in `data` but its table, and the table's body span.
 
     Walks the top-level object, decoding every value but "table" with the
-    json module; the decoded text is dropped before `_parse_int_body`
-    reads the table's span.  Returns None, so that the caller falls back
-    to json.loads, unless the file is ASCII and has one "table", an array
-    that `_parse_int_body` accepts.
+    json module.  Returns None, so that the caller falls back to
+    json.loads, unless the file is ASCII and has one "table", an array.
     """
     if not data.isascii():
         return None
@@ -483,9 +530,7 @@ def _scan_int_wire(data: bytes) -> dict | None:
         return None
     if ws(text, i + 1).end() != len(text) or span is None:
         return None
-    del text
-    doc["table"] = _parse_int_body(data[span])
-    return None if doc["table"] is None else doc
+    return doc, span
 
 
 def _decode_wire_json(data: bytes):
@@ -517,16 +562,25 @@ def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
 
     A table of plain non-negative integers is parsed straight into numpy:
     one-digit values from the bytes themselves, longer ones with
-    np.fromstring.  Any other document, and any with a repeated "table"
-    key, goes through json.loads, which is then the only source of JSON
-    and entry-type error messages.
+    np.fromstring.  Only the table's body is kept while it is parsed: the
+    file's bytes and their decoded text are dropped first.  Any other
+    document, and any with a repeated "table" key, goes through
+    json.loads, which is then the only source of JSON and entry-type error
+    messages; a body the parser refuses is put back between the bytes
+    around it for that, so the file is read once.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = _scan_int_wire(data)
-    if doc is None:
-        doc = _decode_wire_json(data)
-    return wire_from_dict(doc, cell_cap)
+    scanned = _scan_int_wire(data)
+    if scanned is not None:
+        doc, span = scanned
+        head, body, tail = data[:span.start], data[span], data[span.stop:]
+        del data
+        doc["table"] = _parse_int_body(body)
+        if doc["table"] is not None:
+            return wire_from_dict(doc, cell_cap)
+        data = b"".join((head, body, tail))
+    return wire_from_dict(_decode_wire_json(data), cell_cap)
 
 
 def save_wire(w: WireFunction, path):

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,27 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["verdict"] == "VALUE_INDEPENDENT"
+
+    def test_peak_memory_near_table_and_marginals(self, tmp_path):
+        """A classify run holds the table, the marginal table and buffers of
+        a fixed size: on the recombined residue wire (s0 + s1) % q with
+        alphabet q, whose marginal table is as large as its table, numpy's
+        traced peak stays within 2.6 tables."""
+        q = 1031
+        s = np.arange(q)
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.make_wire(q, ((s[:, None] + s) % q).ravel(), alphabet_size=q), path)
+        table_bytes = q * q * np.dtype(np.int64).itemsize
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "out.json", "w") as out, redirect_stdout(out):
+                code = main(["classify", str(path), "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "NON_CONSTANT_MARGINAL"
+        assert peak <= 2.6 * table_bytes
 
     def test_truncated_table_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -494,7 +517,12 @@ def rendered(m):
     return "".join(cli._json_matrix(m))
 
 
-BLOCK = cli.JSON_BLOCK_ROWS
+def block_rows(cols):
+    """Rows per rendered block of a matrix with `cols` columns."""
+    return max(cli.MATRIX_BLOCK_CELLS // cols, 1)
+
+
+BLOCK = block_rows(3)  # three columns, as in the fixed cases below
 # Every digit-count boundary of a non-negative int64.
 DIGIT_EDGES = sorted({0, 1, 9, 2**62, 2**63 - 1}
                      | {10**k + d for k in range(1, 19) for d in (-1, 0, 1)})
@@ -503,11 +531,13 @@ DIGIT_EDGES = sorted({0, 1, 9, 2**62, 2**63 - 1}
 @st.composite
 def int_matrices(draw):
     """Non-negative int64 matrices: tiny shapes and row counts around the
-    render block, values from the digit edges or anywhere in range, laid
-    out contiguous, read-only, transposed, strided or as one row broadcast."""
-    rows = draw(st.integers(1, 4) | st.sampled_from(
-        [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    render block of their column count, values from the digit edges or
+    anywhere in range, laid out contiguous, read-only, transposed, strided
+    or as one row broadcast."""
     cols = draw(st.integers(1, 6))
+    block = block_rows(cols)
+    rows = draw(st.integers(1, 4) | st.sampled_from(
+        [block - 1, block, block + 1, 2 * block + 3]))
     values = draw(st.lists(st.sampled_from(DIGIT_EDGES) | st.integers(0, 2**63 - 1),
                            min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -541,19 +571,23 @@ class TestJsonEmitter:
         np.zeros((BLOCK, 3), dtype=np.int64),
         np.zeros((BLOCK + 1, 3), dtype=np.int64),
         np.arange(3 * (2 * BLOCK + 1), dtype=np.int64).reshape(-1, 3) * 997,
+        np.arange(3 * (cli.MATRIX_BLOCK_CELLS + 1), dtype=np.int64).reshape(3, -1),
         np.zeros((0, 3), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int64),
         np.array([[7, 1000]], dtype=np.int32),
     ], ids=["1x1", "one-row", "one-column", "zeros-below-block", "zeros-at-block",
-            "zeros-above-block", "two-blocks-and-a-row", "no-rows", "no-columns",
-            "int32"])
+            "zeros-above-block", "two-blocks-and-a-row", "rows-wider-than-a-block",
+            "no-rows", "no-columns", "int32"])
     def test_matrix_matches_json_dumps(self, m):
         assert rendered(m) == dumps_compact(m.tolist())
 
     @settings(max_examples=150, deadline=None)
     @given(int_matrices())
     def test_matrix_matches_json_dumps_generated(self, m):
-        assert rendered(m) == dumps_compact(m.tolist())
+        rows = m.tolist()
+        assert rendered(m) == dumps_compact(rows)
+        # The human rows of classify: the inside of each row's list repr.
+        assert list(cli._list_rows(m)) == [repr(row)[1:-1] for row in rows]
 
     def test_rejects_what_it_cannot_render(self):
         with pytest.raises(ValueError, match="negative"):

@@ -72,9 +72,10 @@ WIRES = {
     # counts 24 and 23, and the 257 rows span two JSON render blocks.
     "residue-mod11-q257": lambda: mc.wire_from_fn(
         257, lambda s0, s1: s0 % 11, alphabet_size=257),
-    # Boolean wires whose 257 marginal rows span two JSON render blocks:
-    # a function of the mask alone (value-independent), the indicator of a
-    # set of first shares (constant marginal only) and random bits.
+    # Boolean wires with 257 marginal rows of two entries (one render
+    # block): a function of the mask alone (value-independent), the
+    # indicator of a set of first shares (constant marginal only) and
+    # random bits.
     "mask-q257": lambda: mc.wire_from_fn(257, lambda s0, s1: int(s1 * s1 % 257 < 100)),
     "share-set-q257": lambda: mc.wire_from_fn(257, lambda s0, s1: int(s0 % 3 == 1)),
     "random-bits-q257": random_bits_q257,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
+from maskcheck import wires
 from maskcheck.wires import VERDICT_BY_CODE, WIRE_ORDER, _analyze
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,40 @@ class TestDenseKernel:
                 assert (VERDICT_BY_CODE[code] is mc.Verdict.VALUE_INDEPENDENT) == vi
                 cm = naive_constant_marginal(q, row, alphabet)
                 assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == cm
+
+    # 20 cells per step: two q = 3 wires, or blocks of two q = 7 rows that
+    # leave one over; 50: one q = 7 wire, or the whole q = 3 batch; 1: one row.
+    @pytest.mark.parametrize("step", [1, 20, 50])
+    @pytest.mark.parametrize("alphabet", [2, 11])
+    def test_steps_match_reparam_histograms(self, monkeypatch, step, alphabet):
+        """Marginals and verdicts of single wires and of bulk batches, counted
+        in steps smaller than a wire or a batch, against histograms of the
+        rows of `reparam_table`; the mutual information is unchanged."""
+        rng = np.random.default_rng(step * alphabet)
+        batches = {q: np.array([batch_row(rng, q, alphabet, i) for i in range(5)])
+                   for q in (3, 7)}
+        mi = {q: [mc.mutual_information(mc.make_wire(q, row, alphabet)).bits
+                  for row in rows] for q, rows in batches.items()}
+        monkeypatch.setattr(wires, "STEP_CELLS", step)
+        for q, rows in batches.items():
+            if q * q > step:
+                assert len(wires._steps(1, q, q)) > 1
+            if 5 * q * q > step:
+                assert len(wires._steps(5, q, q)) > 1
+            codes, m = _analyze(q, rows, alphabet, "row {}")
+            assert mc.classify_cells_bulk(q, rows).tolist() == codes.tolist()
+            for row, code, hists, bits in zip(rows, codes, m, mi[q]):
+                w = mc.make_wire(q, row, alphabet)
+                r = mc.reparam_table(w)
+                expected = np.array([np.bincount(x, minlength=alphabet) for x in r])
+                assert hists.tolist() == expected.tolist()
+                assert mc.marginal_table(w).tolist() == expected.tolist()
+                vi = bool((r == r[0]).all())
+                cm = bool((expected == expected[0]).all())
+                assert VERDICT_BY_CODE[code] is mc.classify(w)
+                assert (VERDICT_BY_CODE[code] is mc.Verdict.VALUE_INDEPENDENT) == vi
+                assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == cm
+                assert mc.mutual_information(w).bits == bits
 
 
 class TestMarginals:
