@@ -170,14 +170,14 @@ def _row_blocks(m: np.ndarray):
 
 
 def _json_matrix(m: np.ndarray):
-    """A 2-D array of non-negative signed integers as JSON text, in blocks.
+    """A 2-D array of non-negative integers as JSON text, in blocks.
 
     The blocks joined equal json.dumps(m.tolist(), separators=(",", ":")).
     Each holds the whole rows of about MATRIX_BLOCK_CELLS entries (see
     `_row_blocks`), so the temporaries do not grow with the matrix.
     """
-    if m.ndim != 2 or m.dtype.kind != "i":
-        raise TypeError(f"not a matrix of signed integers: {m.ndim}-D {m.dtype}")
+    if m.ndim != 2 or m.dtype.kind not in "iu":
+        raise TypeError(f"not a matrix of integers: {m.ndim}-D {m.dtype}")
     if m.size and m.min() < 0:
         raise ValueError("negative entries are not rendered")
     if not m.size:

@@ -22,6 +22,7 @@ and NON_CONSTANT_MARGINAL is genuinely distinguishable by an observer.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -39,6 +40,15 @@ DEFAULT_CELL_CAP = 1 << 26
 # q = 3329 a step is 19 rows; their scatter into the 88 MB marginal table
 # took no longer than one bincount of the whole table (0.16-0.30 s a wire).
 STEP_CELLS = 1 << 16
+
+# Bytes of a table body that the loader parses at once (cut at the next
+# comma): a residue file is then held as its bytes, its table and about
+# this much besides.
+PARSE_CHUNK = 1 << 20
+
+# Characters of the header that the loader first decodes to read one key or
+# value; a window that does not contain the whole item grows 8 times.
+SCAN_WINDOW = 64
 
 
 class TheoryViolation(RuntimeError):
@@ -61,13 +71,32 @@ class Verdict(Enum):
     NON_CONSTANT_MARGINAL = "NON_CONSTANT_MARGINAL"
 
 
+def _symbol_dtype(alphabet_size: int) -> np.dtype:
+    """The narrowest dtype of a table with symbols in [0, alphabet_size):
+    uint8 up to 256 symbols, uint16 up to 65536, else int32 (int64 beyond
+    2^31, reachable only with a raised cell cap)."""
+    for dtype in (np.uint8, np.uint16, np.int32):
+        if alphabet_size - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _count_dtype(q: int) -> np.dtype:
+    """The dtype of a marginal table: its counts are at most q."""
+    return np.dtype(np.uint16 if q <= np.iinfo(np.uint16).max else np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class WireFunction:
     """Dense table of one wire's value over all share pairs.
 
     Entry i of `table` is w(s0, s1) with s0 = i // q and s1 = i % q
     (s0-major order, the normative index convention for serialized wires).
-    Output symbols are integers in [0, alphabet_size).
+    Output symbols are integers in [0, alphabet_size), stored read-only in
+    the narrowest dtype for the alphabet: uint8 up to 256 symbols (a
+    Boolean wire), uint16 up to 65536 (a residue wire at q = 3329), else
+    int32.  A table of another dtype is cast, and a ValueError raised if
+    an entry does not fit.
     """
 
     q: int
@@ -75,7 +104,17 @@ class WireFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.ascontiguousarray(self.table, dtype=np.int64)
+        table = np.asarray(self.table)
+        dtype = _symbol_dtype(self.alphabet_size)
+        if table.dtype != dtype:
+            info = np.iinfo(dtype)
+            if table.size and (table.min() < info.min or table.max() > info.max):
+                raise ValueError(
+                    f"table entries in [{table.min()}, {table.max()}] do not fit "
+                    f"{dtype} for alphabet {self.alphabet_size}"
+                )
+            table = table.astype(dtype)
+        table = np.ascontiguousarray(table)
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -90,6 +129,7 @@ class WireFunction:
     def _analysis(self) -> tuple[int, np.ndarray]:
         """(verdict code, read-only marginal table), as a batch of one."""
         codes, m = _analyze(self.q, self.table[None, :], self.alphabet_size, "wire")
+        m = m.astype(_count_dtype(self.q), copy=False)  # a bincount's counts are int64
         m.setflags(write=False)
         return int(codes[0]), m[0]
 
@@ -112,10 +152,13 @@ def make_wire(q, table, alphabet_size: int = 2,
     if alphabet_size < 1:
         raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
     _check_cell_cap(qq, alphabet_size, cell_cap)
-    try:
-        arr = np.asarray(table, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64; the range check names it
-        arr = np.asarray(table, dtype=object)
+    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
+        arr = table  # cast, if at all, once its range is checked
+    else:
+        try:
+            arr = np.asarray(table, dtype=np.int64)
+        except OverflowError:  # an entry beyond int64; the range check names it
+            arr = np.asarray(table, dtype=object)
     if arr.ndim != 1 or arr.size != qq * qq:
         raise ValueError(
             f"table has {arr.size} entries, expected q^2 = {qq * qq}"
@@ -126,7 +169,7 @@ def make_wire(q, table, alphabet_size: int = 2,
             f"table entry {int(arr[bad])} at index {bad} outside "
             f"alphabet [0, {alphabet_size})"
         )
-    return WireFunction(qq, alphabet_size, arr)
+    return WireFunction(qq, alphabet_size, arr.astype(_symbol_dtype(alphabet_size), copy=False))
 
 
 def wire_from_fn(q, fn, alphabet_size: int = 2,
@@ -213,16 +256,17 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
              what: str) -> tuple[np.ndarray, np.ndarray]:
     """Verdict codes (n,) and marginal tables (n, q, alphabet) of a batch.
 
-    `cells` holds n flat s0-major int64 tables t[s0, s1] with entries in
-    [0, alphabet).  For a fixed mask s1, s0 = x - s1 runs over Z_q as the
+    `cells` holds n flat s0-major integer tables t[s0, s1] with entries
+    in [0, alphabet).  For a fixed mask s1, s0 = x - s1 runs over Z_q as the
     secret x does: value independence is every column t[:, s1] constant,
     that is every row t[s0] equal to t[0], and secret x's histogram counts
     the diagonal s0 + s1 = x.  The soundness check of each row thus
     compares its columns with its diagonals.
 
     The keys t + `_diagonal_keys` are scattered into the n*q histograms,
-    and both predicates compared, `_steps` of STEP_CELLS cells at a time;
-    a batch of one step takes one bincount, cheaper per call than add.at.
+    and both predicates compared, `_steps` of STEP_CELLS cells at a time,
+    counting in `_count_dtype(q)`; a batch of one step takes one bincount
+    (int64 counts), cheaper per call than add.at.
     """
     n = len(cells)
     t = cells.reshape(n, q, q)
@@ -230,9 +274,10 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     if t.size <= STEP_CELLS:
         m = np.bincount((t + keys).ravel(), minlength=n * q * alphabet)
     else:
-        m = np.zeros(n * q * alphabet, dtype=np.int64)
+        m = np.zeros(n * q * alphabet, dtype=_count_dtype(q))
+        one = m.dtype.type(1)  # an untyped 1 leaves add.at's fast path
         for wires, rows in _steps(n, q, q):
-            np.add.at(m, (t[wires, rows] + keys[wires, rows]).ravel(), 1)
+            np.add.at(m, (t[wires, rows] + keys[wires, rows]).ravel(), one)
     m = m.reshape(n, q, alphabet)
     return _verdict_codes(q, _rows_equal(t), _rows_equal(m), what), m
 
@@ -349,7 +394,7 @@ def t6_witness(q) -> WireFunction:
         )
     qq = modulus.q
     _check_cell_cap(qq, 2)
-    table = np.zeros(qq * qq, dtype=np.int64)
+    table = np.zeros(qq * qq, dtype=_symbol_dtype(2))
     table[:qq] = 1  # s0 = 0 row
     return WireFunction(qq, 2, table)
 
@@ -413,8 +458,8 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
         raise WireFormatError(f"q must be a positive integer, got {q!r}")
     if type(alphabet) is not int or alphabet < 1:
         raise WireFormatError(f"alphabet must be a positive integer, got {alphabet!r}")
-    # load_wire hands over an int64 array when it parsed the table itself.
-    typed = isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 1
+    # load_wire hands over an integer array when it parsed the table itself.
+    typed = isinstance(table, np.ndarray) and table.dtype.kind in "iu" and table.ndim == 1
     if not (typed or isinstance(table, list)):
         raise WireFormatError("table must be a JSON array")
     if len(table) != q * q:
@@ -435,21 +480,22 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
 
 
 _JSON_WS_BYTES = b" \t\n\r"
+_JSON_WS = re.compile(b"[ \t\n\r]*")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _parse_int_body(body: bytes) -> np.ndarray | None:
-    """The entries of a JSON array body of plain non-negative integers.
+def _parse_int_chunk(body: bytes) -> np.ndarray | None:
+    """The entries of a run of comma-separated plain non-negative integers.
 
-    Returns None for any body that json.loads would not read as exactly
+    Returns None for any run that json.loads would not read as exactly
     these integers.  Without commas and whitespace it must be all digits.
-    One digit per value (any alphabet up to 10) in a "d,d,...,d" body are
-    the values themselves.  Longer ones go through np.fromstring, which
-    alone is too lenient: it reads "01", invents a value in a blank or
-    empty body or after a trailing comma, and saturates at INT64_MAX, so
+    One digit per value (any alphabet up to 10) in a "d,d,...,d" run are
+    the values themselves, as uint8.  Longer ones go through np.fromstring,
+    which alone is too lenient: it reads "01", invents a value in a blank
+    or empty run or after a trailing comma, and saturates at INT64_MAX, so
     the ends, the digit count and the maximum are checked.  Only the count
-    of the digits is kept while np.fromstring fills the table, and the
-    digit widths are counted STEP_CELLS values at a time.
+    of the digits is kept while np.fromstring fills the int64 array, and
+    the digit widths are counted STEP_CELLS values at a time.
     """
     digits = body.translate(None, b"," + _JSON_WS_BYTES)
     if not digits.isdigit():
@@ -461,7 +507,7 @@ def _parse_int_body(body: bytes) -> np.ndarray | None:
         odd = np.frombuffer(body.translate(None, _JSON_WS_BYTES), dtype=np.uint8)[1::2]
         if odd.max(initial=ord(",")) != ord(","):
             return None
-        return np.frombuffer(digits, dtype=np.uint8) - np.int64(ord("0"))
+        return np.frombuffer(digits, dtype=np.uint8) - np.uint8(ord("0"))
     n_digits = len(digits)
     del digits
     ends = body.strip(_JSON_WS_BYTES)
@@ -485,50 +531,96 @@ def _parse_int_body(body: bytes) -> np.ndarray | None:
     return arr if n_digits == widths else None
 
 
+def _parse_int_body(data: bytes, span: slice, dtype: np.dtype) -> np.ndarray | None:
+    """The entries of the JSON array body data[span] as a `dtype` table.
+
+    The body is parsed from the file's own bytes in chunks of PARSE_CHUNK
+    bytes, each cut at the next comma, by `_parse_int_chunk`, and written
+    into a table of one entry per comma plus one.  Returns None where a
+    chunk is refused or holds a value that `dtype` cannot, so that only
+    such a body goes through json.loads.
+    """
+    table = np.empty(data.count(b",", span.start, span.stop) + 1, dtype=dtype)
+    top = np.iinfo(dtype).max
+    start, filled = span.start, 0
+    while True:
+        cut = data.find(b",", min(start + PARSE_CHUNK, span.stop), span.stop)
+        stop = span.stop if cut < 0 else cut
+        values = _parse_int_chunk(data[start:stop])
+        if values is None or values.max() > top:
+            return None
+        table[filled:filled + values.size] = values
+        filled += values.size
+        del values  # before the next chunk's are made
+        if stop == span.stop:
+            return table
+        start = stop + 1
+
+
 def _scan_int_wire(data: bytes) -> tuple[dict, slice] | None:
     """The wire document in `data` but its table, and the table's body span.
 
-    Walks the top-level object, decoding every value but "table" with the
-    json module.  Returns None, so that the caller falls back to
+    Walks the top-level object on the bytes, decoding each key and each
+    value but "table" with the json module from a window of SCAN_WINDOW
+    characters that grows 8 times until the item ends strictly inside it
+    or it reaches the end of the file; the table's body ends at the first
+    "]" after its "[".  Returns None, so that the caller falls back to
     json.loads, unless the file is ASCII and has one "table", an array.
     """
     if not data.isascii():
         return None
-    text = data.decode("ascii")
-    ws = json.decoder.WHITESPACE.match
     decode = json.JSONDecoder().raw_decode
+
+    def item(i):
+        size = SCAN_WINDOW
+        while True:
+            window = data[i:i + size].decode("ascii")
+            whole = i + size >= len(data)
+            try:
+                value, end = decode(window)
+            except ValueError:
+                if whole:
+                    raise
+            else:
+                if end < len(window) or whole:
+                    return value, i + end
+            size *= 8
+
+    def ws(i):
+        return _JSON_WS.match(data, i).end()
+
     doc = {}
     span = None
-    i = ws(text).end()
-    if not text.startswith("{", i):
+    i = ws(0)
+    if not data.startswith(b"{", i):
         return None
-    i = ws(text, i + 1).end()
+    i = ws(i + 1)
     try:
         while True:
-            if not text.startswith('"', i):
+            if not data.startswith(b'"', i):
                 return None
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = ws(text, i).end()
-            if not text.startswith(":", i):
+            key, i = item(i)
+            i = ws(i)
+            if not data.startswith(b":", i):
                 return None
-            i = ws(text, i + 1).end()
+            i = ws(i + 1)
             if key == "table":
-                end = text.find("]", i)
-                if key in doc or not text.startswith("[", i) or end < 0:
+                end = data.find(b"]", i)
+                if key in doc or not data.startswith(b"[", i) or end < 0:
                     return None  # json.loads reports it or keeps the last duplicate
                 span, value, i = slice(i + 1, end), None, end + 1
             else:
-                value, i = decode(text, i)
+                value, i = item(i)
             doc[key] = value  # the last duplicate wins, as in json.loads
-            i = ws(text, i).end()
-            if text.startswith("}", i):
+            i = ws(i)
+            if data.startswith(b"}", i):
                 break
-            if not text.startswith(",", i):
+            if not data.startswith(b",", i):
                 return None
-            i = ws(text, i + 1).end()
+            i = ws(i + 1)
     except (ValueError, RecursionError):
         return None
-    if ws(text, i + 1).end() != len(text) or span is None:
+    if ws(i + 1) != len(data) or span is None:
         return None
     return doc, span
 
@@ -560,26 +652,25 @@ def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     """Read a wire-function JSON file; raises WireFormatError with the
     offending position on malformed input.
 
-    A table of plain non-negative integers is parsed straight into numpy:
-    one-digit values from the bytes themselves, longer ones with
-    np.fromstring.  Only the table's body is kept while it is parsed: the
-    file's bytes and their decoded text are dropped first.  Any other
-    document, and any with a repeated "table" key, goes through
-    json.loads, which is then the only source of JSON and entry-type error
-    messages; a body the parser refuses is put back between the bytes
-    around it for that, so the file is read once.
+    A table of plain non-negative integers is parsed straight from the
+    file's bytes into a table of the dtype its alphabet selects, chunk by
+    chunk, so the run holds the bytes, that table and buffers of about
+    PARSE_CHUNK bytes.  Any other document, any with a repeated "table"
+    key or an alphabet that is not a positive integer, and any with a value
+    too large for that dtype goes through json.loads of the same bytes,
+    which is then the only source of JSON and entry error messages; the
+    file is read once.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     scanned = _scan_int_wire(data)
     if scanned is not None:
         doc, span = scanned
-        head, body, tail = data[:span.start], data[span], data[span.stop:]
-        del data
-        doc["table"] = _parse_int_body(body)
-        if doc["table"] is not None:
-            return wire_from_dict(doc, cell_cap)
-        data = b"".join((head, body, tail))
+        alphabet = doc.get("alphabet")
+        if type(alphabet) is int and alphabet >= 1:
+            doc["table"] = _parse_int_body(data, span, _symbol_dtype(alphabet))
+            if doc["table"] is not None:
+                return wire_from_dict(doc, cell_cap)
     return wire_from_dict(_decode_wire_json(data), cell_cap)
 
 

@@ -530,20 +530,23 @@ DIGIT_EDGES = sorted({0, 1, 9, 2**62, 2**63 - 1}
 
 @st.composite
 def int_matrices(draw):
-    """Non-negative int64 matrices: tiny shapes and row counts around the
-    render block of their column count, values from the digit edges or
-    anywhere in range, laid out contiguous, read-only, transposed, strided
-    or as one row broadcast."""
+    """Non-negative int64, uint8 or uint16 matrices: tiny shapes and row
+    counts around the render block of their column count, values from the
+    digit edges or anywhere in the dtype's range, laid out contiguous,
+    read-only, transposed, strided or as one row broadcast."""
     cols = draw(st.integers(1, 6))
     block = block_rows(cols)
     rows = draw(st.integers(1, 4) | st.sampled_from(
         [block - 1, block, block + 1, 2 * block + 3]))
-    values = draw(st.lists(st.sampled_from(DIGIT_EDGES) | st.integers(0, 2**63 - 1),
+    dtype = draw(st.sampled_from([np.int64, np.uint8, np.uint16]))
+    top = int(np.iinfo(dtype).max)
+    edges = [v for v in DIGIT_EDGES if v <= top] + [top]
+    values = draw(st.lists(st.sampled_from(edges) | st.integers(0, top),
                            min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layout = draw(st.sampled_from(["contiguous", "read-only", "transposed", "strided",
                                    "broadcast"]))
-    values = np.array(values, dtype=np.int64)
+    values = np.array(values, dtype=dtype)
     if layout == "broadcast":
         return np.broadcast_to(rng.choice(values, size=(1, cols)), (rows, cols))
     if layout == "transposed":
@@ -575,9 +578,12 @@ class TestJsonEmitter:
         np.zeros((0, 3), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int64),
         np.array([[7, 1000]], dtype=np.int32),
+        np.array([[0, 9, 10, 99], [100, 199, 254, 255]], dtype=np.uint8),
+        np.array([[0, 9, 10, 99, 100], [999, 1000, 9999, 10000, 65535]], dtype=np.uint16),
+        np.broadcast_to(np.array([[3328, 1]], dtype=np.uint16), (BLOCK + 1, 2)),
     ], ids=["1x1", "one-row", "one-column", "zeros-below-block", "zeros-at-block",
             "zeros-above-block", "two-blocks-and-a-row", "rows-wider-than-a-block",
-            "no-rows", "no-columns", "int32"])
+            "no-rows", "no-columns", "int32", "uint8", "uint16", "uint16-broadcast"])
     def test_matrix_matches_json_dumps(self, m):
         assert rendered(m) == dumps_compact(m.tolist())
 
@@ -596,6 +602,10 @@ class TestJsonEmitter:
             rendered(np.array([[0.5]]))
         with pytest.raises(TypeError):
             rendered(np.array([1, 2]))
+        with pytest.raises(TypeError):
+            rendered(np.array([1, 2], dtype=np.uint16))
+        with pytest.raises(TypeError):
+            rendered(np.array([[True]]))
 
     @settings(max_examples=150, deadline=None)
     @given(st.dictionaries(st.text(), json_values(), max_size=6),

@@ -6,6 +6,7 @@ must give the same table or the same WireFormatError text on both paths.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
+from maskcheck import wires
 
 
 def reference_wire(path):
@@ -101,6 +103,60 @@ def test_matches_json_loads_reference(tmp_path, data):
     assert_same_as_reference(tmp_path / "wire.json", data)
 
 
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=documents(), chunk=st.integers(1, 6), window=st.integers(1, 6))
+def test_matches_reference_across_chunk_and_window_edges(tmp_path, monkeypatch,
+                                                         data, chunk, window):
+    """Chunks and scan windows of a few bytes, so that every table body is
+    cut at its commas and every other value crosses a window edge."""
+    monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
+    monkeypatch.setattr(wires, "SCAN_WINDOW", window)
+    assert_same_as_reference(tmp_path / "wire.json", data)
+
+
+def refuse_json_loads(monkeypatch):
+    def no_loads(*args, **kwargs):
+        raise AssertionError("json.loads called on a wire file the parser reads")
+
+    monkeypatch.setattr(json, "loads", no_loads)
+
+
+# (document, PARSE_CHUNK, SCAN_WINDOW).  A table body starts after the 55
+# bytes of HEADER, and a chunk starting at byte i is cut at the first comma
+# at or after byte i + PARSE_CHUNK.
+HEADER = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": ['
+EDGES = {
+    "trailing-comma-at-cut": (HEADER + "0,1,1,0,]}", 7, 64),
+    "blank-value-after-cut": (HEADER + "0,1, ,0]}", 3, 64),
+    "blank-value-before-cut": (HEADER + "0,1, ,0]}", 5, 64),
+    "whitespace-around-cut": (HEADER + "0 ,\t1 , 1 ,\n0]}", 4, 64),
+    "leading-zero-chunk": (HEADER + "00,1,1,0]}", 1, 64),
+    "bracket-in-long-string": (
+        '{"note": "' + "]" * 40 + '", "q": 2, "alphabet": 2, "order": "s0_major", '
+        '"table": [0, 1, 1, 0], "tail": "]]"}', 64, 4),
+    # The window "10" ends where the number does, and the window "1" inside
+    # it; a number read as complete at the edge of its window could be cut.
+    "number-at-window-edge": ('{"alphabet": 10, "q": 2, "order": "s0_major", '
+                              '"table": [0, 1, 1, 0]}', 1 << 20, 2),
+    "number-cut-by-window": ('{"alphabet": 10, "q": 2, "order": "s0_major", '
+                             '"table": [0, 1, 1, 0]}', 1 << 20, 1),
+}
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_pinned_chunk_and_window_edges(tmp_path, monkeypatch, name):
+    text, chunk, window = EDGES[name]
+    monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
+    monkeypatch.setattr(wires, "SCAN_WINDOW", window)
+    path = tmp_path / "wire.json"
+    assert_same_as_reference(path, text.encode())
+    expected = outcome(reference_wire, path)
+    if expected[0] == "wire":  # read without json.loads
+        refuse_json_loads(monkeypatch)
+        assert outcome(mc.load_wire, path) == expected
+
+
 @pytest.mark.parametrize("entry", PITFALLS)
 def test_each_pitfall_matches_reference(tmp_path, entry):
     for table in (f"[{entry},0,0,0]", f"[0,0,0,{entry}]", f"[{entry}]"):
@@ -121,6 +177,37 @@ def test_each_pitfall_matches_reference(tmp_path, entry):
 def test_separator_pitfalls_match_reference(tmp_path, table):
     doc = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": %s}' % table
     assert_same_as_reference(tmp_path / "wire.json", doc.encode())
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 20])
+@pytest.mark.parametrize("alphabet,entry", [(2, 256), (3329, 70000)])
+def test_entry_beyond_narrow_dtype_named_not_wrapped(tmp_path, monkeypatch,
+                                                     chunk, alphabet, entry):
+    monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
+    doc = '{"q": 2, "alphabet": %d, "order": "s0_major", "table": [0, 1, %d, 0]}'
+    path = tmp_path / "wire.json"
+    assert_same_as_reference(path, (doc % (alphabet, entry)).encode())
+    assert outcome(mc.load_wire, path) == (
+        "error", f"table entry {entry} at index 2 outside alphabet [0, {alphabet})")
+
+
+def test_residue_load_and_classify_hold_file_table_and_one_chunk(tmp_path):
+    """load_wire and classify of the recombined residue wire (s0 + s1) % q
+    with alphabet q: numpy's and Python's traced peak is the file's bytes,
+    its uint16 table and a few PARSE_CHUNKs of buffers."""
+    q = 1031
+    s = np.arange(q)
+    path = tmp_path / "wire.json"
+    mc.save_wire(mc.make_wire(q, ((s[:, None] + s) % q).ravel(), alphabet_size=q), path)
+    file_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        verdict = mc.classify(mc.load_wire(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is mc.Verdict.NON_CONSTANT_MARGINAL
+    assert peak <= file_bytes + q * q * np.dtype(np.uint16).itemsize + 3 * wires.PARSE_CHUNK
 
 
 def test_canonical_file_skips_json_loads(tmp_path, monkeypatch):

@@ -90,6 +90,28 @@ class TestWireConstruction:
         w = mc.make_wire(2, [0, 1, 1, 0])
         assert w(0, 1) == 1 and w(1, 0) == 1 and w(0, 0) == 0
 
+    @pytest.mark.parametrize("q,alphabet,dtype", [
+        (2, 2, np.uint8), (2, 256, np.uint8), (2, 257, np.uint16),
+        (2, 3329, np.uint16), (2, 65536, np.uint16), (2, 70000, np.int32),
+        (300, 2, np.uint8),  # marginals scattered in steps, not one bincount
+    ])
+    def test_table_and_marginals_take_narrow_dtypes(self, q, alphabet, dtype):
+        table = np.arange(q * q) % 2 * (alphabet - 1)
+        w = mc.make_wire(q, table, alphabet_size=alphabet)
+        assert w.table.dtype == dtype and list(w.table) == list(table)
+        assert mc.marginal_table(w).dtype == np.uint16
+
+    @pytest.mark.parametrize("alphabet,entry", [(2, 256), (2, -1), (3329, 70000)])
+    def test_direct_construction_refuses_what_its_dtype_cannot_hold(self, alphabet, entry):
+        with pytest.raises(ValueError, match="do not fit"):
+            mc.WireFunction(2, alphabet, np.array([0, entry, 0, 0]))
+
+    def test_narrow_table_not_copied(self):
+        table = np.array([0, 1, 1, 0], dtype=np.uint8)
+        assert np.shares_memory(mc.make_wire(2, table).table, table)
+        doc = {"q": 2, "alphabet": 2, "order": WIRE_ORDER, "table": table}
+        assert np.shares_memory(mc.wire_from_dict(doc).table, table)
+
 
 class TestValueIndependence:
     def test_mask_only_wire_is_vi(self):
