@@ -22,7 +22,9 @@ and NON_CONSTANT_MARGINAL is genuinely distinguishable by an observer.
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -37,14 +39,17 @@ DEFAULT_CELL_CAP = 1 << 26
 
 # Table or marginal-table cells that the dense analysis reads per step, so
 # that a classify run holds those two tables and a few MB besides.  At
-# q = 3329 a step is 19 rows; their scatter into the 88 MB marginal table
-# took no longer than one bincount of the whole table (0.16-0.30 s a wire).
+# q = 3329 a step is 19 rows.
 STEP_CELLS = 1 << 16
 
 # Bytes of a table body that the loader parses at once (cut at the next
 # comma): a residue file is then held as its bytes, its table and about
 # this much besides.
 PARSE_CHUNK = 1 << 20
+
+# Threads that the dense analysis and the loader use at most, one per
+# usable CPU: the text parses, gathers and bincounts they run release the GIL.
+MAX_THREADS = 8
 
 # Characters of the header that the loader first decodes to read one key or
 # value; a window that does not contain the whole item grows 8 times.
@@ -164,7 +169,11 @@ def make_wire(q, table, alphabet_size: int = 2,
             f"table has {arr.size} entries, expected q^2 = {qq * qq}"
         )
     if arr.size and (arr.min() < 0 or arr.max() >= alphabet_size):
-        bad = int(np.argmax((arr < 0) | (arr >= alphabet_size)))
+        for _, part in _steps(1, arr.size, 1):  # the first bad entry, a step at a time
+            hits = (arr[part] < 0) | (arr[part] >= alphabet_size)
+            if hits.any():
+                bad = part.start + int(np.argmax(hits))
+                break
         raise ValueError(
             f"table entry {int(arr[bad])} at index {bad} outside "
             f"alphabet [0, {alphabet_size})"
@@ -220,6 +229,45 @@ def _verdict_codes(q: int, vi: np.ndarray, cm: np.ndarray, what: str) -> np.ndar
     return np.add(~vi, ~cm, dtype=np.int8)  # how many predicates fail
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _thread_count(tasks: int) -> int:
+    """Threads for `tasks` independent tasks: one per usable CPU, at most
+    MAX_THREADS and at most one per task, but at least one."""
+    return max(1, min(_usable_cpus(), MAX_THREADS, tasks))
+
+
+def _in_threads(work, tasks: int) -> None:
+    """Run work(k, n) for every k < n = _thread_count(tasks), each on its own
+    thread, the caller's being thread 0.  Once all have ended, re-raise the
+    exception (a warning turned into an error, too) of the lowest-numbered
+    thread that raised one, so that no caller sees a partial result."""
+    n = _thread_count(tasks)
+    errors = [None] * n
+
+    def run(k):
+        try:
+            work(k, n)
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 @lru_cache(maxsize=16)  # the butterfly sweep repeats a few batch shapes
 def _diagonal_keys(q: int, n: int, alphabet: int) -> np.ndarray:
     """Read-only (n, q, q) K[b, s0, s1] = (b*q + (s0+s1) % q) * alphabet, a
@@ -252,6 +300,42 @@ def _rows_equal(a: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).reshape(len(a), -1).all(axis=1)
 
 
+@lru_cache(maxsize=4)
+def _block_base(q: int, rows: int) -> np.ndarray:
+    """Read-only (rows, q) B[j, s1] = ((j - s1) % q) * q + s1, the flat
+    s0-major index of the cell (s0 = j - s1, s1); adding x0 * q, mod q^2,
+    moves it to the cell of secret x0 + j."""
+    j, s1 = np.ogrid[:rows, :q]
+    base = (j - s1) % q * q + s1
+    base.setflags(write=False)
+    return base
+
+
+def _block_marginals(q: int, cells: np.ndarray, alphabet: int) -> np.ndarray:
+    """Marginal tables (n, q, alphabet), in `_count_dtype(q)`, of n flat
+    s0-major tables, counted on threads in blocks of secret rows x of about
+    STEP_CELLS cells each.  A block gathers its diagonals, the rows
+    t[(x - s1) % q, s1] over s1, with `_block_base`, offsets each row's
+    keys by its row and bincounts them into its own rows of the result."""
+    n = len(cells)
+    rows = min(q, max(STEP_CELLS // max(q, alphabet), 1))
+    base = _block_base(q, rows)
+    row_keys = np.arange(0, rows * alphabet, alphabet)[:, None]
+    blocks = [(b, x0) for b in range(n) for x0 in range(0, q, rows)]
+    m = np.zeros((n, q, alphabet), dtype=_count_dtype(q))
+
+    def work(k, threads):
+        for b, x0 in blocks[k::threads]:
+            x1 = min(x0 + rows, q)
+            keys = np.take(cells[b], base[:x1 - x0] + x0 * q, mode="wrap")
+            keys = keys + row_keys[:x1 - x0]
+            m[b, x0:x1] = np.bincount(keys.ravel(), minlength=(x1 - x0) * alphabet
+                                      ).reshape(x1 - x0, alphabet)
+
+    _in_threads(work, len(blocks))
+    return m
+
+
 def _analyze(q: int, cells: np.ndarray, alphabet: int,
              what: str) -> tuple[np.ndarray, np.ndarray]:
     """Verdict codes (n,) and marginal tables (n, q, alphabet) of a batch.
@@ -263,17 +347,22 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     the diagonal s0 + s1 = x.  The soundness check of each row thus
     compares its columns with its diagonals.
 
-    The keys t + `_diagonal_keys` are scattered into the n*q histograms,
-    and both predicates compared, `_steps` of STEP_CELLS cells at a time,
-    counting in `_count_dtype(q)`; a batch of one step takes one bincount
-    (int64 counts), cheaper per call than add.at.
+    A wire whose marginal table (q * alphabet cells) is larger than one
+    step, a residue wire, is counted by `_block_marginals`.  Otherwise the
+    keys t + `_diagonal_keys` are scattered into the n*q histograms
+    `_steps` of STEP_CELLS cells at a time, counting in `_count_dtype(q)`;
+    a batch of one step takes one bincount (int64 counts), cheaper per
+    call than add.at.  Both predicates are compared step by step.
     """
     n = len(cells)
     t = cells.reshape(n, q, q)
-    keys = _diagonal_keys(q, n, alphabet)
-    if t.size <= STEP_CELLS:
-        m = np.bincount((t + keys).ravel(), minlength=n * q * alphabet)
+    if q * alphabet > STEP_CELLS:
+        m = _block_marginals(q, cells, alphabet)
+    elif t.size <= STEP_CELLS:
+        m = np.bincount((t + _diagonal_keys(q, n, alphabet)).ravel(),
+                        minlength=n * q * alphabet)
     else:
+        keys = _diagonal_keys(q, n, alphabet)
         m = np.zeros(n * q * alphabet, dtype=_count_dtype(q))
         one = m.dtype.type(1)  # an untyped 1 leaves add.at's fast path
         for wires, rows in _steps(n, q, q):
@@ -531,30 +620,49 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     return arr if n_digits == widths else None
 
 
-def _parse_int_body(data: bytes, span: slice, dtype: np.dtype) -> np.ndarray | None:
-    """The entries of the JSON array body data[span] as a `dtype` table.
+def _parse_int_body(data: bytes, span: slice, alphabet: int) -> np.ndarray | None:
+    """The entries of the JSON array body data[span] as a table of the
+    dtype that `alphabet` selects.
 
-    The body is parsed from the file's own bytes in chunks of PARSE_CHUNK
-    bytes, each cut at the next comma, by `_parse_int_chunk`, and written
-    into a table of one entry per comma plus one.  Returns None where a
-    chunk is refused or holds a value that `dtype` cannot, so that only
-    such a body goes through json.loads.
+    The body is cut into chunks, each ending at the first comma after its
+    share of PARSE_CHUNK bytes: that budget is split evenly between the
+    threads that `_thread_count` allows, so all chunks in flight stay within
+    it.  A chunk's first entry is the number of entries (commas plus one) of
+    the chunks before it, so threads parse chunks with `_parse_int_chunk` and
+    write them into disjoint slices of one table.  Entries of an alphabet of
+    at most 10 symbols are one digit each, decoded by bytes methods that
+    hold the GIL, so such a body is parsed on one thread.  Returns None
+    where a chunk is refused or holds a value that the dtype cannot, so
+    that only such a body goes through json.loads.
     """
-    table = np.empty(data.count(b",", span.start, span.stop) + 1, dtype=dtype)
-    top = np.iinfo(dtype).max
-    start, filled = span.start, 0
+    size = max(PARSE_CHUNK // _thread_count(PARSE_CHUNK), 1)
+    chunks = []  # (start, stop, first entry)
+    start, entries = span.start, 0
     while True:
-        cut = data.find(b",", min(start + PARSE_CHUNK, span.stop), span.stop)
+        cut = data.find(b",", min(start + size, span.stop), span.stop)
         stop = span.stop if cut < 0 else cut
-        values = _parse_int_chunk(data[start:stop])
-        if values is None or values.max() > top:
-            return None
-        table[filled:filled + values.size] = values
-        filled += values.size
-        del values  # before the next chunk's are made
+        chunks.append((start, stop, entries))
+        entries += data.count(b",", start, stop) + 1
         if stop == span.stop:
-            return table
+            break
         start = stop + 1
+    table = np.empty(entries, dtype=_symbol_dtype(alphabet))
+    top = np.iinfo(table.dtype).max
+    refused = []
+
+    def work(k, threads):
+        for start, stop, first in chunks[k::threads]:
+            if refused:
+                return
+            values = _parse_int_chunk(data[start:stop])
+            if values is None or values.max() > top:
+                refused.append(first)
+                return
+            table[first:first + values.size] = values
+            del values  # before the next chunk's are made
+
+    _in_threads(work, len(chunks) if alphabet > 10 else 1)
+    return None if refused else table
 
 
 def _scan_int_wire(data: bytes) -> tuple[dict, slice] | None:
@@ -668,7 +776,7 @@ def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
         doc, span = scanned
         alphabet = doc.get("alphabet")
         if type(alphabet) is int and alphabet >= 1:
-            doc["table"] = _parse_int_body(data, span, _symbol_dtype(alphabet))
+            doc["table"] = _parse_int_body(data, span, alphabet)
             if doc["table"] is not None:
                 return wire_from_dict(doc, cell_cap)
     return wire_from_dict(_decode_wire_json(data), cell_cap)

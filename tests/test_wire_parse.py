@@ -6,7 +6,10 @@ must give the same table or the same WireFormatError text on both paths.
 """
 
 import json
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -103,13 +106,21 @@ def test_matches_json_loads_reference(tmp_path, data):
     assert_same_as_reference(tmp_path / "wire.json", data)
 
 
+def force_threads(monkeypatch, threads):
+    """Make the loader and the analysis see `threads` usable CPUs."""
+    monkeypatch.setattr(wires, "_usable_cpus", lambda: threads)
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=documents(), chunk=st.integers(1, 6), window=st.integers(1, 6))
+@given(data=documents(), chunk=st.integers(1, 6), window=st.integers(1, 6),
+       threads=st.integers(1, 4))
 def test_matches_reference_across_chunk_and_window_edges(tmp_path, monkeypatch,
-                                                         data, chunk, window):
+                                                         data, chunk, window, threads):
     """Chunks and scan windows of a few bytes, so that every table body is
-    cut at its commas and every other value crosses a window edge."""
+    cut at its commas and every other value crosses a window edge, parsed
+    on 1 to 4 threads."""
+    force_threads(monkeypatch, threads)
     monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
     monkeypatch.setattr(wires, "SCAN_WINDOW", window)
     assert_same_as_reference(tmp_path / "wire.json", data)
@@ -124,7 +135,7 @@ def refuse_json_loads(monkeypatch):
 
 # (document, PARSE_CHUNK, SCAN_WINDOW).  A table body starts after the 55
 # bytes of HEADER, and a chunk starting at byte i is cut at the first comma
-# at or after byte i + PARSE_CHUNK.
+# at or after byte i + PARSE_CHUNK, on one thread.
 HEADER = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": ['
 EDGES = {
     "trailing-comma-at-cut": (HEADER + "0,1,1,0,]}", 7, 64),
@@ -147,6 +158,7 @@ EDGES = {
 @pytest.mark.parametrize("name", EDGES)
 def test_pinned_chunk_and_window_edges(tmp_path, monkeypatch, name):
     text, chunk, window = EDGES[name]
+    force_threads(monkeypatch, 1)
     monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
     monkeypatch.setattr(wires, "SCAN_WINDOW", window)
     path = tmp_path / "wire.json"
@@ -155,6 +167,106 @@ def test_pinned_chunk_and_window_edges(tmp_path, monkeypatch, name):
     if expected[0] == "wire":  # read without json.loads
         refuse_json_loads(monkeypatch)
         assert outcome(mc.load_wire, path) == expected
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_pinned_edges_split_across_three_threads(tmp_path, monkeypatch, name):
+    """The pinned cuts again, with three threads sharing three times the
+    pinned PARSE_CHUNK.  One-digit bodies are parsed on one thread, so each
+    document with alphabet 2 is also read with alphabet 3329, which has the
+    same body and runs its chunks on the three threads."""
+    text, chunk, window = EDGES[name]
+    force_threads(monkeypatch, 3)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 3 * chunk)
+    monkeypatch.setattr(wires, "SCAN_WINDOW", window)
+    assert wires._thread_count(wires.PARSE_CHUNK) == 3
+    path = tmp_path / "wire.json"
+    for doc in {text, text.replace('"alphabet": 2,', '"alphabet": 3329,')}:
+        assert_same_as_reference(path, doc.encode())
+
+
+def residue_file(path, q):
+    """The recombined residue wire (s0 + s1) % q with alphabet q, saved."""
+    s = np.arange(q)
+    mc.save_wire(mc.make_wire(q, ((s[:, None] + s) % q).ravel(), alphabet_size=q), path)
+    return path
+
+
+def fail_in_a_worker(monkeypatch, error):
+    """Make `_parse_int_chunk` raise `error()` the first time a thread other
+    than the caller's parses a chunk; returns the names of such threads."""
+    parse = wires._parse_int_chunk
+    raised = []
+
+    def parse_or_fail(body):
+        if threading.current_thread() is not threading.main_thread() and not raised:
+            raised.append(threading.current_thread().name)
+            error()
+        return parse(body)
+
+    monkeypatch.setattr(wires, "_parse_int_chunk", parse_or_fail)
+    return raised
+
+
+def test_worker_exception_reaches_the_caller(tmp_path, monkeypatch):
+    """An error in one worker's chunk is raised by load_wire, which returns
+    no partial table and does not fall back to json.loads."""
+    force_threads(monkeypatch, 4)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 256)
+    path = residue_file(tmp_path / "wire.json", 31)
+
+    def error():
+        raise RuntimeError("chunk parse failed")
+
+    raised = fail_in_a_worker(monkeypatch, error)
+    refuse_json_loads(monkeypatch)
+    with pytest.raises(RuntimeError, match="chunk parse failed"):
+        mc.load_wire(path)
+    assert len(raised) == 1
+
+
+def test_worker_deprecation_warning_fails_the_call(tmp_path, monkeypatch):
+    """Under the test settings' "error::DeprecationWarning", the guard for
+    np.fromstring, a DeprecationWarning in a worker thread fails load_wire
+    as it would on the caller's thread."""
+    force_threads(monkeypatch, 4)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 256)
+    path = residue_file(tmp_path / "wire.json", 31)
+
+    def error():
+        warnings.warn("np.fromstring is deprecated", DeprecationWarning)
+
+    raised = fail_in_a_worker(monkeypatch, error)
+    with pytest.raises(DeprecationWarning, match="fromstring"):
+        mc.load_wire(path)
+    assert len(raised) == 1
+
+
+def test_eight_threads_switching_every_microsecond(tmp_path, monkeypatch):
+    """More threads than cores, switching as often as the interpreter can:
+    the table and the marginal table equal the ones made on one thread, and
+    a body with one refused chunk near its end still goes to json.loads."""
+    q = 97
+    path = residue_file(tmp_path / "wire.json", q)
+    text = path.read_text()
+    late = text.rindex(", 5, ") + 2  # "5" becomes "05", which json.loads refuses
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[:late] + "0" + text[late:])
+    force_threads(monkeypatch, 1)
+    table = mc.load_wire(path).table
+    marginals = mc.marginal_table(mc.make_wire(q, table, alphabet_size=q))
+    force_threads(monkeypatch, 8)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 1024)
+    monkeypatch.setattr(wires, "STEP_CELLS", 500)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        w = mc.load_wire(path)
+        assert w.table.tolist() == table.tolist()
+        assert mc.marginal_table(w).tolist() == marginals.tolist()
+        assert_same_as_reference(bad, bad.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("entry", PITFALLS)
@@ -191,14 +303,13 @@ def test_entry_beyond_narrow_dtype_named_not_wrapped(tmp_path, monkeypatch,
         "error", f"table entry {entry} at index 2 outside alphabet [0, {alphabet})")
 
 
-def test_residue_load_and_classify_hold_file_table_and_one_chunk(tmp_path):
+def test_residue_load_and_classify_hold_file_table_and_one_chunk(tmp_path, monkeypatch):
     """load_wire and classify of the recombined residue wire (s0 + s1) % q
-    with alphabet q: numpy's and Python's traced peak is the file's bytes,
-    its uint16 table and a few PARSE_CHUNKs of buffers."""
+    with alphabet q on 4 threads: numpy's and Python's traced peak is the
+    file's bytes, its uint16 table and a few PARSE_CHUNKs of buffers."""
     q = 1031
-    s = np.arange(q)
-    path = tmp_path / "wire.json"
-    mc.save_wire(mc.make_wire(q, ((s[:, None] + s) % q).ravel(), alphabet_size=q), path)
+    path = residue_file(tmp_path / "wire.json", q)
+    force_threads(monkeypatch, 4)
     file_bytes = path.stat().st_size
     tracemalloc.start()
     try:

@@ -82,6 +82,22 @@ class TestWireConstruction:
         with pytest.raises(ValueError, match="alphabet"):
             mc.make_wire(2, [0, 1, 2, 0])
 
+    @pytest.mark.parametrize("bad", [
+        {7: 2, 12: 5}, {15: -1}, {0: 9, 3: 2}, {2: 3, 6: 2 ** 70}, {6: 2 ** 70, 9: 2},
+    ])
+    def test_first_bad_entry_named_across_steps(self, monkeypatch, bad):
+        """The first entry outside the alphabet is named, searched for 3
+        entries at a time in a q = 4 table."""
+        monkeypatch.setattr(wires, "STEP_CELLS", 3)
+        table = [0, 1] * 8
+        for i, entry in bad.items():
+            table[i] = entry
+        first = min(bad)
+        with pytest.raises(ValueError) as info:
+            mc.make_wire(4, table)
+        assert str(info.value) == (
+            f"table entry {bad[first]} at index {first} outside alphabet [0, 2)")
+
     def test_cell_cap(self):
         with pytest.raises(ValueError, match="cap"):
             mc.wire_from_fn(3, lambda a, b: 0, cell_cap=8)
@@ -231,6 +247,30 @@ class TestDenseKernel:
                 assert (VERDICT_BY_CODE[code] is mc.Verdict.VALUE_INDEPENDENT) == vi
                 assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == cm
                 assert mc.mutual_information(w).bits == bits
+
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_block_marginals_match_reparam_histograms(self, monkeypatch, threads):
+        """Residue wires (alphabet q) whose marginal table is larger than a
+        step of 160 cells, counted by `_block_marginals` on 1 to 4 threads in
+        blocks of secret rows whose last one is short, against histograms of
+        the rows of `reparam_table`."""
+        monkeypatch.setattr(wires, "STEP_CELLS", 160)
+        monkeypatch.setattr(wires, "_usable_cpus", lambda: threads)
+        rng = np.random.default_rng(60 + threads)
+        for q in (13, 29, 41, 61):  # blocks of 12, 5, 3 and 2 rows
+            assert q * q > wires.STEP_CELLS and q % (wires.STEP_CELLS // q)
+            tables = [batch_row(rng, q, q, i) for i in range(4)]
+            tables.append(rng.integers(0, q, q * q))
+            for table in tables:
+                w = mc.make_wire(q, table, alphabet_size=q)
+                r = mc.reparam_table(w)
+                expected = np.array([np.bincount(x, minlength=q) for x in r])
+                assert mc.marginal_table(w).tolist() == expected.tolist()
+                vi = bool((r == r[0]).all())
+                cm = bool((expected == expected[0]).all())
+                assert mc.is_value_independent(w) == vi
+                assert mc.has_constant_marginal(w) == cm
 
 
 class TestMarginals:
