@@ -318,7 +318,7 @@ def _block_marginals(q: int, cells: np.ndarray, alphabet: int) -> np.ndarray:
     t[(x - s1) % q, s1] over s1, with `_block_base`, offsets each row's
     keys by its row and bincounts them into its own rows of the result."""
     n = len(cells)
-    rows = min(q, max(STEP_CELLS // max(q, alphabet), 1))
+    rows = max(STEP_CELLS // max(q, alphabet), 1)
     base = _block_base(q, rows)
     row_keys = np.arange(0, rows * alphabet, alphabet)[:, None]
     blocks = [(b, x0) for b in range(n) for x0 in range(0, q, rows)]

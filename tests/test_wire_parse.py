@@ -197,11 +197,16 @@ def fail_in_a_worker(monkeypatch, error):
     than the caller's parses a chunk; returns the names of such threads."""
     parse = wires._parse_int_chunk
     raised = []
+    lock = threading.Lock()
 
     def parse_or_fail(body):
-        if threading.current_thread() is not threading.main_thread() and not raised:
-            raised.append(threading.current_thread().name)
-            error()
+        if threading.current_thread() is not threading.main_thread():
+            with lock:
+                first = not raised
+                if first:
+                    raised.append(threading.current_thread().name)
+            if first:
+                error()
         return parse(body)
 
     monkeypatch.setattr(wires, "_parse_int_chunk", parse_or_fail)
