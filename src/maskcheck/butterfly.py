@@ -21,6 +21,7 @@ evidence, not proof, and the report says so.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -106,13 +107,13 @@ def butterfly_masked(stage: ButterflyStage, a: MaskedValue,
     """Sharewise butterfly: output share i combines only input shares i.
 
     Recombining the outputs matches butterfly_plain on the recombined
-    inputs, and no cross-share term is ever formed.
+    inputs, and no cross-share term is ever formed.  This is stage 0 of
+    `_signal_grid` over ring elements.
     """
-    tb0 = stage.twiddle * b.share0
-    tb1 = stage.twiddle * b.share1
-    c = MaskedValue(a.share0 + tb0, a.share1 + tb1)
-    d = MaskedValue(a.share0 - tb0, a.share1 - tb1)
-    return c, d
+    sig = _signal_grid((operator.add, operator.sub, operator.mul), [stage.twiddle],
+                       [(a.share0, a.share1), (b.share0, b.share1)])
+    return (MaskedValue(sig["s0.c0"], sig["s0.c1"]),
+            MaskedValue(sig["s0.d0"], sig["s0.d1"]))
 
 
 def tap_inventory(n_stages: int, include_adversarial: bool = True) -> list[str]:

@@ -55,8 +55,6 @@ FULL_COUNTS_MAX_Q = 1 << 16
 # exhaustive, --samples otherwise); larger runs are refused up front.
 UREM_MAX_PAIRS = 1 << 24
 
-WORKERS_ENV = "MASKCHECK_WORKERS"
-
 # Entries of an integer matrix rendered per block of json or human output
 # (whole rows, one at least); bounds the renderer's temporaries to a few
 # dozen bytes per entry of one block, a few MB.
@@ -75,16 +73,6 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
     digest = hashlib.sha256(stream.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
-
-
-def _default_workers() -> int | None:
-    """--workers when not given: $MASKCHECK_WORKERS, else 1, or None for a
-    value that is not an integer >= 1 (refused by census, read by no other)."""
-    raw = os.environ.get(WORKERS_ENV) or "1"
-    try:
-        return int(raw) if int(raw) >= 1 else None
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -266,9 +254,6 @@ def cmd_classify(args) -> Result:
 
 
 def cmd_census(args) -> Result:
-    if args.workers is None:
-        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, "
-                         f"got {os.environ.get(WORKERS_ENV)!r}")
     report = run_census(args.q, parallelism=args.workers)
     doc = {"schema": SCHEMA, "command": "census", **report.to_dict()}
     alarm = None
@@ -495,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("census", cmd_census, "exhaustive verdict census at small q")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help=f"accepted for compatibility, must be >= 1; the count "
-                        f"always runs in one process (default: ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility, must be >= 1; the count "
+                        "always runs in one process (default: 1)")
 
     p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q")
     p.add_argument("--n", type=int, required=True,

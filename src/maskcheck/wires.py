@@ -51,10 +51,6 @@ PARSE_CHUNK = 1 << 20
 # usable CPU: the text parses, gathers and bincounts they run release the GIL.
 MAX_THREADS = 8
 
-# Characters of the header that the loader first decodes to read one key or
-# value; a window that does not contain the whole item grows 8 times.
-SCAN_WINDOW = 64
-
 
 class TheoryViolation(RuntimeError):
     """A result contradicting a proven property of the framework.
@@ -128,6 +124,8 @@ class WireFunction:
         return self.q * self.q
 
     def __call__(self, s0: int, s1: int) -> int:
+        if not (0 <= s0 < self.q and 0 <= s1 < self.q):
+            raise ValueError(f"shares ({s0}, {s1}) outside [0, {self.q})")
         return int(self.table[s0 * self.q + s1])
 
     @cached_property
@@ -569,8 +567,19 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
 
 
 _JSON_WS_BYTES = b" \t\n\r"
-_JSON_WS = re.compile(b"[ \t\n\r]*")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _parse_digit_chunk(body: bytes) -> np.ndarray | None:
+    """The entries of a "d,d,...,d" run of one-digit values with JSON
+    whitespace around them, as uint8, or None for any other run.  Without
+    whitespace the digits and commas must alternate, from a digit to a
+    digit."""
+    run = np.frombuffer(body.translate(None, _JSON_WS_BYTES), dtype=np.uint8)
+    if run.size % 2 == 0 or (run[1::2] != ord(",")).any():
+        return None
+    values = run[::2] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+    return values if values.max() <= 9 else None
 
 
 def _parse_int_chunk(body: bytes) -> np.ndarray | None:
@@ -578,25 +587,17 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
 
     Returns None for any run that json.loads would not read as exactly
     these integers.  Without commas and whitespace it must be all digits.
-    One digit per value (any alphabet up to 10) in a "d,d,...,d" run are
-    the values themselves, as uint8.  Longer ones go through np.fromstring,
-    which alone is too lenient: it reads "01", invents a value in a blank
-    or empty run or after a trailing comma, and saturates at INT64_MAX, so
-    the ends, the digit count and the maximum are checked.  Only the count
-    of the digits is kept while np.fromstring fills the int64 array, and
-    the digit widths are counted STEP_CELLS values at a time.
+    The values go through np.fromstring, which alone is too lenient: it
+    reads "01", invents a value in a blank or empty run or after a trailing
+    comma, and saturates at INT64_MAX, so the ends, the digit count and the
+    maximum are checked.  Only the count of the digits is kept while
+    np.fromstring fills the int64 array, and the digit widths are counted
+    STEP_CELLS values at a time.
     """
     digits = body.translate(None, b"," + _JSON_WS_BYTES)
     if not digits.isdigit():
         return None
     commas = body.count(b",")
-    if len(digits) == commas + 1:
-        # The digits and commas alternate iff every odd position is a comma,
-        # the lowest of these bytes.
-        odd = np.frombuffer(body.translate(None, _JSON_WS_BYTES), dtype=np.uint8)[1::2]
-        if odd.max(initial=ord(",")) != ord(","):
-            return None
-        return np.frombuffer(digits, dtype=np.uint8) - np.uint8(ord("0"))
     n_digits = len(digits)
     del digits
     ends = body.strip(_JSON_WS_BYTES)
@@ -630,10 +631,11 @@ def _parse_int_body(data: bytes, span: slice, alphabet: int) -> np.ndarray | Non
     it.  A chunk's first entry is the number of entries (commas plus one) of
     the chunks before it, so threads parse chunks with `_parse_int_chunk` and
     write them into disjoint slices of one table.  Entries of an alphabet of
-    at most 10 symbols are one digit each, decoded by bytes methods that
-    hold the GIL, so such a body is parsed on one thread.  Returns None
-    where a chunk is refused or holds a value that the dtype cannot, so
-    that only such a body goes through json.loads.
+    at most 10 symbols are one digit each: such a body is parsed on one
+    thread, each chunk by `_parse_digit_chunk`, and by `_parse_int_chunk`
+    where that refuses it (a chunk holding a 10, say).  Returns None where
+    a chunk is refused or holds a value that the dtype cannot, so that only
+    such a body goes through json.loads.
     """
     size = max(PARSE_CHUNK // _thread_count(PARSE_CHUNK), 1)
     chunks = []  # (start, stop, first entry)
@@ -654,7 +656,11 @@ def _parse_int_body(data: bytes, span: slice, alphabet: int) -> np.ndarray | Non
         for start, stop, first in chunks[k::threads]:
             if refused:
                 return
-            values = _parse_int_chunk(data[start:stop])
+            chunk = data[start:stop]
+            values = _parse_digit_chunk(chunk) if alphabet <= 10 else None
+            if values is None:
+                values = _parse_int_chunk(chunk)
+            del chunk
             if values is None or values.max() > top:
                 refused.append(first)
                 return
@@ -665,72 +671,35 @@ def _parse_int_body(data: bytes, span: slice, alphabet: int) -> np.ndarray | Non
     return None if refused else table
 
 
-def _scan_int_wire(data: bytes) -> tuple[dict, slice] | None:
+def _split_int_wire(data: bytes) -> tuple[dict, slice] | None:
     """The wire document in `data` but its table, and the table's body span.
 
-    Walks the top-level object on the bytes, decoding each key and each
-    value but "table" with the json module from a window of SCAN_WINDOW
-    characters that grows 8 times until the item ends strictly inside it
-    or it reaches the end of the file; the table's body ends at the first
-    "]" after its "[".  Returns None, so that the caller falls back to
-    json.loads, unless the file is ASCII and has one "table", an array.
+    The body runs from the first '"table": [' in the bytes to the first "]"
+    after it.  That match may be a nested key, or end an escaped one, so
+    the file is decoded by json.loads with the array replaced by NaN, whose
+    parse_constant hook returns a private mark: the span is the table's only
+    if the result is an object whose "table" is that mark and the hook ran
+    once.  Otherwise, or where the rest of the file is not valid JSON in
+    UTF-8, returns None, so that the caller decodes the whole file.
     """
-    if not data.isascii():
+    found = re.search(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[', data)
+    end = -1 if found is None else data.find(b"]", found.end())
+    if end < 0:
         return None
-    decode = json.JSONDecoder().raw_decode
+    mark, calls = object(), []
 
-    def item(i):
-        size = SCAN_WINDOW
-        while True:
-            window = data[i:i + size].decode("ascii")
-            whole = i + size >= len(data)
-            try:
-                value, end = decode(window)
-            except ValueError:
-                if whole:
-                    raise
-            else:
-                if end < len(window) or whole:
-                    return value, i + end
-            size *= 8
+    def constant(name):
+        calls.append(name)
+        return mark
 
-    def ws(i):
-        return _JSON_WS.match(data, i).end()
-
-    doc = {}
-    span = None
-    i = ws(0)
-    if not data.startswith(b"{", i):
-        return None
-    i = ws(i + 1)
     try:
-        while True:
-            if not data.startswith(b'"', i):
-                return None
-            key, i = item(i)
-            i = ws(i)
-            if not data.startswith(b":", i):
-                return None
-            i = ws(i + 1)
-            if key == "table":
-                end = data.find(b"]", i)
-                if key in doc or not data.startswith(b"[", i) or end < 0:
-                    return None  # json.loads reports it or keeps the last duplicate
-                span, value, i = slice(i + 1, end), None, end + 1
-            else:
-                value, i = item(i)
-            doc[key] = value  # the last duplicate wins, as in json.loads
-            i = ws(i)
-            if data.startswith(b"}", i):
-                break
-            if not data.startswith(b",", i):
-                return None
-            i = ws(i + 1)
+        text = (data[:found.end() - 1] + b"NaN" + data[end + 1:]).decode("utf-8")
+        doc = json.loads(text, parse_constant=constant)
     except (ValueError, RecursionError):
         return None
-    if ws(i + 1) != len(data) or span is None:
+    if not (isinstance(doc, dict) and doc.get("table") is mark and len(calls) == 1):
         return None
-    return doc, span
+    return doc, slice(found.end(), end)
 
 
 def _decode_wire_json(data: bytes):
@@ -763,15 +732,16 @@ def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     A table of plain non-negative integers is parsed straight from the
     file's bytes into a table of the dtype its alphabet selects, chunk by
     chunk, so the run holds the bytes, that table and buffers of about
-    PARSE_CHUNK bytes.  Any other document, any with a repeated "table"
-    key or an alphabet that is not a positive integer, and any with a value
-    too large for that dtype goes through json.loads of the same bytes,
-    which is then the only source of JSON and entry error messages; the
-    file is read once.
+    PARSE_CHUNK bytes; the rest of the file is decoded by json.loads (see
+    `_split_int_wire`).  Any other document, any whose first '"table": ['
+    is not its table, any with an alphabet that is not a positive integer
+    and any with a value too large for that dtype goes through json.loads
+    of the whole file, which is then the only source of JSON and entry
+    error messages; the file is read once.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    scanned = _scan_int_wire(data)
+    scanned = _split_int_wire(data)
     if scanned is not None:
         doc, span = scanned
         alphabet = doc.get("alphabet")

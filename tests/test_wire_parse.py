@@ -54,10 +54,11 @@ PITFALLS = [
 ]
 
 WS = st.text(alphabet=" \t\n\r", max_size=2)
-# Extra values holding brackets, "]" inside strings and escapes.
+# Extra values holding brackets, "]" inside strings, escapes, the constants
+# that json.loads accepts and "table" where it is not the wire's key.
 EXTRA = st.sampled_from([
     "[[1, 2], [3]]", '"]"', '"a]b[c"', '{"table": [1, 2]}', '"\\u00e9"',
-    "[]", "null", "1.5", '["]", 0]',
+    "[]", "null", "1.5", '["]", 0]', "NaN", "Infinity", '"table"', '{"table": NaN}',
 ])
 
 
@@ -113,60 +114,118 @@ def force_threads(monkeypatch, threads):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=documents(), chunk=st.integers(1, 6), window=st.integers(1, 6),
-       threads=st.integers(1, 4))
+@given(data=documents(), chunk=st.integers(1, 6), threads=st.integers(1, 4))
 def test_matches_reference_across_chunk_and_window_edges(tmp_path, monkeypatch,
-                                                         data, chunk, window, threads):
-    """Chunks and scan windows of a few bytes, so that every table body is
-    cut at its commas and every other value crosses a window edge, parsed
-    on 1 to 4 threads."""
+                                                         data, chunk, threads):
+    """Chunks of a few bytes, so that every table body is cut at its
+    commas, parsed on 1 to 4 threads."""
     force_threads(monkeypatch, threads)
     monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
-    monkeypatch.setattr(wires, "SCAN_WINDOW", window)
     assert_same_as_reference(tmp_path / "wire.json", data)
 
 
-def refuse_json_loads(monkeypatch):
-    def no_loads(*args, **kwargs):
-        raise AssertionError("json.loads called on a wire file the parser reads")
+def table_body(path):
+    """The text between the "[" and the "]" of the file's "table" array."""
+    text = path.read_text()
+    start = text.index("[", text.index('"table"')) + 1
+    return text[start:text.index("]", start)]
 
-    monkeypatch.setattr(json, "loads", no_loads)
+
+def refuse_json_loads(monkeypatch, path):
+    """Make json.loads fail on any text that holds the table body of the
+    wire file at path: the header may be decoded, the table may not."""
+    body, loads = table_body(path), json.loads
+
+    def loads_without_body(text, *args, **kwargs):
+        if body in text:
+            raise AssertionError("json.loads called on a table body the parser reads")
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads_without_body)
 
 
-# (document, PARSE_CHUNK, SCAN_WINDOW).  A table body starts after the 55
-# bytes of HEADER, and a chunk starting at byte i is cut at the first comma
-# at or after byte i + PARSE_CHUNK, on one thread.
+# (document, PARSE_CHUNK).  A table body starts after the 55 bytes of
+# HEADER, and a chunk starting at byte i is cut at the first comma at or
+# after byte i + PARSE_CHUNK, on one thread.
 HEADER = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": ['
 EDGES = {
-    "trailing-comma-at-cut": (HEADER + "0,1,1,0,]}", 7, 64),
-    "blank-value-after-cut": (HEADER + "0,1, ,0]}", 3, 64),
-    "blank-value-before-cut": (HEADER + "0,1, ,0]}", 5, 64),
-    "whitespace-around-cut": (HEADER + "0 ,\t1 , 1 ,\n0]}", 4, 64),
-    "leading-zero-chunk": (HEADER + "00,1,1,0]}", 1, 64),
+    "trailing-comma-at-cut": (HEADER + "0,1,1,0,]}", 7),
+    "blank-value-after-cut": (HEADER + "0,1, ,0]}", 3),
+    "blank-value-before-cut": (HEADER + "0,1, ,0]}", 5),
+    "whitespace-around-cut": (HEADER + "0 ,\t1 , 1 ,\n0]}", 4),
+    "leading-zero-chunk": (HEADER + "00,1,1,0]}", 1),
     "bracket-in-long-string": (
         '{"note": "' + "]" * 40 + '", "q": 2, "alphabet": 2, "order": "s0_major", '
-        '"table": [0, 1, 1, 0], "tail": "]]"}', 64, 4),
-    # The window "10" ends where the number does, and the window "1" inside
-    # it; a number read as complete at the edge of its window could be cut.
+        '"table": [0, 1, 1, 0], "tail": "]]"}', 64),
+    # A two-digit header number before the table: 10, the largest alphabet
+    # whose body is decoded one digit per value, in one chunk and cut at
+    # every comma.
     "number-at-window-edge": ('{"alphabet": 10, "q": 2, "order": "s0_major", '
-                              '"table": [0, 1, 1, 0]}', 1 << 20, 2),
+                              '"table": [0, 1, 1, 0]}', 1 << 20),
     "number-cut-by-window": ('{"alphabet": 10, "q": 2, "order": "s0_major", '
-                             '"table": [0, 1, 1, 0]}', 1 << 20, 1),
+                             '"table": [0, 1, 1, 0]}', 1),
 }
 
 
 @pytest.mark.parametrize("name", EDGES)
 def test_pinned_chunk_and_window_edges(tmp_path, monkeypatch, name):
-    text, chunk, window = EDGES[name]
+    text, chunk = EDGES[name]
     force_threads(monkeypatch, 1)
     monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
-    monkeypatch.setattr(wires, "SCAN_WINDOW", window)
     path = tmp_path / "wire.json"
     assert_same_as_reference(path, text.encode())
     expected = outcome(reference_wire, path)
-    if expected[0] == "wire":  # read without json.loads
-        refuse_json_loads(monkeypatch)
+    if expected[0] == "wire":  # the table is read without json.loads
+        refuse_json_loads(monkeypatch, path)
         assert outcome(mc.load_wire, path) == expected
+
+
+WIRE_KEYS = '"q": 2, "alphabet": 2, "order": "s0_major"'
+# Documents whose first '"table": [' is not, or might not be, the wire's
+# table, each with the outcome of the json.loads reference: a wire's table
+# or the start of its error message.
+HEADER_CASES = {
+    # A splice of "[]" for the first array, compared with [], would take the
+    # nested [1] as a one-entry table.
+    "empty-table-after-nested": (
+        '{"meta": {"table": [1]}, "table": [], "q": 1, "alphabet": 2, '
+        '"order": "s0_major"}', "table has 0 entries"),
+    "nested-table-first": (
+        '{"meta": {"table": [1, 1]}, %s, "table": [0, 1, 1, 0]}' % WIRE_KEYS,
+        [0, 1, 1, 0]),
+    "escaped-key-duplicate-after": (
+        '{%s, "table": [0, 1, 1, 0], "\\u0074able": [1, 1, 1, 0]}' % WIRE_KEYS,
+        [1, 1, 1, 0]),
+    "escaped-key-duplicate-before": (
+        '{"\\u0074able": [1, 1, 1, 0], %s, "table": [0, 1, 1, 0]}' % WIRE_KEYS,
+        [0, 1, 1, 0]),
+    "escaped-key-empty-duplicate": (
+        '{%s, "table": [0, 1, 1, 0], "\\u0074able": []}' % WIRE_KEYS,
+        "table has 0 entries"),
+    # The hook must have run once: this NaN would also return its mark.
+    "nan-duplicate-after": ('{%s, "table": [0, 1, 1, 0], "table": NaN}' % WIRE_KEYS,
+                            "table must be a JSON array"),
+    "nan-value": ('{%s, "x": NaN, "table": [0, 1, 1, 0]}' % WIRE_KEYS, [0, 1, 1, 0]),
+    "utf8-bom": ('\ufeff{%s, "table": [0, 1, 1, 0]}' % WIRE_KEYS,
+                 "invalid JSON at line 1 column 1 (char 0): Unexpected UTF-8 BOM"),
+    "table-as-string-value": (
+        '{"kind": "table", "tags": ["table"], %s, "table": [0, 1, 1, 0]}' % WIRE_KEYS,
+        [0, 1, 1, 0]),
+    "trailing-data": ('{%s, "table": [0, 1, 1, 0]} {}' % WIRE_KEYS,
+                      "invalid JSON at line 1 column"),
+}
+
+
+@pytest.mark.parametrize("name", HEADER_CASES)
+def test_pinned_header_cases(tmp_path, name):
+    text, expected = HEADER_CASES[name]
+    path = tmp_path / "wire.json"
+    assert_same_as_reference(path, text.encode())
+    got = outcome(mc.load_wire, path)
+    if isinstance(expected, list):
+        assert got[0] == "wire" and got[-1] == expected
+    else:
+        assert got[0] == "error" and got[1].startswith(expected)
 
 
 @pytest.mark.parametrize("name", EDGES)
@@ -175,10 +234,9 @@ def test_pinned_edges_split_across_three_threads(tmp_path, monkeypatch, name):
     pinned PARSE_CHUNK.  One-digit bodies are parsed on one thread, so each
     document with alphabet 2 is also read with alphabet 3329, which has the
     same body and runs its chunks on the three threads."""
-    text, chunk, window = EDGES[name]
+    text, chunk = EDGES[name]
     force_threads(monkeypatch, 3)
     monkeypatch.setattr(wires, "PARSE_CHUNK", 3 * chunk)
-    monkeypatch.setattr(wires, "SCAN_WINDOW", window)
     assert wires._thread_count(wires.PARSE_CHUNK) == 3
     path = tmp_path / "wire.json"
     for doc in {text, text.replace('"alphabet": 2,', '"alphabet": 3329,')}:
@@ -224,7 +282,7 @@ def test_worker_exception_reaches_the_caller(tmp_path, monkeypatch):
         raise RuntimeError("chunk parse failed")
 
     raised = fail_in_a_worker(monkeypatch, error)
-    refuse_json_loads(monkeypatch)
+    refuse_json_loads(monkeypatch, path)
     with pytest.raises(RuntimeError, match="chunk parse failed"):
         mc.load_wire(path)
     assert len(raised) == 1
@@ -331,11 +389,7 @@ def test_canonical_file_skips_json_loads(tmp_path, monkeypatch):
     w = mc.make_wire(7, rng.integers(0, 3, 49), 3)
     path = tmp_path / "wire.json"
     mc.save_wire(w, path)
-
-    def no_loads(*args, **kwargs):
-        raise AssertionError("json.loads called on a canonical wire file")
-
-    monkeypatch.setattr(json, "loads", no_loads)
+    refuse_json_loads(monkeypatch, path)
     back = mc.load_wire(path)
     assert back.q == 7 and back.alphabet_size == 3
     assert np.array_equal(back.table, w.table)

@@ -106,6 +106,12 @@ class TestWireConstruction:
         w = mc.make_wire(2, [0, 1, 1, 0])
         assert w(0, 1) == 1 and w(1, 0) == 1 and w(0, 0) == 0
 
+    @pytest.mark.parametrize("s0,s1", [(0, 3), (3, 0), (-1, 0), (0, -1), (9, 9)])
+    def test_call_refuses_shares_outside_zq(self, s0, s1):
+        w = mc.make_wire(3, range(9), 9)
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            w(s0, s1)
+
     @pytest.mark.parametrize("q,alphabet,dtype", [
         (2, 2, np.uint8), (2, 256, np.uint8), (2, 257, np.uint16),
         (2, 3329, np.uint16), (2, 65536, np.uint16), (2, 70000, np.int32),
