@@ -21,6 +21,7 @@ and NON_CONSTANT_MARGINAL is genuinely distinguishable by an observer.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -42,9 +43,9 @@ DEFAULT_CELL_CAP = 1 << 26
 # q = 3329 a step is 19 rows.
 STEP_CELLS = 1 << 16
 
-# Bytes of a table body that the loader parses at once (cut at the next
-# comma): a residue file is then held as its bytes, its table and about
-# this much besides.
+# Bytes of a wire file that the loader reads, or parses, at once (a chunk
+# of the table body is cut at a comma): a residue file is then held as its
+# table and about this much besides.
 PARSE_CHUNK = 1 << 20
 
 # Threads that the dense analysis and the loader use at most, one per
@@ -567,7 +568,12 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
 
 
 _JSON_WS_BYTES = b" \t\n\r"
+_JSON_WS_RUN = re.compile(rb"[ \t\n\r]*")
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# The first '"table": [' in the bytes read so far, or the start of one that
+# ends them and that the next read may complete.
+_TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[|'
+                        rb'"(?:t(?:a(?:b(?:l(?:e(?:"[ \t\n\r]*(?::[ \t\n\r]*)?)?)?)?)?)?)?\Z')
 
 
 def _parse_digit_chunk(body: bytes) -> np.ndarray | None:
@@ -590,9 +596,9 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     The values go through np.fromstring, which alone is too lenient: it
     reads "01", invents a value in a blank or empty run or after a trailing
     comma, and saturates at INT64_MAX, so the ends, the digit count and the
-    maximum are checked.  Only the count of the digits is kept while
-    np.fromstring fills the int64 array, and the digit widths are counted
-    STEP_CELLS values at a time.
+    maximum are checked, the ends in place.  Only the count of the digits
+    is kept while np.fromstring fills the int64 array, and the digit widths
+    are counted STEP_CELLS values at a time.
     """
     digits = body.translate(None, b"," + _JSON_WS_BYTES)
     if not digits.isdigit():
@@ -600,10 +606,9 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     commas = body.count(b",")
     n_digits = len(digits)
     del digits
-    ends = body.strip(_JSON_WS_BYTES)
-    if ends.startswith(b",") or ends.endswith(b","):
-        return None  # np.fromstring would make up a value there
-    del ends
+    if (_JSON_WS_RUN.match(body).end() == body.find(b",")
+            or _JSON_WS_RUN.match(body, body.rfind(b",") + 1).end() == len(body)):
+        return None  # a comma first or last: np.fromstring would make up a value there
     try:
         # The space in the separator eats the blanks after each comma, so
         # a blank value between commas fails instead of reading as 0.
@@ -621,71 +626,55 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     return arr if n_digits == widths else None
 
 
-def _parse_int_body(data: bytes, span: slice, alphabet: int) -> np.ndarray | None:
-    """The entries of the JSON array body data[span] as a table of the
-    dtype that `alphabet` selects.
+def _split_int_wire(read_at) -> tuple[dict, list] | None:
+    """Pass 1 of the loader: the wire document but its table, and the
+    table's body cut into chunks, read in order with `read_at(offset, size)`.
 
-    The body is cut into chunks, each ending at the first comma after its
-    share of PARSE_CHUNK bytes: that budget is split evenly between the
-    threads that `_thread_count` allows, so all chunks in flight stay within
-    it.  A chunk's first entry is the number of entries (commas plus one) of
-    the chunks before it, so threads parse chunks with `_parse_int_chunk` and
-    write them into disjoint slices of one table.  Entries of an alphabet of
-    at most 10 symbols are one digit each: such a body is parsed on one
-    thread, each chunk by `_parse_digit_chunk`, and by `_parse_int_chunk`
-    where that refuses it (a chunk holding a 10, say).  Returns None where
-    a chunk is refused or holds a value that the dtype cannot, so that only
-    such a body goes through json.loads.
+    A read is PARSE_CHUNK bytes split evenly between the threads that
+    `_thread_count` allows, so the chunks in flight in pass 2 stay within
+    that budget.  The body runs from the first '"table": [' to the first
+    "]" after it.  Each of its reads but the first cuts a chunk at its
+    first comma, and counts its commas: a chunk is (start, stop, first
+    entry, stop entry), offsets into the file and entries into the table.
+    The match may be a nested key, or end an escaped one, so the file is
+    decoded by json.loads with the array replaced by NaN, whose
+    parse_constant hook returns a private mark: the body is the table's
+    only if the result is an object whose "table" is that mark and the hook
+    ran once.  Otherwise, or where the rest of the file is not valid JSON
+    in UTF-8, returns None, so that the caller decodes the whole file.
     """
     size = max(PARSE_CHUNK // _thread_count(PARSE_CHUNK), 1)
-    chunks = []  # (start, stop, first entry)
-    start, entries = span.start, 0
+    head, found = bytearray(), None
+    while found is None or head[found.end() - 1] != ord("["):
+        block = read_at(len(head), size)
+        if not block:
+            return None
+        head += block
+        found = _TABLE_KEY.search(head, len(head) - len(block) if found is None
+                                  else found.start())
+    offset = start = found.end()
+    parts = [bytes(head[:start - 1]), b"NaN"]
+    del head
+    chunks, opened, commas = [], (start, 0), 0  # the open chunk's start and first entry
     while True:
-        cut = data.find(b",", min(start + size, span.stop), span.stop)
-        stop = span.stop if cut < 0 else cut
-        chunks.append((start, stop, entries))
-        entries += data.count(b",", start, stop) + 1
-        if stop == span.stop:
+        block = read_at(offset, size)
+        if not block:
+            return None
+        end = block.find(b"]")
+        body = end if end >= 0 else len(block)
+        cut = block.find(b",", 0, body)
+        if offset > start and cut >= 0:
+            chunks.append((opened[0], offset + cut, opened[1], commas + 1))
+            opened = (offset + cut + 1, commas + 1)
+        commas += int(np.count_nonzero(np.frombuffer(block, np.uint8, body) == ord(",")))
+        if end >= 0:
             break
-        start = stop + 1
-    table = np.empty(entries, dtype=_symbol_dtype(alphabet))
-    top = np.iinfo(table.dtype).max
-    refused = []
-
-    def work(k, threads):
-        for start, stop, first in chunks[k::threads]:
-            if refused:
-                return
-            chunk = data[start:stop]
-            values = _parse_digit_chunk(chunk) if alphabet <= 10 else None
-            if values is None:
-                values = _parse_int_chunk(chunk)
-            del chunk
-            if values is None or values.max() > top:
-                refused.append(first)
-                return
-            table[first:first + values.size] = values
-            del values  # before the next chunk's are made
-
-    _in_threads(work, len(chunks) if alphabet > 10 else 1)
-    return None if refused else table
-
-
-def _split_int_wire(data: bytes) -> tuple[dict, slice] | None:
-    """The wire document in `data` but its table, and the table's body span.
-
-    The body runs from the first '"table": [' in the bytes to the first "]"
-    after it.  That match may be a nested key, or end an escaped one, so
-    the file is decoded by json.loads with the array replaced by NaN, whose
-    parse_constant hook returns a private mark: the span is the table's only
-    if the result is an object whose "table" is that mark and the hook ran
-    once.  Otherwise, or where the rest of the file is not valid JSON in
-    UTF-8, returns None, so that the caller decodes the whole file.
-    """
-    found = re.search(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[', data)
-    end = -1 if found is None else data.find(b"]", found.end())
-    if end < 0:
-        return None
+        offset += len(block)
+    chunks.append((opened[0], offset + end, opened[1], commas + 1))
+    offset += end + 1
+    while block := read_at(offset, size):
+        parts.append(block)
+        offset += len(block)
     mark, calls = object(), []
 
     def constant(name):
@@ -693,13 +682,51 @@ def _split_int_wire(data: bytes) -> tuple[dict, slice] | None:
         return mark
 
     try:
-        text = (data[:found.end() - 1] + b"NaN" + data[end + 1:]).decode("utf-8")
-        doc = json.loads(text, parse_constant=constant)
+        doc = json.loads(b"".join(parts).decode("utf-8"), parse_constant=constant)
     except (ValueError, RecursionError):
         return None
     if not (isinstance(doc, dict) and doc.get("table") is mark and len(calls) == 1):
         return None
-    return doc, slice(found.end(), end)
+    return doc, chunks
+
+
+def _parse_int_body(read_at, chunks: list, alphabet: int) -> np.ndarray | None:
+    """Pass 2 of the loader: the entries of the body that `_split_int_wire`
+    cut into `chunks`, as a table of the dtype that `alphabet` selects.
+
+    Threads read their chunks with `read_at` and parse each with
+    `_parse_int_chunk` into its own slice of one table.  Entries of an
+    alphabet of at most 10 symbols are one digit each: such a body is
+    parsed on one thread, each chunk by `_parse_digit_chunk`, and by
+    `_parse_int_chunk` where that refuses it (a chunk holding a 10, say).
+    Returns None where a chunk is refused, holds a value that the dtype
+    cannot, or is not what pass 1 saw (a short read, other entries: the
+    file changed), so that only such a body goes through json.loads and no
+    table is returned with an entry unwritten.
+    """
+    table = np.empty(chunks[-1][3], dtype=_symbol_dtype(alphabet))
+    top = np.iinfo(table.dtype).max
+    refused = []
+
+    def work(k, threads):
+        for start, stop, first, end in chunks[k::threads]:
+            if refused:
+                return
+            chunk = read_at(start, stop - start)
+            values = None
+            if len(chunk) == stop - start:
+                values = _parse_digit_chunk(chunk) if alphabet <= 10 else None
+                if values is None:
+                    values = _parse_int_chunk(chunk)
+            del chunk
+            if values is None or values.size != end - first or values.max() > top:
+                refused.append(first)
+                return
+            table[first:end] = values
+            del values  # before the next chunk's are made
+
+    _in_threads(work, len(chunks) if alphabet > 10 else 1)
+    return None if refused else table
 
 
 def _decode_wire_json(data: bytes):
@@ -729,26 +756,43 @@ def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     """Read a wire-function JSON file; raises WireFormatError with the
     offending position on malformed input.
 
-    A table of plain non-negative integers is parsed straight from the
-    file's bytes into a table of the dtype its alphabet selects, chunk by
-    chunk, so the run holds the bytes, that table and buffers of about
-    PARSE_CHUNK bytes; the rest of the file is decoded by json.loads (see
-    `_split_int_wire`).  Any other document, any whose first '"table": ['
-    is not its table, any with an alphabet that is not a positive integer
-    and any with a value too large for that dtype goes through json.loads
-    of the whole file, which is then the only source of JSON and entry
-    error messages; the file is read once.
+    A table of plain non-negative integers is parsed in two passes of
+    reads at offsets, never holding the whole file: the first decodes the
+    document without its table body and cuts the body into chunks
+    (`_split_int_wire`), the second parses the chunks on threads into a
+    table of the dtype its alphabet selects (`_parse_int_body`).  The run
+    holds that table and buffers of about PARSE_CHUNK bytes.  A file that
+    cannot be read at an offset, a pipe say, is read whole once and both
+    passes read its bytes.  Any other document, any whose first
+    '"table": [' is not its table, any with an alphabet that is not a
+    positive integer, any with a value too large for that dtype and any
+    that changed between the passes goes through json.loads of the whole
+    file, read again from its start, which is then the only source of JSON
+    and entry error messages.
     """
     with open(path, "rb") as fh:
+        if hasattr(os, "pread") and fh.seekable():
+            fd = fh.fileno()
+
+            def read_at(offset, size):
+                return os.pread(fd, size, offset)
+        else:  # a pipe, say: its bytes, read once, serve every read
+            fh = io.BytesIO(fh.read())
+            data = fh.getvalue()  # the same bytes, not a copy
+
+            def read_at(offset, size):
+                return data[offset:offset + size]
+
+        split = _split_int_wire(read_at)
+        if split is not None:
+            doc, chunks = split
+            alphabet = doc.get("alphabet")
+            if type(alphabet) is int and alphabet >= 1:
+                doc["table"] = _parse_int_body(read_at, chunks, alphabet)
+                if doc["table"] is not None:
+                    return wire_from_dict(doc, cell_cap)
+        fh.seek(0)
         data = fh.read()
-    scanned = _split_int_wire(data)
-    if scanned is not None:
-        doc, span = scanned
-        alphabet = doc.get("alphabet")
-        if type(alphabet) is int and alphabet >= 1:
-            doc["table"] = _parse_int_body(data, span, alphabet)
-            if doc["table"] is not None:
-                return wire_from_dict(doc, cell_cap)
     return wire_from_dict(_decode_wire_json(data), cell_cap)
 
 

@@ -6,6 +6,7 @@ must give the same table or the same WireFormatError text on both paths.
 """
 
 import json
+import os
 import sys
 import threading
 import tracemalloc
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import wires
+from maskcheck import cli, wires
 
 
 def reference_wire(path):
@@ -145,8 +146,8 @@ def refuse_json_loads(monkeypatch, path):
 
 
 # (document, PARSE_CHUNK).  A table body starts after the 55 bytes of
-# HEADER, and a chunk starting at byte i is cut at the first comma at or
-# after byte i + PARSE_CHUNK, on one thread.
+# HEADER and is read PARSE_CHUNK bytes at a time from there; every read
+# but the first cuts a chunk at its first comma, on one thread.
 HEADER = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": ['
 EDGES = {
     "trailing-comma-at-cut": (HEADER + "0,1,1,0,]}", 7),
@@ -178,6 +179,135 @@ def test_pinned_chunk_and_window_edges(tmp_path, monkeypatch, name):
     if expected[0] == "wire":  # the table is read without json.loads
         refuse_json_loads(monkeypatch, path)
         assert outcome(mc.load_wire, path) == expected
+
+
+def record_reads(monkeypatch):
+    """Make os.pread, the loader's reader of a regular file, also append
+    each result to the list returned."""
+    pread, reads = os.pread, []
+
+    def recorded(fd, size, offset):
+        reads.append(pread(fd, size, offset))
+        return reads[-1]
+
+    monkeypatch.setattr(os, "pread", recorded)
+    return reads
+
+
+RESIDUE_HEADER = '{"q": 2, "alphabet": 3329, "order": "s0_major", "table": ['
+# (document, PARSE_CHUNK, a test that one of the reads passes).  The
+# HEADER's '"table"' runs from byte 45 to 51, its ":" is byte 52 and its
+# "[" byte 54.
+READ_EDGES = {
+    "key-split-across-reads": (HEADER + "0, 1, 1, 0]}", 49,
+                               lambda read: read.endswith(b'"tab')),
+    "colon-and-bracket-in-two-reads": (HEADER + "0, 1, 1, 0]}", 54,
+                                       lambda read: read.startswith(b"[0")),
+    "bracket-first-in-read": (HEADER + "0, 1, 1, 0]}", 5,
+                              lambda read: read.startswith(b"]")),
+    # The body's reads are "100", "0, ", "200", "0, ", ...: the chunk
+    # " 2000" spans a read without a comma.
+    "read-without-comma": (RESIDUE_HEADER + "1000, 2000, 3000, 3328]}", 3,
+                           lambda read: read == b"200"),
+}
+
+
+@pytest.mark.parametrize("name", READ_EDGES)
+def test_pinned_read_edges(tmp_path, monkeypatch, name):
+    """Pass 1 of the loader finds the table and its chunks across the
+    pinned read boundaries, and the table is read without json.loads."""
+    text, chunk, edge = READ_EDGES[name]
+    force_threads(monkeypatch, 1)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
+    path = tmp_path / "wire.json"
+    path.write_bytes(text.encode())
+    expected = outcome(reference_wire, path)
+    assert expected[0] == "wire"
+    refuse_json_loads(monkeypatch, path)
+    reads = record_reads(monkeypatch)
+    assert outcome(mc.load_wire, path) == expected
+    assert any(map(edge, reads)), reads
+
+
+def change_between_passes(monkeypatch, path, old, new):
+    """Make the loader's pass 2 find `old` in the file at path replaced by
+    `new`: the file is rewritten as pass 2 starts."""
+    in_threads = wires._in_threads
+
+    def rewrite_then_run(work, tasks):
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        in_threads(work, tasks)
+
+    monkeypatch.setattr(wires, "_in_threads", rewrite_then_run)
+
+
+CHANGED_TABLES = {
+    # One comma fewer at the same length: a chunk's entries are one short.
+    "comma-gone-boolean": (2, "0, 1, 1, 1, 0, 1, 0, 1, 0", b"1, 1, 1", b"1,   11"),
+    "comma-gone-residue": (12, "0, 1, 1, 1, 0, 1, 0, 1, 0", b"1, 1, 1", b"1,   11"),
+    # The file cut short: the last chunk reads one byte less, and as many entries.
+    "truncated": (12, "0, 1, 1, 1, 0, 1, 0, 1, 10", b"10]}", b"1"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("chunk", [8, 1 << 20])
+@pytest.mark.parametrize("name", CHANGED_TABLES)
+def test_file_changed_between_passes_matches_what_it_became(tmp_path, monkeypatch,
+                                                            name, chunk, threads):
+    """A chunk that pass 2 reads with other entries or other bytes than
+    pass 1 counted is refused: the result is the json.loads reference of
+    the file as it became, never a table with an entry that no chunk
+    wrote."""
+    alphabet, table, old, new = CHANGED_TABLES[name]
+    force_threads(monkeypatch, threads)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
+    path = tmp_path / "wire.json"
+    path.write_text('{"q": 3, "alphabet": %d, "order": "s0_major", "table": [%s]}'
+                    % (alphabet, table))
+    change_between_passes(monkeypatch, path, old, new)
+    got = outcome(mc.load_wire, path)
+    assert new in path.read_bytes()
+    assert got == outcome(reference_wire, path)
+    assert got[0] == "error"
+
+
+def classify_json(capsys, path):
+    """(exit code, stdout, stderr without the path) of classify --format json."""
+    code = cli.main(["classify", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    return code, out, err.replace(str(path), "PATH")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("doc", [
+    "residue", "boolean",
+    '{"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 2, 0]}',
+    '{"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 1, 0]',
+])
+def test_named_pipe_reads_like_regular_file(tmp_path, monkeypatch, capsys, doc):
+    """A wire written through a FIFO, which cannot be read at an offset,
+    classifies to the same stdout, or the same exit code and message, as
+    the same bytes in a regular file; a valid table is still parsed
+    without json.loads."""
+    path = tmp_path / "wire.json"
+    if doc == "residue":
+        residue_file(path, 31)
+    elif doc == "boolean":
+        mc.save_wire(mc.t6_witness(31), path)
+    else:
+        path.write_text(doc)
+    expected = classify_json(capsys, path)
+    if expected[0] == 0:
+        refuse_json_loads(monkeypatch, path)
+    fifo = tmp_path / "wire.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                              daemon=True)
+    writer.start()
+    assert classify_json(capsys, fifo) == expected
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 WIRE_KEYS = '"q": 2, "alphabet": 2, "order": "s0_major"'
@@ -382,6 +512,26 @@ def test_residue_load_and_classify_hold_file_table_and_one_chunk(tmp_path, monke
         tracemalloc.stop()
     assert verdict is mc.Verdict.NON_CONSTANT_MARGINAL
     assert peak <= file_bytes + q * q * np.dtype(np.uint16).itemsize + 3 * wires.PARSE_CHUNK
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_residue_load_holds_table_and_chunks_not_file(tmp_path, monkeypatch, threads):
+    """load_wire of the recombined residue wire never holds the file: its
+    traced peak is the uint16 table and at most 3 PARSE_CHUNKs of buffers,
+    less than the 5 MB file and the table together."""
+    q = 1031
+    path = residue_file(tmp_path / "wire.json", q)
+    force_threads(monkeypatch, threads)
+    table_bytes = q * q * np.dtype(np.uint16).itemsize
+    assert path.stat().st_size > 3 * wires.PARSE_CHUNK
+    tracemalloc.start()
+    try:
+        w = mc.load_wire(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.table.dtype == np.uint16
+    assert peak <= table_bytes + 3 * wires.PARSE_CHUNK
 
 
 def test_canonical_file_skips_json_loads(tmp_path, monkeypatch):
