@@ -568,12 +568,7 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
 
 
 _JSON_WS_BYTES = b" \t\n\r"
-_JSON_WS_RUN = re.compile(rb"[ \t\n\r]*")
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# The first '"table": [' in the bytes read so far, or the start of one that
-# ends them and that the next read may complete.
-_TABLE_KEY = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[|'
-                        rb'"(?:t(?:a(?:b(?:l(?:e(?:"[ \t\n\r]*(?::[ \t\n\r]*)?)?)?)?)?)?)?\Z')
 
 
 def _parse_digit_chunk(body: bytes) -> np.ndarray | None:
@@ -606,8 +601,9 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     commas = body.count(b",")
     n_digits = len(digits)
     del digits
-    if (_JSON_WS_RUN.match(body).end() == body.find(b",")
-            or _JSON_WS_RUN.match(body, body.rfind(b",") + 1).end() == len(body)):
+    blank = re.compile(rb"[ \t\n\r]*")
+    if (blank.match(body).end() == body.find(b",")
+            or blank.match(body, body.rfind(b",") + 1).end() == len(body)):
         return None  # a comma first or last: np.fromstring would make up a value there
     try:
         # The space in the separator eats the blanks after each comma, so
@@ -644,14 +640,17 @@ def _split_int_wire(read_at) -> tuple[dict, list] | None:
     in UTF-8, returns None, so that the caller decodes the whole file.
     """
     size = max(PARSE_CHUNK // _thread_count(PARSE_CHUNK), 1)
+    # The first '"table": [', or the start of one that ends the bytes read
+    # so far and that the next read may complete.
+    key = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[|'
+                     rb'"(?:t(?:a(?:b(?:l(?:e(?:"[ \t\n\r]*(?::[ \t\n\r]*)?)?)?)?)?)?)?\Z')
     head, found = bytearray(), None
     while found is None or head[found.end() - 1] != ord("["):
         block = read_at(len(head), size)
         if not block:
             return None
         head += block
-        found = _TABLE_KEY.search(head, len(head) - len(block) if found is None
-                                  else found.start())
+        found = key.search(head, len(head) - len(block) if found is None else found.start())
     offset = start = found.end()
     parts = [bytes(head[:start - 1]), b"NaN"]
     del head
@@ -661,12 +660,12 @@ def _split_int_wire(read_at) -> tuple[dict, list] | None:
         if not block:
             return None
         end = block.find(b"]")
-        body = end if end >= 0 else len(block)
-        cut = block.find(b",", 0, body)
+        n = end if end >= 0 else len(block)  # the read's bytes of the body
+        cut = block.find(b",", 0, n)
         if offset > start and cut >= 0:
             chunks.append((opened[0], offset + cut, opened[1], commas + 1))
             opened = (offset + cut + 1, commas + 1)
-        commas += int(np.count_nonzero(np.frombuffer(block, np.uint8, body) == ord(",")))
+        commas += int(np.count_nonzero(np.frombuffer(block, np.uint8, n) == ord(",")))
         if end >= 0:
             break
         offset += len(block)

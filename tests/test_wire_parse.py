@@ -284,7 +284,7 @@ def classify_json(capsys, path):
     "residue", "boolean",
     '{"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 2, 0]}',
     '{"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 1, 0]',
-])
+], ids=["residue", "boolean", "entry-outside-alphabet", "unclosed-object"])
 def test_named_pipe_reads_like_regular_file(tmp_path, monkeypatch, capsys, doc):
     """A wire written through a FIFO, which cannot be read at an offset,
     classifies to the same stdout, or the same exit code and message, as
@@ -498,8 +498,9 @@ def test_entry_beyond_narrow_dtype_named_not_wrapped(tmp_path, monkeypatch,
 
 def test_residue_load_and_classify_hold_file_table_and_one_chunk(tmp_path, monkeypatch):
     """load_wire and classify of the recombined residue wire (s0 + s1) % q
-    with alphabet q on 4 threads: numpy's and Python's traced peak is the
-    file's bytes, its uint16 table and a few PARSE_CHUNKs of buffers."""
+    with alphabet q on 4 threads: numpy's and Python's traced peak is at
+    most the file's bytes, its uint16 table and a few PARSE_CHUNKs of
+    buffers (the load alone holds no file, see the test below)."""
     q = 1031
     path = residue_file(tmp_path / "wire.json", q)
     force_threads(monkeypatch, 4)
