@@ -2,15 +2,16 @@
 """Exhaustive verdict census over every Boolean wire at small moduli.
 
 At modulus q there are 2^(q^2) Boolean wire functions; up to q = 5 the
-whole space (33.5 million wires at q = 5) can be classified outright.
+whole space (33.5 million wires at q = 5) is counted, by classes of
+per-column and per-diagonal true-cell counts rather than wire by wire.
 Two independent cross-checks anchor the counts:
 
   - value-independent wires depend only on the mask, so there are 2^q;
   - constant-marginal wires distribute true cells evenly over the q
     reparametrization diagonals: sum_k C(q, k)^q of them.
 
-The census also re-verifies, wire by wire, that no value-independent wire
-ever has a non-constant marginal (soundness_violations must be zero).
+The census lists the value-independent wires and re-verifies on each one
+that it has a constant marginal (soundness_violations must be zero).
 """
 
 import maskcheck as mc

@@ -589,26 +589,27 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     Returns None for any run that json.loads would not read as exactly
     these integers.  Without commas and whitespace it must be all digits.
     The values go through np.fromstring, which alone is too lenient: it
-    reads "01", invents a value in a blank or empty run or after a trailing
-    comma, and saturates at INT64_MAX, so the ends, the digit count and the
-    maximum are checked, the ends in place.  Only the count of the digits
-    is kept while np.fromstring fills the int64 array, and the digit widths
-    are counted STEP_CELLS values at a time.
+    reads "01", reads a blank run as 0, skips a trailing comma and
+    saturates at INT64_MAX, so the ends, the digit count and the maximum
+    are checked, the ends in place.  It is given no count: with one, a run
+    of fewer entries leaves the rest of the array unwritten, so the caller
+    compares the number of values with the entries it expects.  Only the
+    count of the digits is kept while np.fromstring fills the int64 array,
+    and the digit widths are counted STEP_CELLS values at a time.
     """
     digits = body.translate(None, b"," + _JSON_WS_BYTES)
     if not digits.isdigit():
         return None
-    commas = body.count(b",")
     n_digits = len(digits)
     del digits
     blank = re.compile(rb"[ \t\n\r]*")
     if (blank.match(body).end() == body.find(b",")
             or blank.match(body, body.rfind(b",") + 1).end() == len(body)):
-        return None  # a comma first or last: np.fromstring would make up a value there
+        return None  # a comma first or last, which json.loads refuses
     try:
         # The space in the separator eats the blanks after each comma, so
         # a blank value between commas fails instead of reading as 0.
-        arr = np.fromstring(body, dtype=np.int64, sep=", ", count=commas + 1)
+        arr = np.fromstring(body, dtype=np.int64, sep=", ")
     except ValueError:
         return None
     top = int(arr.max())

@@ -82,18 +82,80 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="parallelism must be >= 1"):
             mc.run_census(2, parallelism=0)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 256])
-    def test_block_size_does_not_matter(self, monkeypatch, block):
-        # q = 4 has 256 high-half patterns: one step at block 256.
-        base = mc.run_census(4).to_dict()
-        monkeypatch.setattr(census, "CENSUS_BLOCK", block)
-        assert mc.run_census(4).to_dict() == base
 
-    def test_block_size_does_not_matter_q5(self, monkeypatch):
-        monkeypatch.setattr(census, "CENSUS_BLOCK", 64)
-        base = mc.run_census(5).to_dict()
-        monkeypatch.setattr(census, "CENSUS_BLOCK", 1024)
-        assert mc.run_census(5).to_dict() == base
+def enumerated_counts(q):
+    """(vi, cm, vi & ~cm) totals of classify_packed over every wire index,
+    2^20 indices at a time: the census by enumeration, as the key tables
+    (patched or not) answer it."""
+    n_vi = n_cm = n_bad = 0
+    for start in range(0, 1 << q * q, 1 << 20):
+        vi, cm = mc.classify_packed(q, np.arange(start, min(start + (1 << 20), 1 << q * q)))
+        n_vi += int(np.count_nonzero(vi))
+        n_cm += int(np.count_nonzero(cm))
+        n_bad += int(np.count_nonzero(vi & ~cm))
+    return n_vi, n_cm, n_bad
+
+
+def census_counts(q):
+    r = mc.run_census(q)
+    return r.count_value_independent, r.count_constant_marginal, r.soundness_violations
+
+
+def patch_key_table(monkeypatch, which, key, value):
+    """Make the VI (which=4) or CM (which=5) key table answer `value` at `key`."""
+    real = census._key_tables
+
+    def tables(q):
+        t = list(real(q))
+        t[which] = t[which].copy()
+        t[which][key(q)] = value
+        return tuple(t)
+
+    monkeypatch.setattr(census, "_key_tables", tables)
+
+
+class TestCountByClass:
+    """The census counts classes of keys; enumeration is its oracle."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_matches_enumeration(self, q):
+        assert census_counts(q) == enumerated_counts(q)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_listed_vi_wires(self, q):
+        lo, hi = census._value_independent_pairs(q)
+        index = (hi << q * q // 2) | lo
+        assert index.size == len(set(index.tolist())) == 1 << q
+        vi, _ = mc.classify_packed(q, index)
+        assert vi.all()
+        for i in index.tolist():
+            assert mc.classify(mc.index_to_wire(q, i)) is mc.Verdict.VALUE_INDEPENDENT
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_vi_false_at_full_columns(self, monkeypatch, q):
+        # Every field q: as a column key, that of the all-ones wire too.
+        patch_key_table(monkeypatch, 4, full_diagonals_key, False)
+        n_vi, n_cm, n_bad = census_counts(q)
+        assert (n_vi, n_cm, n_bad) == ((1 << q) - 1, EXPECTED[q]["cm"], 0)
+
+    # Key 1: one true cell, on diagonal 0 (q wires).  Key 7: seven true
+    # cells on diagonal 0, which no wire at q <= 5 has.
+    @pytest.mark.parametrize("key,wires_per_q", [(1, 1), (7, 0)])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_cm_true_at_extra_key(self, monkeypatch, q, key, wires_per_q):
+        before = enumerated_counts(q)
+        patch_key_table(monkeypatch, 5, lambda q: key, True)
+        after = enumerated_counts(q)
+        assert after[1] - before[1] == wires_per_q * q
+        assert census_counts(q) == after
+
+    # Key 1: one true cell, in column 0 (q wires, none of them with a
+    # constant marginal), so one VI key matches many high patterns.
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_vi_true_at_extra_key(self, monkeypatch, q):
+        patch_key_table(monkeypatch, 4, lambda q: 1, True)
+        assert census_counts(q) == enumerated_counts(q) == \
+            ((1 << q) + q, EXPECTED[q]["cm"], q)
 
 
 def full_diagonals_key(q):

@@ -10,7 +10,8 @@ captured before classify's marginals were streamed as JSON blocks.  The
 three Boolean q = 257 wires were captured while the dense kernel still
 gathered the reparametrized table and every table went through
 np.fromstring.  The s0 % 11 residue wire was captured while a constant
-marginal was still rendered row by row.
+marginal was still rendered row by row.  The census-q5 files were captured
+while the census still enumerated all 2^25 wires.
 Regenerate them (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -86,6 +87,7 @@ WIRES = {
 COMMANDS = {
     "witness-q5": ["witness", "--q", "5"],
     "census-q2": ["census", "--q", "2", "--workers", "1"],
+    "census-q5": ["census", "--q", "5", "--workers", "1"],  # as perfbench runs it
     "bias-n4096-q3329": ["bias", "--n", "4096", "--q", "3329"],
     "bias-n16777216-q8380417": ["bias", "--n", str(1 << 24), "--q", "8380417"],
     "bounds-q3329-w24": ["bounds", "--q", "3329", "--w", "24"],

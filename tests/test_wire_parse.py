@@ -245,6 +245,9 @@ CHANGED_TABLES = {
     # One comma fewer at the same length: a chunk's entries are one short.
     "comma-gone-boolean": (2, "0, 1, 1, 1, 0, 1, 0, 1, 0", b"1, 1, 1", b"1,   11"),
     "comma-gone-residue": (12, "0, 1, 1, 1, 0, 1, 0, 1, 0", b"1, 1, 1", b"1,   11"),
+    # One comma more at the same length: a chunk's entries are one over.
+    "comma-added-boolean": (2, "0, 1, 1, 1, 0, 1, 0, 1, 0", b"1, 1, 1", b"1,1,1,1"),
+    "comma-added-residue": (12, "0, 1, 1, 1, 0, 1, 0, 1, 0", b"1, 1, 1", b"1,1,1,1"),
     # The file cut short: the last chunk reads one byte less, and as many entries.
     "truncated": (12, "0, 1, 1, 1, 0, 1, 0, 1, 10", b"10]}", b"1"),
 }
@@ -270,6 +273,29 @@ def test_file_changed_between_passes_matches_what_it_became(tmp_path, monkeypatc
     assert new in path.read_bytes()
     assert got == outcome(reference_wire, path)
     assert got[0] == "error"
+
+
+# "1, 10" and " 1, 10" hold two entries each; pass 1 of a changed file
+# may have seen one more in a chunk, one fewer, or both in turn.
+SEEN_CHUNKS = {
+    "as-written": [(0, 5, 0, 2), (6, 12, 2, 4)],
+    "one-more": [(0, 5, 0, 3), (6, 12, 3, 5)],
+    "one-fewer": [(0, 5, 0, 1), (6, 12, 1, 3)],
+    "fewer-then-more": [(0, 5, 0, 3), (6, 12, 3, 4)],
+}
+
+
+@pytest.mark.parametrize("name", SEEN_CHUNKS)
+def test_chunk_entries_other_than_pass_one_saw_refused(name):
+    """Pass 2 refuses a chunk whose entries pass 1 counted one more or one
+    fewer than it holds, even where the counts add up to the table's."""
+    data = b"1, 10, 1, 10"
+    table = wires._parse_int_body(lambda offset, size: data[offset:offset + size],
+                                  SEEN_CHUNKS[name], 12)
+    if name == "as-written":
+        assert table.tolist() == [1, 10, 1, 10]
+    else:
+        assert table is None
 
 
 def classify_json(capsys, path):
