@@ -15,32 +15,16 @@ test failure.  A reader that closes stdout early does not change the code.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from . import __all__ as _PUBLIC, __version__
 
-from . import __version__
-from .bitvec import WidthConfig, no_overflow_bounds, urem_recombine, urem_reparam
-from .butterfly import conjecture_sweep
-from .census import run_census
-from .rngbias import bias_profile, verify_bounds
-from .wires import (
-    TheoryViolation,
-    Verdict,
-    WireFormatError,
-    classify,
-    load_wire,
-    marginal_table,
-    mutual_information,
-    t6_witness,
-    save_wire,
-    wire_to_dict,
-)
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA = "maskcheck/1"
 
@@ -64,19 +48,33 @@ MATRIX_BLOCK_CELLS = 1 << 16
 _POW10 = tuple(10**k for k in range(1, 19))
 
 
+def __getattr__(name: str):
+    """Binds a public name of the package here the first time it is read
+    (PEP 562), so that only the runs that use a name import its module.
+    `main` binds each subcommand's names before calling it; a name already
+    bound, by `main` or from outside, is never rebound."""
+    if name not in _PUBLIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """Named, seeded PRNG stream.
 
     Each randomized check draws from its own stream keyed by (seed, name),
     so adding one check never perturbs another check's samples.
     """
+    import hashlib
+
+    import numpy as np
+
     digest = hashlib.sha256(stream.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(NamedTuple):
     """What one subcommand found, ready to be written in any format.
 
     `human` and `csv` are called only when their format is asked for, so
@@ -121,6 +119,8 @@ def _render_rows(block: np.ndarray) -> str:
     Rendered into a byte buffer by numpy, so no Python int or str is made
     per entry.
     """
+    import numpy as np
+
     cols = block.shape[1]
     digits = np.ones(block.shape, dtype=np.uint8)  # at most 19
     for power in _POW10[:len(str(block.max())) - 1]:
@@ -195,11 +195,12 @@ def _emit(result: Result, fmt: str, out) -> None:
     a newline.
     """
     if fmt == "json":
+        numpy = sys.modules.get("numpy")  # an array in `doc` means it is loaded
         out.write("{")
         for i, key in enumerate(sorted(result.doc)):
             out.write(("," if i else "") + json.dumps(key) + ":")
             value = result.doc[key]
-            if isinstance(value, np.ndarray):
+            if numpy and isinstance(value, numpy.ndarray):
                 for text in _json_matrix(value):
                     out.write(text)
             else:
@@ -220,6 +221,8 @@ def _emit(result: Result, fmt: str, out) -> None:
 
 
 def cmd_classify(args) -> Result:
+    import numpy as np
+
     try:
         wire = load_wire(args.wire)
     except OSError as exc:
@@ -456,6 +459,22 @@ def cmd_butterfly(args) -> Result:
 # ---------------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """An option value that must be an integer >= 0; argparse names the
+    option when it refuses one."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _theory_violation():
+    """The TheoryViolation class, or () while the one module that raises
+    it, wires, is not loaded: an except clause of () catches nothing."""
+    wires = sys.modules.get(f"{__package__}.wires")
+    return wires.TheoryViolation if wires else ()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maskcheck",
@@ -470,45 +489,54 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: human)",
     )
 
-    def command(name, func, help):
+    def command(name, func, help, uses):
+        """`uses`: the package's names that `func` calls, bound by `main`."""
         p = sub.add_parser(name, parents=[common], help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, uses=uses.split())
         return p
 
-    p = command("classify", cmd_classify, "classify a wire-function JSON file")
+    p = command("classify", cmd_classify, "classify a wire-function JSON file",
+                "load_wire classify marginal_table mutual_information Verdict "
+                "WireFormatError")
     p.add_argument("wire", help="path to a wire-function JSON file")
 
-    p = command("census", cmd_census, "exhaustive verdict census at small q")
+    p = command("census", cmd_census, "exhaustive verdict census at small q",
+                "run_census")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility, must be >= 1; the count "
                         "always runs in one process (default: 1)")
 
-    p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q")
+    p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q",
+                "bias_profile verify_bounds")
     p.add_argument("--n", type=int, required=True,
                    help="sample-space size N (e.g. 4096 for a 12-bit RNG)")
     p.add_argument("--q", type=int, required=True)
 
-    p = command("bounds", cmd_bounds, "width admissibility and overflow range")
+    p = command("bounds", cmd_bounds, "width admissibility and overflow range",
+                "WidthConfig no_overflow_bounds")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help="register width in bits")
 
     p = command("urem-check", cmd_urem_check,
-                "word-level vs ring reparametrization equivalence")
+                "word-level vs ring reparametrization equivalence",
+                "WidthConfig urem_reparam urem_recombine")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--exhaustive", action="store_true",
                    help="check all q^2 pairs instead of sampling")
 
     p = command("witness", cmd_witness,
-                "the constant-marginal, non-value-independent wire")
+                "the constant-marginal, non-value-independent wire",
+                "t6_witness classify mutual_information save_wire wire_to_dict")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--wire-out", default=None,
                    help="also write the wire-function JSON to this path")
 
-    p = command("butterfly", cmd_butterfly, "masked butterfly composition sweep")
+    p = command("butterfly", cmd_butterfly, "masked butterfly composition sweep",
+                "conjecture_sweep")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--stages", type=int, default=1)
     p.add_argument("--twiddles", default=None,
@@ -523,12 +551,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in args.uses:
+        if name not in globals():
+            __getattr__(name)
     try:
         result = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except TheoryViolation as exc:
+    except _theory_violation() as exc:
         print(f"theory violation: {exc}", file=sys.stderr)
         return EXIT_THEORY_VIOLATION
     try:

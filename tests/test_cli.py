@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -342,6 +343,16 @@ class TestUremCheck:
         assert code == 2
         assert "inadmissible" in err
 
+    @pytest.mark.parametrize("mode", [("--samples", "5"), ("--exhaustive",)],
+                             ids=["sampled", "exhaustive"])
+    def test_negative_seed_exits_2_naming_the_option(self, capsys, monkeypatch, mode):
+        refuse_call(monkeypatch, cli, "WidthConfig")
+        with pytest.raises(SystemExit) as exc:
+            main(["urem-check", "--q", "7", "--w", "8", "--seed", "-1", *mode])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert captured.err.endswith("error: argument --seed: must be >= 0, got -1\n")
+
 
 class TestWitness:
     def test_emits_wire_and_verdict(self, capsys, tmp_path):
@@ -474,6 +485,39 @@ class TestClosedStdout:
         assert proc.stderr.read().decode() == err
         proc.stderr.close()
         assert proc.wait(timeout=60) == code
+
+
+class TestTracedNames:
+    """The traced benchmark run replaces these names on `cli`, and one on
+    `butterfly`, before it calls `main`: the replacement is what runs."""
+
+    class Called(Exception):
+        pass
+
+    @pytest.mark.parametrize("module,name,argv", [
+        ("cli", "load_wire", ["classify", "{wire}"]),
+        ("cli", "classify", ["classify", "{wire}"]),
+        ("cli", "marginal_table", ["classify", "{wire}"]),
+        ("cli", "mutual_information", ["classify", "{wire}"]),
+        ("cli", "conjecture_sweep", ["butterfly", "--q", "2"]),
+        ("cli", "run_census", ["census", "--q", "2"]),
+        ("cli", "bias_profile", ["bias", "--n", "8", "--q", "4"]),
+        ("cli", "verify_bounds", ["bias", "--n", "8", "--q", "4"]),
+        ("cli", "stream_rng", ["urem-check", "--q", "7", "--w", "8", "--samples", "5"]),
+        ("butterfly", "classify_cells_bulk", ["butterfly", "--q", "2"]),
+    ])
+    def test_replacement_set_before_main_is_called(self, monkeypatch, tmp_path,
+                                                   module, name, argv):
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.t6_witness(3), path)
+
+        def replacement(*args, **kwargs):
+            raise self.Called(name)
+
+        monkeypatch.setattr(importlib.import_module(f"maskcheck.{module}"), name,
+                            replacement)
+        with pytest.raises(self.Called, match=name):
+            main([arg.format(wire=path) for arg in argv])
 
 
 class TestOutputStability:

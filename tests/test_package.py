@@ -1,6 +1,8 @@
-"""The package's public names: `__all__` and the imports of `__init__` agree."""
+"""The package's public names: `__all__`, the lazy name table behind it,
+and the modules each CLI entry path loads."""
 
-import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,22 +17,65 @@ def test_all_names_resolve():
 
 
 def test_public_imports_are_exported():
-    tree = ast.parse(Path(mc.__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    public = {name for name in imported if not name.startswith("_")}
-    assert sorted(public - set(mc.__all__)) == []
+    """Every name of `__all__` but the version has an entry in the lazy
+    table and every entry is exported; each entry's module defines the
+    name, and `dir` lists every exported name."""
+    assert set(mc._HOME) == set(mc.__all__) - {"__version__"}
+    for name, home in mc._HOME.items():
+        module = importlib.import_module(f"maskcheck.{home}")
+        assert hasattr(module, name), (home, name)
+        value = getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    assert set(mc.__all__) <= set(dir(mc))
 
 
-def test_cli_import_loads_no_pool_machinery():
-    """Importing the CLI, which every run does, loads neither
-    concurrent.futures nor multiprocessing: the loader and the dense
-    analysis run their threads with `threading` alone."""
-    script = ("import sys, maskcheck.cli; print(sorted(m for m in sys.modules "
-              "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))")
+# Each CLI entry path, run in a fresh process: the maskcheck submodules it
+# loads and which of hashlib and fractions.  numpy is allowed for every
+# subcommand; the paths that run none must leave it unloaded.
+ENTRY_PATHS = [
+    (["--version"], "cli", ""),
+    (["--help"], "cli", ""),
+    (["urem-check", "--q", "7", "--seed", "-1"], "cli", ""),  # a usage error
+    (["census", "--q", "3"], "census cli wires zq", ""),
+    (["classify", "{wire}"], "cli wires zq", ""),
+    (["witness", "--q", "3"], "cli wires zq", ""),
+    (["butterfly", "--q", "2"], "butterfly cli wires zq", ""),
+    (["bias", "--n", "16", "--q", "5"], "cli rngbias", "fractions"),
+    (["bounds", "--q", "5", "--w", "8"], "bitvec cli", ""),
+    (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "bitvec cli", "hashlib"),
+]
+
+ENTRY_SCRIPT = """
+import json, sys
+from maskcheck.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
+                               if m.startswith("maskcheck.")),
+                  [m for m in ("hashlib", "fractions") if m in sys.modules],
+                  "numpy" in sys.modules,
+                  [m for m in sys.modules
+                   if m.partition(".")[0] in ("concurrent", "multiprocessing")]]))
+"""
+
+
+def test_cli_import_loads_no_pool_machinery(tmp_path):
+    """Each CLI entry path imports only the modules its subcommand calls,
+    and none loads concurrent.futures or multiprocessing: the loader and
+    the dense analysis run their threads with `threading` alone."""
+    wire = tmp_path / "wire.json"
+    wire.write_text('{"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 1, 0]}')
     src = Path(mc.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for argv, modules, others in ENTRY_PATHS:
+        argv = [arg.format(wire=wire) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", ENTRY_SCRIPT, *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded, extra, numpy, pools = json.loads(proc.stdout.splitlines()[-1])
+        assert code == (2 if "-1" in argv else 0), (argv, proc.stderr)
+        assert (loaded, extra, pools) == (modules.split(), others.split(), []), argv
+        if code or argv[0].startswith("--"):  # no subcommand ran
+            assert not numpy, argv
