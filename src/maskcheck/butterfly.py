@@ -323,6 +323,7 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
 
     Flags any sharewise tap that comes back NON_CONSTANT_MARGINAL and any
     adversarial (recombination) tap that comes back value-independent.
+    Twiddles must be nonzero and distinct mod q, and roles distinct.
     """
     if not 2 <= q <= SWEEP_MAX_Q:
         raise ValueError(f"sweep supports 2 <= q <= {SWEEP_MAX_Q}, got {q}")
@@ -332,11 +333,21 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
         )
     if twiddle_set is None:
         twiddle_set = tuple(range(1, q))
+    given = {}  # each residue's twiddle as given
     for t in twiddle_set:
-        if int(t) % q == 0:
+        r = int(t) % q
+        if r == 0:
             # A zero twiddle drops the secret from the recombined probe.
             raise ValueError(f"twiddle {t} is 0 mod {q}; twiddles must be nonzero mod q")
-    twiddle_set = tuple(int(t) % q for t in twiddle_set)
+        if r in given:
+            raise ValueError(f"twiddle {t} repeats twiddle {given[r]} mod {q}; "
+                             "twiddles must be distinct mod q")
+        given[r] = t
+    twiddle_set = tuple(given)
+    secret_roles = tuple(secret_roles)
+    for i, role in enumerate(secret_roles):
+        if role in secret_roles[:i]:
+            raise ValueError(f"secret role {role!r} repeats; roles must be distinct")
 
     taps = tap_inventory(n_stages, include_adversarial)
     verdict_counts = {tap: {v: 0 for v in Verdict} for tap in taps}
@@ -387,7 +398,7 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
         q=q,
         n_stages=n_stages,
         twiddle_set=twiddle_set,
-        secret_roles=tuple(secret_roles),
+        secret_roles=secret_roles,
         n_configurations=n_configurations,
         tap_verdict_counts=verdict_counts,
         non_constant_marginal=ncm_findings,

@@ -29,12 +29,13 @@ for a constant marginal.  At q = 5 the census takes under 0.02 s.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
+from ._steps import steps
 from .wires import (
     VERDICT_BY_CODE,
     Verdict,
@@ -48,12 +49,6 @@ from .wires import (
 # Full enumeration is capped at q^2 <= 25 bits (q <= 5); one modulus up,
 # the space has 2^36 wires and is out of desk scale.
 MAX_CENSUS_Q = 5
-
-# Packed indices per lookup step of `classify_packed`: the 2^16 intp keys
-# of a step (512 KB) stay in a core's L2.  A batch of 2^20 indices looked
-# up in one piece wrote 8 MB of keys per key table and took 39-45 ms per
-# call, against 22-26 ms in steps.
-PACKED_STEP = 1 << 16
 
 _FIELD_BITS = 3
 
@@ -108,8 +103,8 @@ def classify_packed(q: int, wires) -> tuple[np.ndarray, np.ndarray]:
     """Verdict predicates for an array of packed wire indices.
 
     Returns (value_independent, constant_marginal) boolean arrays of the
-    shape of `wires`, looked up PACKED_STEP indices at a time.  Every index
-    must be an integer in [0, 2^(q^2)).
+    shape of `wires`, looked up a step of STEP_CELLS indices at a time (see
+    `_steps`).  Every index must be an integer in [0, 2^(q^2)).
     """
     _check_q(q)
     w = np.asarray(wires)
@@ -123,8 +118,7 @@ def classify_packed(q: int, wires) -> tuple[np.ndarray, np.ndarray]:
     low, high = np.uint32((1 << k) - 1), np.uint32(k)
     col_lo, col_hi, diag_lo, diag_hi, vi_key, cm_key = _key_tables(q)
     vi, cm = np.empty(flat.size, dtype=bool), np.empty(flat.size, dtype=bool)
-    for start in range(0, flat.size, PACKED_STEP):
-        step = slice(start, start + PACKED_STEP)
+    for _, step in steps(1, flat.size, 1):
         lo, hi = flat[step] & low, flat[step] >> high
         vi[step] = np.take(vi_key, col_lo[lo] + col_hi[hi])
         cm[step] = np.take(cm_key, diag_lo[lo] + diag_hi[hi])
@@ -171,15 +165,10 @@ class CensusReport:
             raise ValueError("more value-independent wires than constant-marginal ones")
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "total_wires": self.total_wires,
-            "count_value_independent": self.count_value_independent,
-            "count_constant_marginal": self.count_constant_marginal,
-            "count_conservative": self.count_conservative,
-            "count_non_constant": self.count_non_constant,
-            "soundness_violations": self.soundness_violations,
-        }
+        """Every field but the wall time, which differs between runs."""
+        doc = asdict(self)
+        del doc["wall_time_seconds"]
+        return doc
 
 
 def _value_independent_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -39,10 +39,6 @@ FULL_COUNTS_MAX_Q = 1 << 16
 # exhaustive, --samples otherwise); larger runs are refused up front.
 UREM_MAX_PAIRS = 1 << 24
 
-# Entries of an integer matrix rendered per block of json or human output
-# (whole rows, one at least); bounds the renderer's temporaries to a few
-# dozen bytes per entry of one block, a few MB.
-MATRIX_BLOCK_CELLS = 1 << 16
 # 10^1 .. 10^18: a non-negative int64 has one digit more than the number
 # of these it reaches.
 _POW10 = tuple(10**k for k in range(1, 19))
@@ -146,23 +142,23 @@ def _render_rows(block: np.ndarray) -> str:
 
 
 def _row_blocks(m: np.ndarray):
-    """The rows of a non-empty matrix as ",[a,b],[c,d]" text, one block of
-    whole rows, about MATRIX_BLOCK_CELLS entries, at a time.  A matrix
-    whose rows share one row's memory (stride 0) renders that row once
-    and repeats it."""
-    step = max(MATRIX_BLOCK_CELLS // m.shape[1], 1)
+    """The rows of a non-empty matrix as ",[a,b],[c,d]" text, a step of
+    whole rows at a time, so the renderer's temporaries stay a few MB.  A
+    matrix whose rows share one row's memory (stride 0) renders that row
+    once and repeats it."""
+    from ._steps import steps
+
     row = _render_rows(m[:1]) if len(m) > 1 and not m.strides[0] else None
-    for start in range(0, len(m), step):
-        count = min(step, len(m) - start)
-        yield row * count if row else _render_rows(m[start:start + count])
+    for _, rows in steps(1, *m.shape):
+        yield row * len(m[rows]) if row else _render_rows(m[rows])
 
 
 def _json_matrix(m: np.ndarray):
     """A 2-D array of non-negative integers as JSON text, in blocks.
 
     The blocks joined equal json.dumps(m.tolist(), separators=(",", ":")).
-    Each holds the whole rows of about MATRIX_BLOCK_CELLS entries (see
-    `_row_blocks`), so the temporaries do not grow with the matrix.
+    Each holds the whole rows of one step (see `_row_blocks`), so the
+    temporaries do not grow with the matrix.
     """
     if m.ndim != 2 or m.dtype.kind not in "iu":
         raise TypeError(f"not a matrix of integers: {m.ndim}-D {m.dtype}")
@@ -421,13 +417,10 @@ def cmd_witness(args) -> Result:
 
 
 def cmd_butterfly(args) -> Result:
-    twiddles = None
-    if args.twiddles:
-        twiddles = tuple(int(t) for t in args.twiddles.split(","))
     report = conjecture_sweep(
         q=args.q,
         n_stages=args.stages,
-        twiddle_set=twiddles,
+        twiddle_set=args.twiddles,
         secret_roles=tuple(args.roles.split(",")),
         include_adversarial=not args.no_adversarial,
     )
@@ -466,6 +459,15 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def int_list(text: str) -> tuple[int, ...] | None:
+    """An option value of comma-separated integers, None for an empty one;
+    argparse names the option when it refuses one."""
+    try:
+        return tuple(int(part) for part in text.split(",")) if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 def _theory_violation():
@@ -539,10 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "conjecture_sweep")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--twiddles", default=None,
-                   help="comma-separated twiddle set (default: all nonzero)")
-    p.add_argument("--roles", default="a,b",
-                   help="comma-separated secret roles (default: a,b)")
+    p.add_argument("--twiddles", type=int_list, default=None,
+                   help="comma-separated twiddle set, distinct and nonzero mod q "
+                        "(default: all nonzero)")
+    p.add_argument("--roles", choices=("a,b", "b,a", "a", "b"), default="a,b",
+                   metavar="ROLES", help="secret roles: a,b (default), b,a, a or b")
     p.add_argument("--no-adversarial", action="store_true",
                    help="skip the hypothetical recombination probes")
 

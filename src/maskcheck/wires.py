@@ -25,32 +25,23 @@ import io
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import _steps
 from .zq import DEFAULT_ENUMERATION_CAP, ZqElement, _as_modulus
 
 # Dense tables are refused above this many cells (q^2) unless the caller
 # raises the cap; keeps accidental q=8380417 table construction impossible.
 DEFAULT_CELL_CAP = 1 << 26
 
-# Table or marginal-table cells that the dense analysis reads per step, so
-# that a classify run holds those two tables and a few MB besides.  At
-# q = 3329 a step is 19 rows.
-STEP_CELLS = 1 << 16
-
 # Bytes of a wire file that the loader reads, or parses, at once (a chunk
 # of the table body is cut at a comma): a residue file is then held as its
 # table and about this much besides.
 PARSE_CHUNK = 1 << 20
-
-# Threads that the dense analysis and the loader use at most, one per
-# usable CPU: the text parses, gathers and bincounts they run release the GIL.
-MAX_THREADS = 8
 
 
 class TheoryViolation(RuntimeError):
@@ -168,7 +159,7 @@ def make_wire(q, table, alphabet_size: int = 2,
             f"table has {arr.size} entries, expected q^2 = {qq * qq}"
         )
     if arr.size and (arr.min() < 0 or arr.max() >= alphabet_size):
-        for _, part in _steps(1, arr.size, 1):  # the first bad entry, a step at a time
+        for _, part in _steps.steps(1, arr.size, 1):  # the first bad entry, a step at a time
             hits = (arr[part] < 0) | (arr[part] >= alphabet_size)
             if hits.any():
                 bad = part.start + int(np.argmax(hits))
@@ -228,45 +219,6 @@ def _verdict_codes(q: int, vi: np.ndarray, cm: np.ndarray, what: str) -> np.ndar
     return np.add(~vi, ~cm, dtype=np.int8)  # how many predicates fail
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        return os.cpu_count() or 1
-
-
-def _thread_count(tasks: int) -> int:
-    """Threads for `tasks` independent tasks: one per usable CPU, at most
-    MAX_THREADS and at most one per task, but at least one."""
-    return max(1, min(_usable_cpus(), MAX_THREADS, tasks))
-
-
-def _in_threads(work, tasks: int) -> None:
-    """Run work(k, n) for every k < n = _thread_count(tasks), each on its own
-    thread, the caller's being thread 0.  Once all have ended, re-raise the
-    exception (a warning turned into an error, too) of the lowest-numbered
-    thread that raised one, so that no caller sees a partial result."""
-    n = _thread_count(tasks)
-    errors = [None] * n
-
-    def run(k):
-        try:
-            work(k, n)
-        except BaseException as exc:
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 @lru_cache(maxsize=16)  # the butterfly sweep repeats a few batch shapes
 def _diagonal_keys(q: int, n: int, alphabet: int) -> np.ndarray:
     """Read-only (n, q, q) K[b, s0, s1] = (b*q + (s0+s1) % q) * alphabet, a
@@ -278,60 +230,38 @@ def _diagonal_keys(q: int, n: int, alphabet: int) -> np.ndarray:
     return np.ndarray((n, q, q), run.dtype, run, strides=run.strides + run.strides[1:])
 
 
-def _steps(n: int, rows: int, cols: int) -> list[tuple[slice, slice]]:
-    """(wires, rows) slices that cover an (n, rows, cols) batch in steps of
-    at most STEP_CELLS cells: groups of whole wires while one fits in a
-    step, else blocks of rows of one wire (one row at least)."""
-    wires = max(STEP_CELLS // (rows * cols), 1)
-    block = min(rows, max(STEP_CELLS // cols, 1))
-    return [(slice(b, b + wires), slice(r, r + block))
-            for b in range(0, n, wires) for r in range(0, rows, block)]
-
-
 def _rows_equal(a: np.ndarray) -> np.ndarray:
     """(n,) bools of an (n, rows, cols) batch: does every row of a[b] equal
     its row 0?  A step's results are one per wire of its group, or one per
     row block of its wire."""
-    if a.size <= STEP_CELLS:
+    if a.size <= _steps.STEP_CELLS:
         return (a == a[:, :1]).all(axis=(1, 2))
     parts = [(a[wires, rows] == a[wires, :1]).all(axis=(1, 2))
-             for wires, rows in _steps(*a.shape)]
+             for wires, rows in _steps.steps(*a.shape)]
     return np.concatenate(parts).reshape(len(a), -1).all(axis=1)
-
-
-@lru_cache(maxsize=4)
-def _block_base(q: int, rows: int) -> np.ndarray:
-    """Read-only (rows, q) B[j, s1] = ((j - s1) % q) * q + s1, the flat
-    s0-major index of the cell (s0 = j - s1, s1); adding x0 * q, mod q^2,
-    moves it to the cell of secret x0 + j."""
-    j, s1 = np.ogrid[:rows, :q]
-    base = (j - s1) % q * q + s1
-    base.setflags(write=False)
-    return base
 
 
 def _block_marginals(q: int, cells: np.ndarray, alphabet: int) -> np.ndarray:
     """Marginal tables (n, q, alphabet), in `_count_dtype(q)`, of n flat
-    s0-major tables, counted on threads in blocks of secret rows x of about
-    STEP_CELLS cells each.  A block gathers its diagonals, the rows
-    t[(x - s1) % q, s1] over s1, with `_block_base`, offsets each row's
-    keys by its row and bincounts them into its own rows of the result."""
-    n = len(cells)
-    rows = max(STEP_CELLS // max(q, alphabet), 1)
-    base = _block_base(q, rows)
-    row_keys = np.arange(0, rows * alphabet, alphabet)[:, None]
-    blocks = [(b, x0) for b in range(n) for x0 in range(0, q, rows)]
-    m = np.zeros((n, q, alphabet), dtype=_count_dtype(q))
+    s0-major tables, counted on threads a step (a block of secret rows x of
+    one wire) at a time: a block gathers its diagonals t[(x - s1) % q, s1],
+    offsets each row's keys by its row and bincounts them into its rows."""
+    m = np.zeros((len(cells), q, alphabet), dtype=_count_dtype(q))
+    blocks = _steps.steps(len(cells), q, max(q, alphabet))
+    # base[j, s1] = ((j - s1) % q) * q + s1, the flat index of the cell
+    # (j - s1, s1); adding x0 * q, mod q^2, moves it to secret x0 + j.
+    j, s1 = np.ogrid[:blocks[0][1].stop if blocks else 0, :q]
+    base = (j - s1) % q * q + s1
 
-    def work(k, threads):
-        for b, x0 in blocks[k::threads]:
-            x1 = min(x0 + rows, q)
-            keys = np.take(cells[b], base[:x1 - x0] + x0 * q, mode="wrap")
-            keys = keys + row_keys[:x1 - x0]
-            m[b, x0:x1] = np.bincount(keys.ravel(), minlength=(x1 - x0) * alphabet
-                                      ).reshape(x1 - x0, alphabet)
+    def count(step):
+        wire, rows = step
+        x0, x1, _ = rows.indices(q)
+        keys = np.take(cells[wire], base[:x1 - x0] + x0 * q, mode="wrap")
+        keys = keys + np.arange(0, (x1 - x0) * alphabet, alphabet)[:, None]
+        m[wire, rows] = np.bincount(keys.ravel(), minlength=(x1 - x0) * alphabet
+                                    ).reshape(x1 - x0, alphabet)
 
-    _in_threads(work, len(blocks))
+    _steps.in_threads(count, blocks)
     return m
 
 
@@ -349,22 +279,22 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     A wire whose marginal table (q * alphabet cells) is larger than one
     step, a residue wire, is counted by `_block_marginals`.  Otherwise the
     keys t + `_diagonal_keys` are scattered into the n*q histograms
-    `_steps` of STEP_CELLS cells at a time, counting in `_count_dtype(q)`;
+    `_steps.steps` of STEP_CELLS cells at a time, counting in `_count_dtype(q)`;
     a batch of one step takes one bincount (int64 counts), cheaper per
     call than add.at.  Both predicates are compared step by step.
     """
     n = len(cells)
     t = cells.reshape(n, q, q)
-    if q * alphabet > STEP_CELLS:
+    if q * alphabet > _steps.STEP_CELLS:
         m = _block_marginals(q, cells, alphabet)
-    elif t.size <= STEP_CELLS:
+    elif t.size <= _steps.STEP_CELLS:
         m = np.bincount((t + _diagonal_keys(q, n, alphabet)).ravel(),
                         minlength=n * q * alphabet)
     else:
         keys = _diagonal_keys(q, n, alphabet)
         m = np.zeros(n * q * alphabet, dtype=_count_dtype(q))
         one = m.dtype.type(1)  # an untyped 1 leaves add.at's fast path
-        for wires, rows in _steps(n, q, q):
+        for wires, rows in _steps.steps(n, q, q):
             np.add.at(m, (t[wires, rows] + keys[wires, rows]).ravel(), one)
     m = m.reshape(n, q, alphabet)
     return _verdict_codes(q, _rows_equal(t), _rows_equal(m), what), m
@@ -448,7 +378,7 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     each term exactly 0.0 and the sum exactly 0.0 with no cancellation;
     that case returns 0.0 without making the float arrays at all.
     Otherwise only the nonzero counts become floats, found in blocks of
-    rows (see `_steps`), and their terms are summed as one array.
+    rows (see `_steps.steps`), and their terms are summed as one array.
     """
     if has_constant_marginal(w):
         return MutualInformation(bits=0.0, is_zero=True)
@@ -457,7 +387,7 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     colsum = m.sum(axis=0)
     total = float(q) * float(q)
     terms = []
-    for _, rows in _steps(1, *m.shape):
+    for _, rows in _steps.steps(1, *m.shape):
         block = m[rows]
         nz = block > 0
         h = block[nz].astype(np.float64)
@@ -595,7 +525,7 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     of fewer entries leaves the rest of the array unwritten, so the caller
     compares the number of values with the entries it expects.  Only the
     count of the digits is kept while np.fromstring fills the int64 array,
-    and the digit widths are counted STEP_CELLS values at a time.
+    and the digit widths are counted a step of values at a time.
     """
     digits = body.translate(None, b"," + _JSON_WS_BYTES)
     if not digits.isdigit():
@@ -616,10 +546,9 @@ def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     if top >= _INT64_MAX:
         return None
     # Every digit must belong to one value written without leading zeros.
-    widths = arr.size + sum(
-        np.count_nonzero(arr[i:i + STEP_CELLS] >= 10 ** k)
-        for i in range(0, arr.size, STEP_CELLS) for k in range(1, len(str(top)))
-    )
+    widths = arr.size + sum(np.count_nonzero(arr[part] >= 10 ** k)
+                            for _, part in _steps.steps(1, arr.size, 1)
+                            for k in range(1, len(str(top))))
     return arr if n_digits == widths else None
 
 
@@ -628,7 +557,7 @@ def _split_int_wire(read_at) -> tuple[dict, list] | None:
     table's body cut into chunks, read in order with `read_at(offset, size)`.
 
     A read is PARSE_CHUNK bytes split evenly between the threads that
-    `_thread_count` allows, so the chunks in flight in pass 2 stay within
+    `_steps.thread_count` allows, so the chunks in flight in pass 2 stay within
     that budget.  The body runs from the first '"table": [' to the first
     "]" after it.  Each of its reads but the first cuts a chunk at its
     first comma, and counts its commas: a chunk is (start, stop, first
@@ -640,7 +569,7 @@ def _split_int_wire(read_at) -> tuple[dict, list] | None:
     ran once.  Otherwise, or where the rest of the file is not valid JSON
     in UTF-8, returns None, so that the caller decodes the whole file.
     """
-    size = max(PARSE_CHUNK // _thread_count(PARSE_CHUNK), 1)
+    size = max(PARSE_CHUNK // _steps.thread_count(PARSE_CHUNK), 1)
     # The first '"table": [', or the start of one that ends the bytes read
     # so far and that the next read may complete.
     key = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\[|'
@@ -708,8 +637,8 @@ def _parse_int_body(read_at, chunks: list, alphabet: int) -> np.ndarray | None:
     top = np.iinfo(table.dtype).max
     refused = []
 
-    def work(k, threads):
-        for start, stop, first, end in chunks[k::threads]:
+    def parse(part):
+        for start, stop, first, end in part:
             if refused:
                 return
             chunk = read_at(start, stop - start)
@@ -725,7 +654,7 @@ def _parse_int_body(read_at, chunks: list, alphabet: int) -> np.ndarray | None:
             table[first:end] = values
             del values  # before the next chunk's are made
 
-    _in_threads(work, len(chunks) if alphabet > 10 else 1)
+    _steps.in_threads(parse, [[c] for c in chunks] if alphabet > 10 else [chunks])
     return None if refused else table
 
 

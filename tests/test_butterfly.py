@@ -237,6 +237,29 @@ class TestConjectureSweep:
         with pytest.raises(ValueError):
             mc.conjecture_sweep(5, 4)
 
+    @pytest.mark.parametrize("twiddles,message", [
+        ((1, 4), "twiddle 4 repeats twiddle 1 mod 3"),
+        ((2, 2), "twiddle 2 repeats twiddle 2 mod 3"),
+        ((1, 2, -2), "twiddle -2 repeats twiddle 1 mod 3"),
+    ])
+    def test_twiddles_repeated_mod_q_refused(self, twiddles, message):
+        with pytest.raises(ValueError, match=message):
+            mc.conjecture_sweep(3, 1, twiddle_set=twiddles)
+
+    @pytest.mark.parametrize("roles,again", [(("a", "a", "b"), "a"), (("b", "b"), "b"),
+                                             (("b", "a", "b"), "b")])
+    def test_roles_repeated_refused(self, roles, again):
+        with pytest.raises(ValueError, match=f"secret role {again!r} repeats"):
+            mc.conjecture_sweep(3, 1, secret_roles=roles)
+
+    @pytest.mark.parametrize("twiddles,roles", [((1,), ("a", "b")), ((2, 1), ("b",)),
+                                                ((4, 2), ("a", "b"))])
+    def test_each_distinct_configuration_counted_once(self, twiddles, roles):
+        rep = mc.conjecture_sweep(3, 2, twiddle_set=twiddles, secret_roles=roles)
+        assert rep.twiddle_set == tuple(t % 3 for t in twiddles)
+        assert rep.n_configurations == len(twiddles) ** 2 * len(roles) * 9
+        assert sum(rep.tap_verdict_counts["s1.c0"].values()) == rep.n_configurations
+
     def test_deterministic(self):
         a = mc.conjecture_sweep(3, 2).to_dict()
         b = mc.conjecture_sweep(3, 2).to_dict()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import cli
+from maskcheck import _steps, cli
 from maskcheck.cli import main, stream_rng
 
 
@@ -413,6 +413,39 @@ class TestButterfly:
         assert code == 2 and not out
         assert "0 mod 5; twiddles must be nonzero mod q" in err
 
+    @pytest.mark.parametrize("twiddles,roles,configurations", [
+        ("1", "a,b", 18), ("1,2", "a,b", 36), ("2,1", "b", 18), ("", "a,b", 36),
+    ])
+    def test_configurations_counted_once(self, capsys, twiddles, roles, configurations):
+        code, out, _ = run(capsys, "butterfly", "--q", "3", "--twiddles", twiddles,
+                           "--roles", roles, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n_configurations"] == configurations
+
+    @pytest.mark.parametrize("twiddles", ["1,4", "2,2", "1,2,-1"])
+    def test_twiddles_repeated_mod_q_exit_2(self, capsys, twiddles):
+        first, again = {"1,4": ("1", "4"), "2,2": ("2", "2"), "1,2,-1": ("2", "-1")}[twiddles]
+        code, out, err = run(capsys, "butterfly", "--q", "3", "--twiddles", twiddles)
+        assert code == 2 and not out
+        assert err == (f"error: twiddle {again} repeats twiddle {first} mod 3; "
+                       "twiddles must be distinct mod q\n")
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--twiddles", "1,,", "not comma-separated integers: '1,,'"),
+        ("--twiddles", "1.5", "not comma-separated integers: '1.5'"),
+        *(("--roles", roles, f"invalid choice: {roles!r} "
+                             "(choose from 'a,b', 'b,a', 'a', 'b')")
+          for roles in ("a,a,b", "b,b", "a,c", "a,,b", "")),
+    ])
+    def test_refused_option_exits_2_naming_it(self, capsys, monkeypatch,
+                                              option, value, message):
+        refuse_call(monkeypatch, cli, "conjecture_sweep")
+        with pytest.raises(SystemExit) as exc:
+            main(["butterfly", "--q", "3", option, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert captured.err.endswith(f"error: argument {option}: {message}\n")
+
 
 class TestTheoryViolationExits3:
     """A contradicted check still writes its output, then one stderr line."""
@@ -553,7 +586,7 @@ def rendered(m):
 
 def block_rows(cols):
     """Rows per rendered block of a matrix with `cols` columns."""
-    return max(cli.MATRIX_BLOCK_CELLS // cols, 1)
+    return max(_steps.STEP_CELLS // cols, 1)
 
 
 BLOCK = block_rows(3)  # three columns, as in the fixed cases below
@@ -608,7 +641,7 @@ class TestJsonEmitter:
         np.zeros((BLOCK, 3), dtype=np.int64),
         np.zeros((BLOCK + 1, 3), dtype=np.int64),
         np.arange(3 * (2 * BLOCK + 1), dtype=np.int64).reshape(-1, 3) * 997,
-        np.arange(3 * (cli.MATRIX_BLOCK_CELLS + 1), dtype=np.int64).reshape(3, -1),
+        np.arange(3 * (_steps.STEP_CELLS + 1), dtype=np.int64).reshape(3, -1),
         np.zeros((0, 3), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int64),
         np.array([[7, 1000]], dtype=np.int32),

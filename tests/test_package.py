@@ -36,10 +36,10 @@ ENTRY_PATHS = [
     (["--version"], "cli", ""),
     (["--help"], "cli", ""),
     (["urem-check", "--q", "7", "--seed", "-1"], "cli", ""),  # a usage error
-    (["census", "--q", "3"], "census cli wires zq", ""),
-    (["classify", "{wire}"], "cli wires zq", ""),
-    (["witness", "--q", "3"], "cli wires zq", ""),
-    (["butterfly", "--q", "2"], "butterfly cli wires zq", ""),
+    (["census", "--q", "3"], "_steps census cli wires zq", ""),
+    (["classify", "{wire}"], "_steps cli wires zq", ""),
+    (["witness", "--q", "3"], "_steps cli wires zq", ""),
+    (["butterfly", "--q", "2"], "_steps butterfly cli wires zq", ""),
     (["bias", "--n", "16", "--q", "5"], "cli rngbias", "fractions"),
     (["bounds", "--q", "5", "--w", "8"], "bitvec cli", ""),
     (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "bitvec cli", "hashlib"),

@@ -1,0 +1,138 @@
+"""The step budget and the thread helper that every stepped or threaded
+loop goes through, and results that must not depend on either."""
+
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import maskcheck as mc
+from maskcheck import _steps, census, cli, wires
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 5), rows=st.integers(0, 9), cols=st.integers(0, 9),
+       budget=st.integers(1, 40))
+def test_steps_cover_each_cell_once(n, rows, cols, budget):
+    """The steps of an (n, rows, cols) batch cover each of its cells once,
+    each within the budget unless it is one row of one wire; a batch
+    without cells, an empty array say, has no steps."""
+    original = _steps.STEP_CELLS
+    _steps.STEP_CELLS = budget
+    try:
+        parts = _steps.steps(n, rows, cols)
+    finally:
+        _steps.STEP_CELLS = original
+    seen = np.zeros((n, rows), dtype=int)
+    for wires_, rows_ in parts:
+        block = seen[wires_, rows_]
+        assert block.size * cols <= budget or block.shape == (1, 1)
+        seen[wires_, rows_] += 1
+    assert (seen == 1).all()
+    if n * rows == 0:
+        assert parts == []
+
+
+def test_in_threads_stripes_items_and_raises_the_first_error(monkeypatch):
+    """Thread k of n runs items k, k + n, ... up to its first error; after
+    all have ended, the error of the lowest-numbered thread that raised
+    one is raised."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
+    ran = {}
+
+    def record(item):
+        ran.setdefault(threading.current_thread().name, []).append(item)
+        if item in (4, 5):
+            raise ValueError(f"item {item}")
+
+    with pytest.raises(ValueError, match="item 4"):
+        _steps.in_threads(record, list(range(8)))
+    assert sorted(map(sorted, ran.values())) == [[0, 3, 6], [1, 4], [2, 5]]
+
+
+def test_thread_start_failure_joins_the_started_threads(monkeypatch):
+    """When the second of three threads cannot start, the first, already
+    running, is joined before the error reaches the caller, so no thread is
+    left writing into the caller's results.  No real thread is started:
+    `start` records the thread, and `join` runs its work."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
+    events, done = [], []
+
+    def start(self):
+        if events:
+            raise RuntimeError("can't start new thread")
+        events.append(("start", self))
+
+    def join(self, timeout=None):
+        events.append(("join", self))
+        self.run()
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(threading.Thread, "join", join)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        _steps.in_threads(done.append, list(range(7)))
+    first = events[0][1]
+    assert events == [("start", first), ("join", first)]
+    assert done == [1, 4]  # thread 1's items; the caller's thread 0 never ran
+
+
+def residue_file(path, q):
+    """A random residue wire (alphabet q, values of two digits), saved."""
+    rng = np.random.default_rng(q)
+    mc.save_wire(mc.make_wire(q, rng.integers(0, q, q * q), alphabet_size=q), path)
+    return path
+
+
+def outcomes(tmp_path):
+    """What each stepped or threaded loop returns on fixed inputs: the
+    analysis of a Boolean and a residue wire (both above 160 cells), a
+    bulk batch, packed census lookups, the first bad entry make_wire
+    names, a residue file read in multi-digit chunks and a rendered
+    matrix."""
+    rng = np.random.default_rng(7)
+    found = {}
+    for name, q, alphabet in (("boolean", 13, 2), ("residue", 29, 29)):
+        table = rng.integers(0, alphabet, q * q)
+        w = mc.make_wire(q, table, alphabet_size=alphabet)
+        mi = mc.mutual_information(w)
+        found[name] = (mc.classify(w), mc.marginal_table(w).tolist(), mi.bits, mi.is_zero)
+        found[f"{name}-json"] = "".join(cli._json_matrix(mc.marginal_table(w)))
+    bulk = np.vstack([rng.integers(0, 3, (4, 49)), np.tile(rng.integers(0, 3, 7), (2, 7))])
+    found["bulk"] = mc.classify_cells_bulk(7, bulk).tolist()
+    for q in (4, 5):
+        indices = rng.integers(0, 1 << q * q, 1000)
+        found[f"packed-{q}"] = [a.tolist() for a in census.classify_packed(q, indices)]
+    found["packed-empty"] = [(a.shape, a.dtype) for a in
+                             census.classify_packed(3, np.zeros(0, dtype=np.int64))]
+    bad = [0, 1] * 50
+    bad[61], bad[77] = 5, -2
+    try:
+        mc.make_wire(10, bad)
+    except ValueError as exc:
+        found["first-bad"] = str(exc)
+    w = mc.load_wire(residue_file(tmp_path / "wire.json", 31))
+    found["loaded"] = (w.table.dtype, w.table.tolist())
+    return found
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("budget", [3, 160])
+def test_results_independent_of_budget_and_threads(tmp_path, monkeypatch, budget, threads):
+    """Every loop that goes through `_steps` returns under a step budget
+    of 3 or 160 cells, on 1 to 3 threads, what it returns under the
+    defaults, where none of these inputs is cut into steps."""
+    expected = outcomes(tmp_path)
+    assert expected["first-bad"] == "table entry 5 at index 61 outside alphabet [0, 2)"
+    monkeypatch.setattr(_steps, "STEP_CELLS", budget)
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 256)
+
+    def refused(data):
+        raise AssertionError("the table went through json.loads")
+
+    monkeypatch.setattr(wires, "_decode_wire_json", refused)
+    assert len(_steps.steps(1, 13, 13)) > 1 and len(_steps.steps(6, 7, 7)) > 1
+    assert _steps.thread_count(len(_steps.steps(1, 29, 29))) == threads
+    assert outcomes(tmp_path) == expected

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import cli, wires
+from maskcheck import _steps, cli, wires
 
 
 def reference_wire(path):
@@ -110,7 +110,7 @@ def test_matches_json_loads_reference(tmp_path, data):
 
 def force_threads(monkeypatch, threads):
     """Make the loader and the analysis see `threads` usable CPUs."""
-    monkeypatch.setattr(wires, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
 
 
 @settings(max_examples=400, deadline=None,
@@ -232,13 +232,13 @@ def test_pinned_read_edges(tmp_path, monkeypatch, name):
 def change_between_passes(monkeypatch, path, old, new):
     """Make the loader's pass 2 find `old` in the file at path replaced by
     `new`: the file is rewritten as pass 2 starts."""
-    in_threads = wires._in_threads
+    in_threads = _steps.in_threads
 
-    def rewrite_then_run(work, tasks):
+    def rewrite_then_run(fn, items):
         path.write_bytes(path.read_bytes().replace(old, new, 1))
-        in_threads(work, tasks)
+        in_threads(fn, items)
 
-    monkeypatch.setattr(wires, "_in_threads", rewrite_then_run)
+    monkeypatch.setattr(_steps, "in_threads", rewrite_then_run)
 
 
 CHANGED_TABLES = {
@@ -393,7 +393,7 @@ def test_pinned_edges_split_across_three_threads(tmp_path, monkeypatch, name):
     text, chunk = EDGES[name]
     force_threads(monkeypatch, 3)
     monkeypatch.setattr(wires, "PARSE_CHUNK", 3 * chunk)
-    assert wires._thread_count(wires.PARSE_CHUNK) == 3
+    assert _steps.thread_count(wires.PARSE_CHUNK) == 3
     path = tmp_path / "wire.json"
     for doc in {text, text.replace('"alphabet": 2,', '"alphabet": 3329,')}:
         assert_same_as_reference(path, doc.encode())
@@ -476,7 +476,7 @@ def test_eight_threads_switching_every_microsecond(tmp_path, monkeypatch):
     marginals = mc.marginal_table(mc.make_wire(q, table, alphabet_size=q))
     force_threads(monkeypatch, 8)
     monkeypatch.setattr(wires, "PARSE_CHUNK", 1024)
-    monkeypatch.setattr(wires, "STEP_CELLS", 500)
+    monkeypatch.setattr(_steps, "STEP_CELLS", 500)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

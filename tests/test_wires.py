@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import wires
+from maskcheck import _steps, wires
 from maskcheck.wires import VERDICT_BY_CODE, WIRE_ORDER, _analyze
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ class TestWireConstruction:
     def test_first_bad_entry_named_across_steps(self, monkeypatch, bad):
         """The first entry outside the alphabet is named, searched for 3
         entries at a time in a q = 4 table."""
-        monkeypatch.setattr(wires, "STEP_CELLS", 3)
+        monkeypatch.setattr(_steps, "STEP_CELLS", 3)
         table = [0, 1] * 8
         for i, entry in bad.items():
             table[i] = entry
@@ -233,12 +233,12 @@ class TestDenseKernel:
                    for q in (3, 7)}
         mi = {q: [mc.mutual_information(mc.make_wire(q, row, alphabet)).bits
                   for row in rows] for q, rows in batches.items()}
-        monkeypatch.setattr(wires, "STEP_CELLS", step)
+        monkeypatch.setattr(_steps, "STEP_CELLS", step)
         for q, rows in batches.items():
             if q * q > step:
-                assert len(wires._steps(1, q, q)) > 1
+                assert len(_steps.steps(1, q, q)) > 1
             if 5 * q * q > step:
-                assert len(wires._steps(5, q, q)) > 1
+                assert len(_steps.steps(5, q, q)) > 1
             codes, m = _analyze(q, rows, alphabet, "row {}")
             assert mc.classify_cells_bulk(q, rows).tolist() == codes.tolist()
             for row, code, hists, bits in zip(rows, codes, m, mi[q]):
@@ -261,11 +261,11 @@ class TestDenseKernel:
         step of 160 cells, counted by `_block_marginals` on 1 to 4 threads in
         blocks of secret rows whose last one is short, against histograms of
         the rows of `reparam_table`."""
-        monkeypatch.setattr(wires, "STEP_CELLS", 160)
-        monkeypatch.setattr(wires, "_usable_cpus", lambda: threads)
+        monkeypatch.setattr(_steps, "STEP_CELLS", 160)
+        monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
         rng = np.random.default_rng(60 + threads)
         for q in (13, 29, 41, 61):  # blocks of 12, 5, 3 and 2 rows
-            assert q * q > wires.STEP_CELLS and q % (wires.STEP_CELLS // q)
+            assert q * q > _steps.STEP_CELLS and q % (_steps.STEP_CELLS // q)
             tables = [batch_row(rng, q, q, i) for i in range(4)]
             tables.append(rng.integers(0, q, q * q))
             for table in tables:
