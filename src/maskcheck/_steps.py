@@ -42,7 +42,9 @@ def in_threads(fn, items) -> None:
     taking items k, k + n, ... (the caller's thread is thread 0).  Once all
     have ended, the error of the lowest-numbered thread that raised one (a
     warning turned error, too) is raised, so no caller sees a partial
-    result; a thread that cannot start raises once the started ones end."""
+    result.  Only fn's errors are raised: from the first thread that cannot
+    start on, the caller's thread runs the items of the unstarted threads
+    after its own."""
     n = thread_count(len(items))
     errors = [None] * n
 
@@ -57,9 +59,13 @@ def in_threads(fn, items) -> None:
     try:
         for k in range(1, n):
             thread = threading.Thread(target=run, args=(k,))
-            thread.start()
+            try:
+                thread.start()
+            except RuntimeError:  # can't start new thread
+                break
             started.append(thread)
-        run(0)
+        for k in (0, *range(len(started) + 1, n)):
+            run(k)
     finally:
         for thread in started:
             thread.join()

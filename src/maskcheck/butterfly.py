@@ -41,6 +41,9 @@ from .zq import Modulus, ZqElement
 SWEEP_MAX_Q = 7
 SWEEP_MAX_STAGES = 3
 
+# Findings a sweep lists of each kind; the tap verdict counts count them all.
+MAX_FINDINGS = 100
+
 # Per-stage signal inventory.  Sharewise signals are the honest hardware
 # wires; the recombined signals are hypothetical unmasking probes and are
 # marked adversarial.
@@ -311,8 +314,7 @@ class SweepReport:
 
 def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
                      secret_roles=("a", "b"),
-                     include_adversarial: bool = True,
-                     max_findings: int = 100) -> SweepReport:
+                     include_adversarial: bool = True) -> SweepReport:
     """Classify every tap of every configuration in a pipeline family.
 
     Configurations are the product of all twiddle assignments (default: all
@@ -322,8 +324,9 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
     exhaustive over all q^2 secret share pairs.
 
     Flags any sharewise tap that comes back NON_CONSTANT_MARGINAL and any
-    adversarial (recombination) tap that comes back value-independent.
-    Twiddles must be nonzero and distinct mod q, and roles distinct.
+    adversarial (recombination) tap that comes back value-independent,
+    listing the first MAX_FINDINGS of each kind.  Twiddles must be nonzero
+    and distinct mod q, and roles distinct.
     """
     if not 2 <= q <= SWEEP_MAX_Q:
         raise ValueError(f"sweep supports 2 <= q <= {SWEEP_MAX_Q}, got {q}")
@@ -380,18 +383,18 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
                 # Would-be counterexamples: a sharewise tap with a non-constant
                 # marginal, or a recombination probe read as value-independent.
                 if is_adversarial_tap(tap):
-                    findings, flagged = adv_vi_findings, 0
+                    findings, flagged = adv_vi_findings, Verdict.VALUE_INDEPENDENT
                 else:
-                    findings, flagged = ncm_findings, 2
-                if not counts[flagged]:
+                    findings, flagged = ncm_findings, Verdict.NON_CONSTANT_MARGINAL
+                code = VERDICT_BY_CODE.index(flagged)
+                if not counts[code]:
                     continue
-                hits = np.nonzero(codes == flagged)[0][:max_findings - len(findings)]
+                hits = np.nonzero(codes == code)[0][:MAX_FINDINGS - len(findings)]
                 for ctx_idx in hits.tolist():
                     pair = (int(pairs[0][ctx_idx]), int(pairs[1][ctx_idx]))
                     findings.append(TapFinding(
                         tap=tap, twiddles=twiddles, secret_role=role,
-                        context=(pair,) * n_stages,
-                        verdict=VERDICT_BY_CODE[flagged],
+                        context=(pair,) * n_stages, verdict=flagged,
                     ))
 
     return SweepReport(

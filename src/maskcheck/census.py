@@ -161,7 +161,9 @@ class CensusReport:
     def __post_init__(self):
         if self.count_constant_marginal + self.count_non_constant != self.total_wires:
             raise ValueError("census counts do not partition the wire space")
-        if self.count_value_independent > self.count_constant_marginal:
+        # Only the sound value-independent wires are constant-marginal ones.
+        if (self.count_value_independent - self.soundness_violations
+                > self.count_constant_marginal):
             raise ValueError("more value-independent wires than constant-marginal ones")
 
     def to_dict(self) -> dict:
@@ -221,7 +223,7 @@ def run_census(q: int, parallelism: int = 1) -> CensusReport:
         total_wires=total,
         count_value_independent=n_vi,
         count_constant_marginal=n_cm,
-        count_conservative=n_cm - n_vi,
+        count_conservative=n_cm - (n_vi - n_bad),
         count_non_constant=total - n_cm,
         soundness_violations=n_bad,
         wall_time_seconds=wall,

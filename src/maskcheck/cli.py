@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable
+from types import CodeType
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __all__ as _PUBLIC, __version__
@@ -47,8 +48,9 @@ _POW10 = tuple(10**k for k in range(1, 19))
 def __getattr__(name: str):
     """Binds a public name of the package here the first time it is read
     (PEP 562), so that only the runs that use a name import its module.
-    `main` binds each subcommand's names before calling it; a name already
-    bound, by `main` or from outside, is never rebound."""
+    `main` binds the names a subcommand's handler reads before calling it
+    (`_bind_names`); a name already bound, by `main` or from outside, is
+    never rebound."""
     if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(sys.modules[__package__], name)
@@ -73,13 +75,14 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
 class Result(NamedTuple):
     """What one subcommand found, ready to be written in any format.
 
-    `human` and `csv` are called only when their format is asked for, so
-    large outputs cost nothing in the other formats.  A `doc` value is a
-    JSON value or a matrix of non-negative integers (np.ndarray), which
-    the json output streams.  Without `csv` the csv output is key,value
-    rows of `doc`.  An `alarm` reports a
-    theory-contradicting result: it goes to stderr after the output and
-    sets exit code 3.
+    `doc` holds the subcommand's own fields; `main` adds "schema" and
+    "command".  `human` and `csv` are called only when their format is
+    asked for, so large outputs cost nothing in the other formats.  A `doc`
+    value is a JSON value or a matrix of non-negative integers
+    (np.ndarray), which the json output streams.  Without `csv` the csv
+    output is the key,value rows of the scalar fields of `doc`.  An `alarm`
+    reports a theory-contradicting result: it goes to stderr after the
+    output and sets exit code 3.
     """
 
     doc: dict
@@ -98,14 +101,12 @@ def _csv_rows(header: str, rows):
         yield ",".join(map(str, row))
 
 
-def _kv_rows(doc: dict, omit=()):
+def _kv_rows(doc: dict):
+    """key,value rows of the scalar (str, int, float, bool) fields, by key."""
     yield "key,value"
-    for key in sorted(doc.keys() - set(omit)):
-        value = doc[key]
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-            value = '"' + value.replace('"', '""') + '"'
-        yield f"{key},{value}"
+    for key in sorted(doc):
+        if isinstance(doc[key], (str, int, float)):  # a bool is an int
+            yield f"{key},{doc[key]}"
 
 
 def _render_rows(block: np.ndarray) -> str:
@@ -231,8 +232,6 @@ def cmd_classify(args) -> Result:
         marginals = np.broadcast_to(marginals[:1], marginals.shape)
     mi = mutual_information(wire)
     doc = {
-        "schema": SCHEMA,
-        "command": "classify",
         "q": wire.q,
         "alphabet": wire.alphabet_size,
         "verdict": verdict.value,
@@ -249,25 +248,23 @@ def cmd_classify(args) -> Result:
         for x, row in enumerate(_list_rows(marginals)):
             yield f"  x={x}: [{row}]"
 
-    return Result(doc, human, csv=lambda: _kv_rows(doc, omit=("marginals",)))
+    return Result(doc, human)
 
 
 def cmd_census(args) -> Result:
     report = run_census(args.q, parallelism=args.workers)
-    doc = {"schema": SCHEMA, "command": "census", **report.to_dict()}
     alarm = None
     if report.soundness_violations > 0:
         alarm = (f"census found {report.soundness_violations} soundness "
                  "violations (value-independent wires with non-constant marginals)")
-    return Result(doc, lambda: [
+    return Result(report.to_dict(), lambda: [
         f"census at q={report.q}: {report.total_wires} wires",
         f"  value-independent:      {report.count_value_independent}",
         f"  constant marginal:      {report.count_constant_marginal}",
         f"  conservative (CM only): {report.count_conservative}",
         f"  non-constant marginal:  {report.count_non_constant}",
         f"  soundness violations:   {report.soundness_violations}",
-        f"  wall time: {report.wall_time_seconds:.2f} s "
-        "(1 worker(s))",
+        f"  wall time: {report.wall_time_seconds:.2f} s (1 worker(s))",
     ], csv=lambda: _csv_rows("verdict,count", [
         ("VALUE_INDEPENDENT", report.count_value_independent),
         ("CONSTANT_MARGINAL_ONLY", report.count_conservative),
@@ -279,8 +276,6 @@ def cmd_bias(args) -> Result:
     profile = bias_profile(args.n, args.q)
     bounds_ok = verify_bounds(profile)
     doc = {
-        "schema": SCHEMA,
-        "command": "bias",
         "n": profile.n_values,
         "q": profile.q,
         "min_count": profile.min_count,
@@ -291,22 +286,19 @@ def cmd_bias(args) -> Result:
         "ceil_bound": profile.ceil_bound,
         "bounds_verified": bounds_ok,
     }
+    csv = None
     if profile.q <= FULL_COUNTS_MAX_Q:
-        doc["counts"] = profile.counts.tolist()
+        doc["counts"] = counts = profile.counts.tolist()
+        csv = lambda: _csv_rows("residue,count", enumerate(counts))
     else:
         doc["counts_omitted"] = f"q > {FULL_COUNTS_MAX_Q}, summary only"
-
-    def csv():
-        return _csv_rows("residue,count", enumerate(doc["counts"]))
-
     return Result(doc, lambda: [
         f"bias profile of {{0..{profile.n_values - 1}}} mod {profile.q}",
         f"  min count: {profile.min_count}   max count: {profile.max_count}",
         f"  ratio: {profile.ratio_str}   divides exactly: {profile.divides_exactly}",
         f"  bounds [floor, ceil] = [{profile.floor_bound}, {profile.ceil_bound}]"
         f"   verified: {bounds_ok}",
-    ], csv=csv if "counts" in doc else None,
-        alarm=None if bounds_ok else "residue counts violate the floor/ceil bounds")
+    ], csv=csv, alarm=None if bounds_ok else "residue counts violate the floor/ceil bounds")
 
 
 def cmd_bounds(args) -> Result:
@@ -315,8 +307,6 @@ def cmd_bounds(args) -> Result:
     corners_ok = all(no_overflow_bounds(cfg.q, 0, cfg.q - 1)
                      + no_overflow_bounds(cfg.q, cfg.q - 1, 0))
     doc = {
-        "schema": SCHEMA,
-        "command": "bounds",
         "q": cfg.q,
         "width": cfg.width,
         "admissible": cfg.admissible,
@@ -368,8 +358,6 @@ def cmd_urem_check(args) -> Result:
         if urem_recombine(cfg, s0, s1) != x:
             round_trip_failures += 1
     doc = {
-        "schema": SCHEMA,
-        "command": "urem-check",
         "q": q,
         "width": args.w,
         "mode": mode,
@@ -399,8 +387,6 @@ def cmd_witness(args) -> Result:
         except OSError as exc:
             raise ValueError(f"cannot write {args.wire_out}: {exc}") from exc
     doc = {
-        "schema": SCHEMA,
-        "command": "witness",
         "q": wire.q,
         "verdict": verdict.value,
         "mutual_information_bits": mi.bits,
@@ -413,7 +399,7 @@ def cmd_witness(args) -> Result:
         f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})",
         "a constant-marginal wire that is not value-independent: the "
         "conservative gap is real at this modulus",
-    ], csv=lambda: _kv_rows(doc, omit=("wire",)))
+    ])
 
 
 def cmd_butterfly(args) -> Result:
@@ -424,7 +410,7 @@ def cmd_butterfly(args) -> Result:
         secret_roles=tuple(args.roles.split(",")),
         include_adversarial=not args.no_adversarial,
     )
-    doc = {"schema": SCHEMA, "command": "butterfly", **report.to_dict()}
+    doc = report.to_dict()
     taps = doc["tap_verdict_counts"]  # only the nonzero counts, in verdict order
 
     def human():
@@ -470,6 +456,16 @@ def int_list(text: str) -> tuple[int, ...] | None:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
+def _bind_names(code) -> None:
+    """Bind the package's public names that `code`, or code nested in it,
+    reads (see `__getattr__`); a name already bound is never rebound."""
+    for name in set(code.co_names).intersection(_PUBLIC) - globals().keys():
+        __getattr__(name)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            _bind_names(const)
+
+
 def _theory_violation():
     """The TheoryViolation class, or () while the one module that raises
     it, wires, is not loaded: an except clause of () catches nothing."""
@@ -491,38 +487,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: human)",
     )
 
-    def command(name, func, help, uses):
-        """`uses`: the package's names that `func` calls, bound by `main`."""
+    def command(name, func, help):
         p = sub.add_parser(name, parents=[common], help=help)
-        p.set_defaults(func=func, uses=uses.split())
+        p.set_defaults(func=func)
         return p
 
-    p = command("classify", cmd_classify, "classify a wire-function JSON file",
-                "load_wire classify marginal_table mutual_information Verdict "
-                "WireFormatError")
+    p = command("classify", cmd_classify, "classify a wire-function JSON file")
     p.add_argument("wire", help="path to a wire-function JSON file")
 
-    p = command("census", cmd_census, "exhaustive verdict census at small q",
-                "run_census")
+    p = command("census", cmd_census, "exhaustive verdict census at small q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility, must be >= 1; the count "
                         "always runs in one process (default: 1)")
 
-    p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q",
-                "bias_profile verify_bounds")
+    p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q")
     p.add_argument("--n", type=int, required=True,
                    help="sample-space size N (e.g. 4096 for a 12-bit RNG)")
     p.add_argument("--q", type=int, required=True)
 
-    p = command("bounds", cmd_bounds, "width admissibility and overflow range",
-                "WidthConfig no_overflow_bounds")
+    p = command("bounds", cmd_bounds, "width admissibility and overflow range")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help="register width in bits")
 
     p = command("urem-check", cmd_urem_check,
-                "word-level vs ring reparametrization equivalence",
-                "WidthConfig urem_reparam urem_recombine")
+                "word-level vs ring reparametrization equivalence")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, default=24)
     p.add_argument("--seed", type=non_negative_int, default=0)
@@ -531,14 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check all q^2 pairs instead of sampling")
 
     p = command("witness", cmd_witness,
-                "the constant-marginal, non-value-independent wire",
-                "t6_witness classify mutual_information save_wire wire_to_dict")
+                "the constant-marginal, non-value-independent wire")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--wire-out", default=None,
                    help="also write the wire-function JSON to this path")
 
-    p = command("butterfly", cmd_butterfly, "masked butterfly composition sweep",
-                "conjecture_sweep")
+    p = command("butterfly", cmd_butterfly, "masked butterfly composition sweep")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--stages", type=int, default=1)
     p.add_argument("--twiddles", type=int_list, default=None,
@@ -554,9 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for name in args.uses:
-        if name not in globals():
-            __getattr__(name)
+    _bind_names(args.func.__code__)
     try:
         result = args.func(args)
     except ValueError as exc:
@@ -565,6 +550,7 @@ def main(argv=None) -> int:
     except _theory_violation() as exc:
         print(f"theory violation: {exc}", file=sys.stderr)
         return EXIT_THEORY_VIOLATION
+    result.doc.update(schema=SCHEMA, command=args.command)
     try:
         _emit(result, args.format, sys.stdout)
         sys.stdout.flush()

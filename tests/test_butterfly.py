@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import maskcheck as mc
-from maskcheck import butterfly
+from maskcheck import butterfly, cli
+from maskcheck.wires import VERDICT_BY_CODE
 
 
 def stage(q, t):
@@ -259,6 +260,34 @@ class TestConjectureSweep:
         assert rep.twiddle_set == tuple(t % 3 for t in twiddles)
         assert rep.n_configurations == len(twiddles) ** 2 * len(roles) * 9
         assert sum(rep.tap_verdict_counts["s1.c0"].values()) == rep.n_configurations
+
+    @pytest.mark.parametrize("verdict", [mc.Verdict.NON_CONSTANT_MARGINAL,
+                                         mc.Verdict.VALUE_INDEPENDENT])
+    def test_findings_listed_in_sweep_order_up_to_the_cap(self, monkeypatch, capsys,
+                                                          verdict):
+        """Every wire answered `verdict`: the sharewise taps (under
+        NON_CONSTANT_MARGINAL) or the recombination probes (under
+        VALUE_INDEPENDENT) are flagged, each context of each, in (twiddles,
+        role, tap, context) order and at most MAX_FINDINGS of them, and
+        the CLI reports the alarm."""
+        code = VERDICT_BY_CODE.index(verdict)
+        monkeypatch.setattr(butterfly, "classify_cells_bulk",
+                            lambda q, cells: np.full(len(cells), code))
+        rep = mc.conjecture_sweep(3, 1)
+        adversarial = verdict is mc.Verdict.VALUE_INDEPENDENT
+        taps = [tap for tap in mc.tap_inventory(1) if mc.is_adversarial_tap(tap) == adversarial]
+        expected = [(tap, (t,), role, (pair,), verdict)
+                    for t in (1, 2) for role in ("a", "b") for tap in taps
+                    for pair in product(range(3), repeat=2)][:butterfly.MAX_FINDINGS]
+        assert len(expected) == (72 if adversarial else butterfly.MAX_FINDINGS)
+        found, other = rep.non_constant_marginal, rep.value_independent_adversarial
+        if adversarial:
+            found, other = other, found
+        assert [(f.tap, f.twiddles, f.secret_role, f.context, f.verdict)
+                for f in found] == expected
+        assert other == [] and not rep.clean
+        assert cli.main(["butterfly", "--q", "3"]) == 3
+        assert capsys.readouterr().err.startswith("error: sweep flagged ")
 
     def test_deterministic(self):
         a = mc.conjecture_sweep(3, 2).to_dict()

@@ -201,6 +201,20 @@ class TestSoundnessCounter:
         assert err == ("error: census found 1 soundness violations "
                        "(value-independent wires with non-constant marginals)\n")
 
+    def test_no_cm_key_exits_3_not_2(self, monkeypatch, capsys):
+        """With every constant-marginal key false, each of the 8
+        value-independent wires at q = 3 is a soundness violation and no
+        wire is constant-marginal: a contradiction, not bad input."""
+        real = census._key_tables
+        monkeypatch.setattr(census, "_key_tables",
+                            lambda q: (*real(q)[:5], np.zeros_like(real(q)[5])))
+        assert cli.main(["census", "--q", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert "  constant marginal:      0\n" in out
+        assert "  soundness violations:   8\n" in out
+        assert err == ("error: census found 8 soundness violations "
+                       "(value-independent wires with non-constant marginals)\n")
+
 
 class TestPackedDenseAgreement:
     def test_spot_check_examples(self):

@@ -53,10 +53,10 @@ def test_in_threads_stripes_items_and_raises_the_first_error(monkeypatch):
 
 
 def test_thread_start_failure_joins_the_started_threads(monkeypatch):
-    """When the second of three threads cannot start, the first, already
-    running, is joined before the error reaches the caller, so no thread is
-    left writing into the caller's results.  No real thread is started:
-    `start` records the thread, and `join` runs its work."""
+    """When the second of three threads cannot start, the caller's thread
+    runs its items after its own, the first thread, already running, is
+    joined, and nothing is raised.  No real thread is started: `start`
+    records the thread, and `join` runs its work."""
     monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
     events, done = [], []
 
@@ -71,11 +71,33 @@ def test_thread_start_failure_joins_the_started_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(threading.Thread, "join", join)
-    with pytest.raises(RuntimeError, match="can't start new thread"):
-        _steps.in_threads(done.append, list(range(7)))
+    _steps.in_threads(done.append, list(range(7)))
     first = events[0][1]
     assert events == [("start", first), ("join", first)]
-    assert done == [1, 4]  # thread 1's items; the caller's thread 0 never ran
+    assert done == [0, 3, 6, 2, 5, 1, 4]  # threads 0 and 2 on the caller's, then 1
+
+
+def test_thread_start_failure_leaves_classify_output_unchanged(tmp_path, monkeypatch,
+                                                               capsys):
+    """classify of a residue wire whose marginal blocks take three threads:
+    when thread 2 of each threaded loop cannot start, the run exits 0 with
+    the output of a run in which every thread starts."""
+    path = str(residue_file(tmp_path / "wire.json", 400))
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
+    assert cli.main(["classify", path, "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    real_start, refused = threading.Thread.start, []
+
+    def start(self):
+        if self._args == (2,):  # the `run(k)` argument of `in_threads`
+            refused.append(self)
+            raise RuntimeError("can't start new thread")
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert cli.main(["classify", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+    assert refused
 
 
 def residue_file(path, q):

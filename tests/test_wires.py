@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import _steps, wires
+from maskcheck import _steps, cli, wires
 from maskcheck.wires import VERDICT_BY_CODE, WIRE_ORDER, _analyze
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,25 @@ class TestDenseKernel:
                 cm = bool((expected == expected[0]).all())
                 assert mc.is_value_independent(w) == vi
                 assert mc.has_constant_marginal(w) == cm
+
+    def test_own_theory_violation(self, monkeypatch, capsys, tmp_path):
+        """Where a wire's tables compare equal but its marginal tables do
+        not, the kernel raises TheoryViolation naming the wire: `classify`
+        the wire, `classify_cells_bulk` its row, and the CLI exits 3 with
+        nothing on stdout."""
+        w = mc.make_wire(3, [0, 1, 1, 0, 0, 1, 1, 1, 0])
+        path = tmp_path / "wire.json"
+        mc.save_wire(w, path)
+        calls = itertools.count()  # `_analyze` compares tables, then marginals
+        monkeypatch.setattr(wires, "_rows_equal",
+                            lambda a: np.full(len(a), next(calls) % 2 == 0))
+        with pytest.raises(mc.TheoryViolation, match="^wire at q=3 is value-independent"):
+            mc.classify(w)
+        with pytest.raises(mc.TheoryViolation, match="^bulk row 0 at q=3 "):
+            mc.classify_cells_bulk(3, w.table[None, :])
+        assert cli.main(["classify", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("theory violation: wire at q=3 ")
 
 
 class TestMarginals:
