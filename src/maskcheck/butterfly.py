@@ -28,13 +28,11 @@ from itertools import product
 import numpy as np
 
 from .wires import (
-    DEFAULT_CELL_CAP,
     VERDICT_BY_CODE,
     Verdict,
     WireFunction,
     _check_cell_cap,
     classify_cells_bulk,
-    make_wire,
 )
 from .zq import Modulus, ZqElement
 
@@ -199,8 +197,7 @@ def _context_shares(q: int, pair) -> tuple[int, int]:
 
 
 def extract_wire_function(pipeline, tap: str, secret_role: str,
-                          fixed_context,
-                          cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
+                          fixed_context) -> WireFunction:
     """Tabulate one internal signal over the secret's share pair.
 
     The secret enters as stage 0's a operand (role 'a') or b operand
@@ -225,13 +222,13 @@ def extract_wire_function(pipeline, tap: str, secret_role: str,
         raise ValueError(
             f"unknown tap {tap!r}; valid taps: {', '.join(sorted(valid))}"
         )
-    _check_cell_cap(q, q, cell_cap)
+    _check_cell_cap(q, q)
 
     twiddles = [st.twiddle.value for st in pipeline]
     operands = _place_secret(secret_role, _share_pairs(q), context)
     sig = _signal_grid(_residue_ops(q), twiddles, operands)
     cells = np.broadcast_to(np.asarray(sig[tap], dtype=np.int64), (q * q,))
-    return make_wire(q, cells, alphabet_size=q, cell_cap=cell_cap)
+    return WireFunction(q, q, cells)
 
 
 def trace_taints(n_stages: int, secret_role: str) -> dict:

@@ -253,17 +253,6 @@ class SpotCheck:
     marginals: tuple
     s1_dependence: tuple | None
 
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "wire_index": self.wire_index,
-            "table": list(self.table),
-            "verdict": self.verdict.value,
-            "marginals": [list(row) for row in self.marginals],
-            "s1_dependence": None if self.s1_dependence is None
-            else list(self.s1_dependence),
-        }
-
 
 def spot_check(q: int, wire_index: int) -> SpotCheck:
     """Decode one wire and report its verdict and all marginal histograms.

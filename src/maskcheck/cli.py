@@ -78,16 +78,17 @@ class Result(NamedTuple):
     `doc` holds the subcommand's own fields; `main` adds "schema" and
     "command".  `human` and `csv` are called only when their format is
     asked for, so large outputs cost nothing in the other formats.  A `doc`
-    value is a JSON value or a matrix of non-negative integers
-    (np.ndarray), which the json output streams.  Without `csv` the csv
-    output is the key,value rows of the scalar fields of `doc`.  An `alarm`
-    reports a theory-contradicting result: it goes to stderr after the
-    output and sets exit code 3.
+    value is a JSON value, a matrix of non-negative integers (np.ndarray),
+    which the json output streams, or a zero-argument callable, which only
+    the json output calls.  `csv` gives the rows, header first, that a
+    csv writer quotes; without it the csv output is the key,value rows of
+    the scalar fields of `doc`.  An `alarm` reports a theory-contradicting
+    result: it goes to stderr after the output and sets exit code 3.
     """
 
     doc: dict
     human: Callable[[], Iterable[str]]
-    csv: Callable[[], Iterable[str]] | None = None
+    csv: Callable[[], Iterable[Iterable]] | None = None
     alarm: str | None = None
 
     @property
@@ -95,18 +96,12 @@ class Result(NamedTuple):
         return EXIT_THEORY_VIOLATION if self.alarm else EXIT_OK
 
 
-def _csv_rows(header: str, rows):
-    yield header
-    for row in rows:
-        yield ",".join(map(str, row))
-
-
 def _kv_rows(doc: dict):
     """key,value rows of the scalar (str, int, float, bool) fields, by key."""
-    yield "key,value"
+    yield "key", "value"
     for key in sorted(doc):
         if isinstance(doc[key], (str, int, float)):  # a bool is an int
-            yield f"{key},{doc[key]}"
+            yield key, doc[key]
 
 
 def _render_rows(block: np.ndarray) -> str:
@@ -185,11 +180,13 @@ def _list_rows(m: np.ndarray):
 def _emit(result: Result, fmt: str, out) -> None:
     """Write `result` to `out` as json, csv or human lines.
 
-    JSON is written key by key in sorted order; integer array values are
-    streamed in blocks of rows by `_json_matrix`, and every other value goes
-    through json.dumps.  The bytes equal json.dumps(doc, sort_keys=True,
-    separators=(",", ":")) of the document with its arrays as lists, plus
-    a newline.
+    JSON is written key by key in sorted order; a callable value is called
+    first, integer array values are streamed in blocks of rows by
+    `_json_matrix`, and every other value goes through json.dumps.  The
+    bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":")) of
+    the document with its callables called and its arrays as lists, plus a
+    newline.  csv rows go through one csv writer, which quotes a field
+    holding a comma.
     """
     if fmt == "json":
         numpy = sys.modules.get("numpy")  # an array in `doc` means it is loaded
@@ -197,6 +194,8 @@ def _emit(result: Result, fmt: str, out) -> None:
         for i, key in enumerate(sorted(result.doc)):
             out.write(("," if i else "") + json.dumps(key) + ":")
             value = result.doc[key]
+            if callable(value):
+                value = value()
             if numpy and isinstance(value, numpy.ndarray):
                 for text in _json_matrix(value):
                     out.write(text)
@@ -205,10 +204,12 @@ def _emit(result: Result, fmt: str, out) -> None:
         out.write("}\n")
         return
     if fmt == "csv":
-        lines = result.csv() if result.csv else _kv_rows(result.doc)
-    else:
-        lines = result.human()
-    for line in lines:
+        import csv
+
+        rows = result.csv() if result.csv else _kv_rows(result.doc)
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return
+    for line in result.human():
         out.write(line + "\n")
 
 
@@ -265,11 +266,12 @@ def cmd_census(args) -> Result:
         f"  non-constant marginal:  {report.count_non_constant}",
         f"  soundness violations:   {report.soundness_violations}",
         f"  wall time: {report.wall_time_seconds:.2f} s (1 worker(s))",
-    ], csv=lambda: _csv_rows("verdict,count", [
+    ], csv=lambda: [
+        ("verdict", "count"),
         ("VALUE_INDEPENDENT", report.count_value_independent),
         ("CONSTANT_MARGINAL_ONLY", report.count_conservative),
         ("NON_CONSTANT_MARGINAL", report.count_non_constant),
-    ]), alarm=alarm)
+    ], alarm=alarm)
 
 
 def cmd_bias(args) -> Result:
@@ -289,7 +291,7 @@ def cmd_bias(args) -> Result:
     csv = None
     if profile.q <= FULL_COUNTS_MAX_Q:
         doc["counts"] = counts = profile.counts.tolist()
-        csv = lambda: _csv_rows("residue,count", enumerate(counts))
+        csv = lambda: [("residue", "count"), *enumerate(counts)]
     else:
         doc["counts_omitted"] = f"q > {FULL_COUNTS_MAX_Q}, summary only"
     return Result(doc, lambda: [
@@ -391,7 +393,7 @@ def cmd_witness(args) -> Result:
         "verdict": verdict.value,
         "mutual_information_bits": mi.bits,
         "mutual_information_is_zero": mi.is_zero,
-        "wire": wire_to_dict(wire),
+        "wire": lambda: wire_to_dict(wire),  # a list of q^2 entries, for json only
     }
     return Result(doc, lambda: [
         f"indicator-of-zero witness at q={wire.q}",
@@ -428,9 +430,9 @@ def cmd_butterfly(args) -> Result:
                  f"non-constant-marginal taps and "
                  f"{len(report.value_independent_adversarial)} "
                  "value-independent recombination probes")
-    return Result(doc, human, csv=lambda: _csv_rows("tap,verdict,count", (
+    return Result(doc, human, csv=lambda: [("tap", "verdict", "count"), *(
         (tap, verdict, n) for tap in sorted(taps) for verdict, n in taps[tap].items()
-    )), alarm=alarm)
+    )], alarm=alarm)
 
 
 # ---------------------------------------------------------------------------

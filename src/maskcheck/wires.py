@@ -34,8 +34,9 @@ import numpy as np
 from . import _steps
 from .zq import DEFAULT_ENUMERATION_CAP, ZqElement, _as_modulus
 
-# Dense tables are refused above this many cells (q^2) unless the caller
-# raises the cap; keeps accidental q=8380417 table construction impossible.
+# Dense tables are refused above this many cells (q^2, or q * alphabet for
+# the marginal table), before anything is allocated.  The cap is fixed, so
+# an analysed wire has q <= 8192 and at most 2^26 symbols.
 DEFAULT_CELL_CAP = 1 << 26
 
 # Bytes of a wire file that the loader reads, or parses, at once (a chunk
@@ -66,17 +67,16 @@ class Verdict(Enum):
 
 def _symbol_dtype(alphabet_size: int) -> np.dtype:
     """The narrowest dtype of a table with symbols in [0, alphabet_size):
-    uint8 up to 256 symbols, uint16 up to 65536, else int32 (int64 beyond
-    2^31, reachable only with a raised cell cap)."""
-    for dtype in (np.uint8, np.uint16, np.int32):
+    uint8 up to 256 symbols, uint16 up to 65536, else int32 (the cell cap
+    keeps alphabets to 2^26 symbols)."""
+    for dtype in (np.uint8, np.uint16):
         if alphabet_size - 1 <= np.iinfo(dtype).max:
             return np.dtype(dtype)
-    return np.dtype(np.int64)
+    return np.dtype(np.int32)
 
 
-def _count_dtype(q: int) -> np.dtype:
-    """The dtype of a marginal table: its counts are at most q."""
-    return np.dtype(np.uint16 if q <= np.iinfo(np.uint16).max else np.int64)
+# The dtype of a marginal table: its counts are at most q <= 8192.
+_COUNT_DTYPE = np.dtype(np.uint16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +88,14 @@ class WireFunction:
     Output symbols are integers in [0, alphabet_size), stored read-only in
     the narrowest dtype for the alphabet: uint8 up to 256 symbols (a
     Boolean wire), uint16 up to 65536 (a residue wire at q = 3329), else
-    int32.  A table of another dtype is cast, and a ValueError raised if
-    an entry does not fit.
+    int32.
+
+    The constructor is the one gate for a table.  It raises ValueError
+    where q is not a modulus, the alphabet is empty, the wire is above the
+    cell cap, the table is not q^2 entries, an entry is not an integer (a
+    Boolean counts as one) or an entry is outside the alphabet, naming the
+    first.  An integer array of another dtype is cast, without a copy
+    where it already fits.
     """
 
     q: int
@@ -97,18 +103,31 @@ class WireFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table)
-        dtype = _symbol_dtype(self.alphabet_size)
-        if table.dtype != dtype:
-            info = np.iinfo(dtype)
-            if table.size and (table.min() < info.min or table.max() > info.max):
-                raise ValueError(
-                    f"table entries in [{table.min()}, {table.max()}] do not fit "
-                    f"{dtype} for alphabet {self.alphabet_size}"
-                )
-            table = table.astype(dtype)
-        table = np.ascontiguousarray(table)
+        q, alphabet = _as_modulus(self.q).q, self.alphabet_size
+        if alphabet < 1:
+            raise ValueError(f"alphabet_size must be >= 1, got {alphabet}")
+        _check_cell_cap(q, alphabet)
+        arr = np.asarray(self.table)
+        if arr.ndim != 1 or arr.size != q * q:
+            raise ValueError(f"table has {arr.size} entries, expected q^2 = {q * q}")
+        if arr.dtype.kind not in "biu":  # floats, strings, or ints beyond int64
+            arr = np.asarray(self.table, dtype=object)
+            for i, entry in enumerate(arr):
+                if not isinstance(entry, (int, np.integer)):
+                    raise ValueError(f"table entry {entry!r} at index {i} is not an integer")
+        if arr.size and (arr.min() < 0 or arr.max() >= alphabet):
+            for _, part in _steps.steps(1, arr.size, 1):  # the first bad entry, a step at a time
+                hits = (arr[part] < 0) | (arr[part] >= alphabet)
+                if hits.any():
+                    bad = part.start + int(np.argmax(hits))
+                    break
+            raise ValueError(
+                f"table entry {int(arr[bad])} at index {bad} outside "
+                f"alphabet [0, {alphabet})"
+            )
+        table = np.ascontiguousarray(arr.astype(_symbol_dtype(alphabet), copy=False))
         table.setflags(write=False)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "table", table)
 
     @property
@@ -124,59 +143,35 @@ class WireFunction:
     def _analysis(self) -> tuple[int, np.ndarray]:
         """(verdict code, read-only marginal table), as a batch of one."""
         codes, m = _analyze(self.q, self.table[None, :], self.alphabet_size, "wire")
-        m = m.astype(_count_dtype(self.q), copy=False)  # a bincount's counts are int64
+        m = m.astype(_COUNT_DTYPE, copy=False)  # a bincount's counts are int64
         m.setflags(write=False)
         return int(codes[0]), m[0]
 
 
-def _check_cell_cap(q: int, alphabet_size: int, cell_cap: int = DEFAULT_CELL_CAP):
+def _check_cell_cap(q: int, alphabet_size: int):
     """Refuse a wire whose table (q^2 cells) or marginal table
-    (q * alphabet_size) would be larger than cell_cap, before allocating."""
+    (q * alphabet_size) would be larger than DEFAULT_CELL_CAP, before
+    allocating."""
     cells = q * max(q, alphabet_size)
-    if cells > cell_cap:
+    if cells > DEFAULT_CELL_CAP:
         raise ValueError(
             f"q={q} with alphabet {alphabet_size} needs {cells} table cells, "
-            f"above cap {cell_cap}"
+            f"above cap {DEFAULT_CELL_CAP}"
         )
 
 
-def make_wire(q, table, alphabet_size: int = 2,
-              cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
-    """Validate and build a WireFunction from a flat s0-major table."""
-    qq = _as_modulus(q).q
-    if alphabet_size < 1:
-        raise ValueError(f"alphabet_size must be >= 1, got {alphabet_size}")
-    _check_cell_cap(qq, alphabet_size, cell_cap)
-    if isinstance(table, np.ndarray) and table.dtype.kind in "iu":
-        arr = table  # cast, if at all, once its range is checked
-    else:
-        try:
-            arr = np.asarray(table, dtype=np.int64)
-        except OverflowError:  # an entry beyond int64; the range check names it
-            arr = np.asarray(table, dtype=object)
-    if arr.ndim != 1 or arr.size != qq * qq:
-        raise ValueError(
-            f"table has {arr.size} entries, expected q^2 = {qq * qq}"
-        )
-    if arr.size and (arr.min() < 0 or arr.max() >= alphabet_size):
-        for _, part in _steps.steps(1, arr.size, 1):  # the first bad entry, a step at a time
-            hits = (arr[part] < 0) | (arr[part] >= alphabet_size)
-            if hits.any():
-                bad = part.start + int(np.argmax(hits))
-                break
-        raise ValueError(
-            f"table entry {int(arr[bad])} at index {bad} outside "
-            f"alphabet [0, {alphabet_size})"
-        )
-    return WireFunction(qq, alphabet_size, arr.astype(_symbol_dtype(alphabet_size), copy=False))
+def make_wire(q, table, alphabet_size: int = 2) -> WireFunction:
+    """Build a WireFunction from a flat s0-major table (the constructor
+    validates it)."""
+    return WireFunction(q, alphabet_size, table)
 
 
-def wire_from_fn(q, fn, alphabet_size: int = 2,
-                 cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
+def wire_from_fn(q, fn, alphabet_size: int = 2) -> WireFunction:
     """Tabulate w(s0, s1) = fn(s0, s1) over all share pairs."""
     qq = _as_modulus(q).q
+    _check_cell_cap(qq, alphabet_size)
     table = [int(fn(s0, s1)) for s0 in range(qq) for s1 in range(qq)]
-    return make_wire(qq, table, alphabet_size, cell_cap)
+    return WireFunction(qq, alphabet_size, table)
 
 
 def _as_residue(x, q: int) -> int:
@@ -242,11 +237,11 @@ def _rows_equal(a: np.ndarray) -> np.ndarray:
 
 
 def _block_marginals(q: int, cells: np.ndarray, alphabet: int) -> np.ndarray:
-    """Marginal tables (n, q, alphabet), in `_count_dtype(q)`, of n flat
+    """Marginal tables (n, q, alphabet), in `_COUNT_DTYPE`, of n flat
     s0-major tables, counted on threads a step (a block of secret rows x of
     one wire) at a time: a block gathers its diagonals t[(x - s1) % q, s1],
     offsets each row's keys by its row and bincounts them into its rows."""
-    m = np.zeros((len(cells), q, alphabet), dtype=_count_dtype(q))
+    m = np.zeros((len(cells), q, alphabet), dtype=_COUNT_DTYPE)
     blocks = _steps.steps(len(cells), q, max(q, alphabet))
     # base[j, s1] = ((j - s1) % q) * q + s1, the flat index of the cell
     # (j - s1, s1); adding x0 * q, mod q^2, moves it to secret x0 + j.
@@ -279,7 +274,7 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     A wire whose marginal table (q * alphabet cells) is larger than one
     step, a residue wire, is counted by `_block_marginals`.  Otherwise the
     keys t + `_diagonal_keys` are scattered into the n*q histograms
-    `_steps.steps` of STEP_CELLS cells at a time, counting in `_count_dtype(q)`;
+    `_steps.steps` of STEP_CELLS cells at a time, counting in `_COUNT_DTYPE`;
     a batch of one step takes one bincount (int64 counts), cheaper per
     call than add.at.  Both predicates are compared step by step.
     """
@@ -292,7 +287,7 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
                         minlength=n * q * alphabet)
     else:
         keys = _diagonal_keys(q, n, alphabet)
-        m = np.zeros(n * q * alphabet, dtype=_count_dtype(q))
+        m = np.zeros(n * q * alphabet, dtype=_COUNT_DTYPE)
         one = m.dtype.type(1)  # an untyped 1 leaves add.at's fast path
         for wires, rows in _steps.steps(n, q, q):
             np.add.at(m, (t[wires, rows] + keys[wires, rows]).ravel(), one)
@@ -343,16 +338,19 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
     """Verdict codes for many flat s0-major tables at once.
 
     `cells` has shape (n, q*q) and non-negative entries; the alphabet is
-    taken as the largest entry plus one.  The result holds one code per
-    row, indexing into VERDICT_BY_CODE.  The soundness cross-check runs on
-    every row, same as `classify`.
+    taken as the largest entry plus one, and a row is held to the cell cap
+    of one wire before the marginals are allocated.  The result holds one
+    code per row, indexing into VERDICT_BY_CODE.  The soundness cross-check
+    runs on every row, same as `classify`.
     """
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != q * q:
         raise ValueError(f"cells must have shape (n, {q * q})")
     if cells.min(initial=0) < 0:
         raise ValueError("cells must be non-negative")
-    return _analyze(q, cells, int(cells.max(initial=0)) + 1, "bulk row {}")[0]
+    alphabet = int(cells.max(initial=0)) + 1
+    _check_cell_cap(q, alphabet)
+    return _analyze(q, cells, alphabet, "bulk row {}")[0]
 
 
 @dataclass(frozen=True)
@@ -459,7 +457,7 @@ def wire_to_dict(w: WireFunction) -> dict:
     }
 
 
-def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
+def wire_from_dict(doc) -> WireFunction:
     if not isinstance(doc, dict):
         raise WireFormatError(f"wire document must be an object, got {type(doc).__name__}")
     for key in ("q", "alphabet", "order", "table"):
@@ -480,19 +478,15 @@ def wire_from_dict(doc, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
     typed = isinstance(table, np.ndarray) and table.dtype.kind in "iu" and table.ndim == 1
     if not (typed or isinstance(table, list)):
         raise WireFormatError("table must be a JSON array")
-    if len(table) != q * q:
-        raise WireFormatError(
-            f"table has {len(table)} entries, expected q^2 = {q * q} "
-            f"(first missing index {min(len(table), q * q)})"
-        )
-    # One pass over the entry types; make_wire checks the range.
+    # One pass over the entry types, where a JSON true is not an integer;
+    # the WireFunction gate checks the rest.
     bad = set() if typed else set(map(type, table)) - {int}
     if bad:
         types = list(map(type, table))
         i = min(types.index(t) for t in bad)
         raise WireFormatError(f"table entry at index {i} is not an integer: {table[i]!r}")
     try:
-        return make_wire(q, table, alphabet, cell_cap)
+        return WireFunction(q, alphabet, table)
     except ValueError as exc:
         raise WireFormatError(str(exc)) from exc
 
@@ -681,7 +675,7 @@ def _decode_wire_json(data: bytes):
         raise WireFormatError(f"invalid JSON: {exc}") from exc
 
 
-def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
+def load_wire(path) -> WireFunction:
     """Read a wire-function JSON file; raises WireFormatError with the
     offending position on malformed input.
 
@@ -719,10 +713,10 @@ def load_wire(path, cell_cap: int = DEFAULT_CELL_CAP) -> WireFunction:
             if type(alphabet) is int and alphabet >= 1:
                 doc["table"] = _parse_int_body(read_at, chunks, alphabet)
                 if doc["table"] is not None:
-                    return wire_from_dict(doc, cell_cap)
+                    return wire_from_dict(doc)
         fh.seek(0)
         data = fh.read()
-    return wire_from_dict(_decode_wire_json(data), cell_cap)
+    return wire_from_dict(_decode_wire_json(data))
 
 
 def save_wire(w: WireFunction, path):

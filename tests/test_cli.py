@@ -367,6 +367,17 @@ class TestWitness:
         reloaded = mc.load_wire(out_path)
         assert mc.classify(reloaded) is mc.Verdict.CONSTANT_MARGINAL_ONLY
 
+    def test_table_listed_for_json_only(self, capsys, monkeypatch):
+        """The wire's q^2-entry list is made only when json prints it."""
+        def refused(wire):
+            raise AssertionError("the wire table was listed")
+
+        monkeypatch.setattr(cli, "wire_to_dict", refused, raising=False)
+        golden = Path(__file__).parent / "data" / "golden"
+        for fmt, ext in (("human", "txt"), ("csv", "csv")):
+            code, out, _ = run(capsys, "witness", "--q", "5", "--format", fmt)
+            assert code == 0 and out == (golden / f"witness-q5.{ext}").read_text()
+
     def test_q1_exits_2(self, capsys):
         code, _, _ = run(capsys, "witness", "--q", "1")
         assert code == 2

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -99,9 +100,45 @@ class TestWireConstruction:
         assert str(info.value) == (
             f"table entry {bad[first]} at index {first} outside alphabet [0, 2)")
 
-    def test_cell_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            mc.wire_from_fn(3, lambda a, b: 0, cell_cap=8)
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(wires, "DEFAULT_CELL_CAP", 8)
+        with pytest.raises(ValueError, match="needs 9 table cells, above cap 8"):
+            mc.wire_from_fn(3, lambda a, b: 0)
+        with pytest.raises(ValueError, match="above cap 8"):
+            mc.WireFunction(3, 2, np.zeros(9, np.uint8))
+        assert mc.wire_from_fn(2, lambda a, b: 0, alphabet_size=4).q == 2
+
+    @pytest.mark.parametrize("build", [mc.WireFunction, lambda q, a, t: mc.make_wire(q, t, a)],
+                             ids=["WireFunction", "make_wire"])
+    @pytest.mark.parametrize("q,alphabet,table,problem", [
+        (3, 2, np.zeros(5, np.uint8), "table has 5 entries, expected q^2 = 9"),
+        (2, 2, np.zeros((2, 2), np.uint8), "table has 4 entries, expected q^2 = 4"),
+        (2, 2, np.array([0, 5, 0, 0], np.uint8), "table entry 5 at index 1 outside alphabet"),
+        (0, 2, [], "modulus must be >= 1, got 0"),
+        (2, 0, [0, 0, 0, 0], "alphabet_size must be >= 1, got 0"),
+        (2, 2, [0.5, 1, 1, 0], "table entry 0.5 at index 0 is not an integer"),
+        (2, 2, np.array([0.9, 1.2, 1, 0]), "table entry 0.9 at index 0 is not an integer"),
+        (2, 2, ["1", "0", "0", "1"], "table entry '1' at index 0 is not an integer"),
+        (2, 2, [0, 1, None, 0], "table entry None at index 2 is not an integer"),
+    ])
+    def test_gate_refuses(self, build, q, alphabet, table, problem):
+        """The constructor refuses each malformed table, and make_wire,
+        which only calls it, refuses the same with the same message."""
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            build(q, alphabet, table)
+
+    @pytest.mark.parametrize("table", [
+        np.array([True, False, False, True]), [True, False, False, True], [1, 0, 0, 1],
+        np.array([1, 0, 0, 1], np.int8), np.array([1, 0, 0, 1], np.uint64),
+    ], ids=["bool-array", "bool-list", "int-list", "int8", "uint64"])
+    def test_gate_accepts_integer_and_boolean_tables(self, table):
+        w = mc.WireFunction(2, 2, table)
+        assert w.table.dtype == np.uint8 and not w.table.flags.writeable
+        assert list(w.table) == [1, 0, 0, 1]
+
+    def test_gate_normalizes_q(self):
+        w = mc.WireFunction(mc.Modulus(2), 2, [0, 1, 1, 0])
+        assert type(w.q) is int and w.q == 2 and mc.classify(w) is mc.Verdict.NON_CONSTANT_MARGINAL
 
     def test_call_convention_is_s0_major(self):
         w = mc.make_wire(2, [0, 1, 1, 0])
@@ -126,7 +163,7 @@ class TestWireConstruction:
 
     @pytest.mark.parametrize("alphabet,entry", [(2, 256), (2, -1), (3329, 70000)])
     def test_direct_construction_refuses_what_its_dtype_cannot_hold(self, alphabet, entry):
-        with pytest.raises(ValueError, match="do not fit"):
+        with pytest.raises(ValueError, match="outside alphabet"):
             mc.WireFunction(2, alphabet, np.array([0, entry, 0, 0]))
 
     def test_narrow_table_not_copied(self):
@@ -345,6 +382,13 @@ class TestMarginals:
         with pytest.raises(ValueError):
             mc.marginal_histogram(w, 3)
 
+    def test_secret_as_ring_element(self):
+        w = mc.t6_witness(5)
+        assert list(mc.marginal_histogram(w, mc.Modulus(5).element(3))) == list(
+            mc.marginal_histogram(w, 3))
+        with pytest.raises(ValueError, match="modulus mismatch: wire has q=5, x has q=7"):
+            mc.marginal_histogram(w, mc.Modulus(7).element(3))
+
 
 class TestClassify:
     def test_mask_only_wire(self):
@@ -409,6 +453,14 @@ class TestBulkClassifier:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             mc.classify_cells_bulk(2, np.array([[0, 1, -1, 0]]))
+
+    def test_cell_cap_refused_before_the_marginals(self, monkeypatch):
+        """A row whose marginal table (q * alphabet cells) is above the
+        cap is refused like a WireFunction, and one at the cap is not."""
+        monkeypatch.setattr(wires, "DEFAULT_CELL_CAP", 8)
+        assert len(mc.classify_cells_bulk(2, np.array([[0, 3, 3, 0]]))) == 1
+        with pytest.raises(ValueError, match="q=2 with alphabet 5 needs 10 table cells, above cap 8"):
+            mc.classify_cells_bulk(2, np.array([[0, 4, 4, 0]]))
 
 
 class TestMutualInformation:
