@@ -613,7 +613,7 @@ def _split_int_wire(read_at) -> tuple[dict, list] | None:
     return doc, chunks
 
 
-def _parse_int_body(read_at, chunks: list, alphabet: int) -> np.ndarray | None:
+def _parse_int_body(read_at, chunks: list, alphabet: int, keep=True) -> np.ndarray | None:
     """Pass 2 of the loader: the entries of the body that `_split_int_wire`
     cut into `chunks`, as a table of the dtype that `alphabet` selects.
 
@@ -625,9 +625,10 @@ def _parse_int_body(read_at, chunks: list, alphabet: int) -> np.ndarray | None:
     Returns None where a chunk is refused, holds a value that the dtype
     cannot, or is not what pass 1 saw (a short read, other entries: the
     file changed), so that only such a body goes through json.loads and no
-    table is returned with an entry unwritten.
+    table is returned with an entry unwritten.  Unless `keep`, the entries
+    are checked and dropped, and the table returned is empty.
     """
-    table = np.empty(chunks[-1][3], dtype=_symbol_dtype(alphabet))
+    table = np.empty(chunks[-1][3] if keep else 0, dtype=_symbol_dtype(alphabet))
     top = np.iinfo(table.dtype).max
     refused = []
 
@@ -645,7 +646,8 @@ def _parse_int_body(read_at, chunks: list, alphabet: int) -> np.ndarray | None:
             if values is None or values.size != end - first or values.max() > top:
                 refused.append(first)
                 return
-            table[first:end] = values
+            if keep:
+                table[first:end] = values
             del values  # before the next chunk's are made
 
     _steps.in_threads(parse, [[c] for c in chunks] if alphabet > 10 else [chunks])
@@ -691,7 +693,8 @@ def load_wire(path) -> WireFunction:
     positive integer, any with a value too large for that dtype and any
     that changed between the passes goes through json.loads of the whole
     file, read again from its start, which is then the only source of JSON
-    and entry error messages.
+    and entry error messages.  A table above the cell cap is checked by
+    pass 2 but not kept, so the WireFunction gate refuses it unallocated.
     """
     with open(path, "rb") as fh:
         if hasattr(os, "pread") and fh.seekable():
@@ -709,9 +712,10 @@ def load_wire(path) -> WireFunction:
         split = _split_int_wire(read_at)
         if split is not None:
             doc, chunks = split
-            alphabet = doc.get("alphabet")
+            q, alphabet = doc.get("q"), doc.get("alphabet")
             if type(alphabet) is int and alphabet >= 1:
-                doc["table"] = _parse_int_body(read_at, chunks, alphabet)
+                keep = type(q) is not int or q * max(q, alphabet) <= DEFAULT_CELL_CAP
+                doc["table"] = _parse_int_body(read_at, chunks, alphabet, keep)
                 if doc["table"] is not None:
                     return wire_from_dict(doc)
         fh.seek(0)

@@ -96,6 +96,36 @@ def enumerated_counts(q):
     return n_vi, n_cm, n_bad
 
 
+def numpy_key_tables(q):
+    """The six key tables built with numpy arrays, as the census once did:
+    keys as bit patterns times weights, VI and CM by filtering the fields
+    of every key.  The oracle of the census's own tables."""
+    bits = census._FIELD_BITS
+    n, k = q * q, q * q // 2
+    pos = np.arange(n)
+    col = 1 << bits * (pos % q)
+    diag = 1 << bits * ((pos // q + pos % q) % q)
+
+    def keys(weights):
+        pattern = (np.arange(1 << len(weights))[:, None] >> np.arange(len(weights))) & 1
+        return (pattern @ weights).astype(np.int64)
+
+    fields = (np.arange(1 << bits * q)[:, None] >> bits * np.arange(q)) & ((1 << bits) - 1)
+    return (keys(col[:k]), keys(col[k:]), keys(diag[:k]), keys(diag[k:]),
+            ((fields == 0) | (fields == q)).all(axis=1), (fields == fields[:, :1]).all(axis=1))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_key_tables_match_numpy_oracle(q):
+    """Each cached table equals its numpy construction entry for entry, in
+    int64 keys and one byte per flag, and none of them can be written."""
+    for table, oracle in zip(census._key_tables(q), numpy_key_tables(q), strict=True):
+        assert bytes(table) == oracle.tobytes()
+        assert np.frombuffer(table, oracle.dtype).tolist() == oracle.tolist()
+        with pytest.raises(TypeError):
+            table[0] = 1
+
+
 def census_counts(q):
     r = mc.run_census(q)
     return r.count_value_independent, r.count_constant_marginal, r.soundness_violations
@@ -107,7 +137,7 @@ def patch_key_table(monkeypatch, which, key, value):
 
     def tables(q):
         t = list(real(q))
-        t[which] = t[which].copy()
+        t[which] = bytearray(t[which])
         t[which][key(q)] = value
         return tuple(t)
 
@@ -124,11 +154,11 @@ class TestCountByClass:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_listed_vi_wires(self, q):
         lo, hi = census._value_independent_pairs(q)
-        index = (hi << q * q // 2) | lo
-        assert index.size == len(set(index.tolist())) == 1 << q
+        index = [h << q * q // 2 | low for low, h in zip(lo, hi)]
+        assert len(index) == len(set(index)) == 1 << q
         vi, _ = mc.classify_packed(q, index)
         assert vi.all()
-        for i in index.tolist():
+        for i in index:
             assert mc.classify(mc.index_to_wire(q, i)) is mc.Verdict.VALUE_INDEPENDENT
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -172,7 +202,7 @@ class TestSoundnessCounter:
 
         def tables(q):
             *keys, vi, cm = real(q)
-            cm = cm.copy()
+            cm = bytearray(cm)
             cm[key_of(q)] = False
             return (*keys, vi, cm)
 
@@ -207,7 +237,7 @@ class TestSoundnessCounter:
         wire is constant-marginal: a contradiction, not bad input."""
         real = census._key_tables
         monkeypatch.setattr(census, "_key_tables",
-                            lambda q: (*real(q)[:5], np.zeros_like(real(q)[5])))
+                            lambda q: (*real(q)[:5], bytes(len(real(q)[5]))))
         assert cli.main(["census", "--q", "3"]) == 3
         out, err = capsys.readouterr()
         assert "  constant marginal:      0\n" in out

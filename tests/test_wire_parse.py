@@ -125,6 +125,17 @@ def test_matches_reference_across_chunk_and_window_edges(tmp_path, monkeypatch,
     assert_same_as_reference(tmp_path / "wire.json", data)
 
 
+@pytest.mark.parametrize("table", ["[0, 1, 1, 0]", "[0, 01, 1, 0]", "[0, 1, true, 0]",
+                                   "[0, 1, 1]", "[0, 1, 1, 0,]", "[0, 1, 1, 99999999999999999999]"])
+def test_above_the_cap_matches_reference(tmp_path, monkeypatch, table):
+    """A table above the cell cap is checked but not kept; every document
+    still gives the reference's error, the cap's only where its table is
+    valid JSON of integers."""
+    monkeypatch.setattr(wires, "DEFAULT_CELL_CAP", 3)
+    data = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": %s}' % table
+    assert_same_as_reference(tmp_path / "wire.json", data.encode())
+
+
 def table_body(path):
     """The text between the "[" and the "]" of the file's "table" array."""
     text = path.read_text()

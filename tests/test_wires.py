@@ -108,6 +108,29 @@ class TestWireConstruction:
             mc.WireFunction(3, 2, np.zeros(9, np.uint8))
         assert mc.wire_from_fn(2, lambda a, b: 0, alphabet_size=4).q == 2
 
+    @pytest.mark.parametrize("q,alphabet", [(3, 2), (2, 5)])
+    def test_cell_cap_refused_without_a_table(self, monkeypatch, capsys, tmp_path,
+                                              q, alphabet):
+        """A wire file whose q and alphabet are above the cap exits 2 with
+        the gate's own message; pass 2 of the loader checks the entries
+        but keeps none of them."""
+        path = tmp_path / "wire.json"
+        path.write_text(json.dumps({"q": q, "alphabet": alphabet, "order": WIRE_ORDER,
+                                    "table": [1] * (q * q)}))
+        monkeypatch.setattr(wires, "DEFAULT_CELL_CAP", 8)
+        with pytest.raises(ValueError) as gate:
+            mc.WireFunction(q, alphabet, np.zeros(q * q, np.uint8))
+        real, tables = wires._parse_int_body, []
+
+        def parse(*args):
+            tables.append(real(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(wires, "_parse_int_body", parse)
+        assert cli.main(["classify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {gate.value}\n"
+        assert [table.size for table in tables] == [0]
+
     @pytest.mark.parametrize("build", [mc.WireFunction, lambda q, a, t: mc.make_wire(q, t, a)],
                              ids=["WireFunction", "make_wire"])
     @pytest.mark.parametrize("q,alphabet,table,problem", [
