@@ -117,11 +117,10 @@ def numpy_key_tables(q):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_key_tables_match_numpy_oracle(q):
-    """Each cached table equals its numpy construction entry for entry, in
-    int64 keys and one byte per flag, and none of them can be written."""
+    """Each cached table equals its numpy construction byte for byte (int64
+    keys, one byte per flag), and none of them can be written."""
     for table, oracle in zip(census._key_tables(q), numpy_key_tables(q), strict=True):
         assert bytes(table) == oracle.tobytes()
-        assert np.frombuffer(table, oracle.dtype).tolist() == oracle.tolist()
         with pytest.raises(TypeError):
             table[0] = 1
 
