@@ -15,6 +15,7 @@ would be observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class WordOverflowError(ArithmeticError):
@@ -38,10 +39,24 @@ class WidthConfig:
         if not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
 
-    @property
+    @cached_property
     def admissible(self) -> bool:
         """True iff 2q < 2^width, so the x + q - s1 intermediate fits."""
         return 2 * self.q < (1 << self.width)
+
+    def require_admissible(self) -> None:
+        """Refuse (ValueError) a width that cannot carry the intermediate."""
+        if not self.admissible:
+            raise ValueError(
+                f"width {self.width} inadmissible for q={self.q} (needs 2q < 2^w)"
+            )
+
+
+def _check_residues(q: int, x: int, s1: int) -> None:
+    if not 0 <= x < q:
+        raise ValueError(f"x={x} outside [0, {q})")
+    if not 0 <= s1 < q:
+        raise ValueError(f"s1={s1} outside [0, {q})")
 
 
 def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
@@ -53,10 +68,7 @@ def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if not 0 <= x < q:
-        raise ValueError(f"x={x} outside [0, {q})")
-    if not 0 <= s1 < q:
-        raise ValueError(f"s1={s1} outside [0, {q})")
+    _check_residues(q, x, s1)
     t = x + q - s1
     return (1 <= t, t < 2 * q)
 
@@ -76,14 +88,8 @@ def urem_reparam(cfg: WidthConfig, x: int, s1: int) -> int:
     x - s1 + q would underflow in unsigned words whenever s1 > x); the
     no-overflow bound keeps the intermediate under 2q < 2^w.
     """
-    if not cfg.admissible:
-        raise ValueError(
-            f"width {cfg.width} inadmissible for q={cfg.q} (needs 2q < 2^w)"
-        )
-    if not 0 <= x < cfg.q:
-        raise ValueError(f"x={x} outside [0, {cfg.q})")
-    if not 0 <= s1 < cfg.q:
-        raise ValueError(f"s1={s1} outside [0, {cfg.q})")
+    cfg.require_admissible()
+    _check_residues(cfg.q, x, s1)
     t = _fit(cfg, x + cfg.q, "x + q")
     t = _fit(cfg, t - s1, "x + q - s1")
     return t % cfg.q
@@ -91,10 +97,7 @@ def urem_reparam(cfg: WidthConfig, x: int, s1: int) -> int:
 
 def urem_recombine(cfg: WidthConfig, s0: int, s1: int) -> int:
     """URem(s0 + s1, q) in checked w-bit words; undoes urem_reparam."""
-    if not cfg.admissible:
-        raise ValueError(
-            f"width {cfg.width} inadmissible for q={cfg.q} (needs 2q < 2^w)"
-        )
+    cfg.require_admissible()
     t = _fit(cfg, s0 + s1, "s0 + s1")
     return t % cfg.q
 

@@ -139,14 +139,15 @@ _TAINT_OPS = (frozenset.union, frozenset.union, lambda t, x: x)
 
 
 def _signal_grid(ops, twiddles, operands) -> dict:
-    """Evaluate every signal of the pipeline over a carrier.
+    """Evaluate every signal of the pipeline over a carrier, keyed by the
+    names of `tap_inventory`.
 
     `ops` is the carrier's (+, -, x t).  `operands` holds share pairs:
     stage 0's a operand, then stage k's fresh b operand at k + 1.  The a
     input of stage k > 0 is the c output of stage k - 1.
     """
     add, sub, scale = ops
-    sig = {}
+    values = []
     acc0, acc1 = operands[0]
     for k, t in enumerate(twiddles):
         b0, b1 = operands[k + 1]
@@ -156,20 +157,11 @@ def _signal_grid(ops, twiddles, operands) -> dict:
         c1 = add(acc1, tb1)
         d0 = sub(acc0, tb0)
         d1 = sub(acc1, tb1)
-        sig[f"s{k}.a0"] = acc0
-        sig[f"s{k}.a1"] = acc1
-        sig[f"s{k}.b0"] = b0
-        sig[f"s{k}.b1"] = b1
-        sig[f"s{k}.tb0"] = tb0
-        sig[f"s{k}.tb1"] = tb1
-        sig[f"s{k}.c0"] = c0
-        sig[f"s{k}.c1"] = c1
-        sig[f"s{k}.d0"] = d0
-        sig[f"s{k}.d1"] = d1
-        sig[f"s{k}.c_recombined"] = add(c0, c1)
-        sig[f"s{k}.d_recombined"] = add(d0, d1)
+        # In the order of SHAREWISE_SIGNALS, then ADVERSARIAL_SIGNALS.
+        values += (acc0, acc1, b0, b1, tb0, tb1, c0, c1, d0, d1,
+                   add(c0, c1), add(d0, d1))
         acc0, acc1 = c0, c1
-    return sig
+    return dict(zip(tap_inventory(len(twiddles)), values, strict=True))
 
 
 def _place_secret(secret_role: str, secret, context) -> list:

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable
-from types import CodeType
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __all__ as _PUBLIC, __version__
@@ -48,13 +47,15 @@ _POW10 = tuple(10**k for k in range(1, 19))
 def __getattr__(name: str):
     """Binds a public name of the package here the first time it is read
     (PEP 562), so that only the runs that use a name import its module.
-    `main` binds the names a subcommand's handler reads before calling it
-    (`_bind_names`); a name already bound, by `main` or from outside, is
-    never rebound."""
+    Handlers read these names off `_cli` when they call them, so a name
+    already bound, here or from outside, is what runs."""
     if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
+
+
+_cli = sys.modules[__name__]
 
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
@@ -219,19 +220,19 @@ def _emit(result: Result, fmt: str, out) -> None:
 
 
 def cmd_classify(args) -> Result:
-    import numpy as np
-
     try:
-        wire = load_wire(args.wire)
+        wire = _cli.load_wire(args.wire)
     except OSError as exc:
         raise ValueError(f"cannot read {args.wire}: {exc}") from exc
-    except WireFormatError as exc:
+    except _cli.WireFormatError as exc:
         raise ValueError(f"{args.wire}: {exc}") from exc
-    verdict = classify(wire)
-    marginals = marginal_table(wire)
-    if verdict is not Verdict.NON_CONSTANT_MARGINAL:  # every row equals row 0
+    verdict = _cli.classify(wire)
+    marginals = _cli.marginal_table(wire)
+    if verdict is not _cli.Verdict.NON_CONSTANT_MARGINAL:  # every row equals row 0
+        # Here, not at the top: imported before wires, numpy adds ~0.9 MiB to peak RSS.
+        import numpy as np
         marginals = np.broadcast_to(marginals[:1], marginals.shape)
-    mi = mutual_information(wire)
+    mi = _cli.mutual_information(wire)
     doc = {
         "q": wire.q,
         "alphabet": wire.alphabet_size,
@@ -253,7 +254,7 @@ def cmd_classify(args) -> Result:
 
 
 def cmd_census(args) -> Result:
-    report = run_census(args.q, parallelism=args.workers)
+    report = _cli.run_census(args.q, parallelism=args.workers)
     alarm = None
     if report.soundness_violations > 0:
         alarm = (f"census found {report.soundness_violations} soundness "
@@ -275,8 +276,8 @@ def cmd_census(args) -> Result:
 
 
 def cmd_bias(args) -> Result:
-    profile = bias_profile(args.n, args.q)
-    bounds_ok = verify_bounds(profile)
+    profile = _cli.bias_profile(args.n, args.q)
+    bounds_ok = _cli.verify_bounds(profile)
     doc = {
         "n": profile.n_values,
         "q": profile.q,
@@ -304,10 +305,10 @@ def cmd_bias(args) -> Result:
 
 
 def cmd_bounds(args) -> Result:
-    cfg = WidthConfig(args.q, args.w)
+    cfg = _cli.WidthConfig(args.q, args.w)
     # Corner inputs of the no-overflow range double as a smoke check.
-    corners_ok = all(no_overflow_bounds(cfg.q, 0, cfg.q - 1)
-                     + no_overflow_bounds(cfg.q, cfg.q - 1, 0))
+    corners_ok = all(_cli.no_overflow_bounds(cfg.q, 0, cfg.q - 1)
+                     + _cli.no_overflow_bounds(cfg.q, cfg.q - 1, 0))
     doc = {
         "q": cfg.q,
         "width": cfg.width,
@@ -328,11 +329,10 @@ def cmd_bounds(args) -> Result:
 
 
 def cmd_urem_check(args) -> Result:
-    cfg = WidthConfig(args.q, args.w)
+    cfg = _cli.WidthConfig(args.q, args.w)
     if args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    if not cfg.admissible:
-        raise ValueError(f"width {args.w} inadmissible for q={args.q} (needs 2q < 2^w)")
+    cfg.require_admissible()
     q = args.q
     exhaustive = args.exhaustive or q * q <= args.samples
     n_pairs = q * q if exhaustive else args.samples
@@ -354,10 +354,10 @@ def cmd_urem_check(args) -> Result:
     mismatches = 0
     round_trip_failures = 0
     for x, s1 in pairs:
-        s0 = urem_reparam(cfg, x, s1)
+        s0 = _cli.urem_reparam(cfg, x, s1)
         if s0 != (x - s1) % q:
             mismatches += 1
-        if urem_recombine(cfg, s0, s1) != x:
+        if _cli.urem_recombine(cfg, s0, s1) != x:
             round_trip_failures += 1
     doc = {
         "q": q,
@@ -380,12 +380,12 @@ def cmd_urem_check(args) -> Result:
 
 
 def cmd_witness(args) -> Result:
-    wire = t6_witness(args.q)
-    verdict = classify(wire)
-    mi = mutual_information(wire)
+    wire = _cli.t6_witness(args.q)
+    verdict = _cli.classify(wire)
+    mi = _cli.mutual_information(wire)
     if args.wire_out:
         try:
-            save_wire(wire, args.wire_out)
+            _cli.save_wire(wire, args.wire_out)
         except OSError as exc:
             raise ValueError(f"cannot write {args.wire_out}: {exc}") from exc
     doc = {
@@ -393,7 +393,7 @@ def cmd_witness(args) -> Result:
         "verdict": verdict.value,
         "mutual_information_bits": mi.bits,
         "mutual_information_is_zero": mi.is_zero,
-        "wire": lambda: wire_to_dict(wire),  # a list of q^2 entries, for json only
+        "wire": lambda: _cli.wire_to_dict(wire),  # a list of q^2 entries, for json only
     }
     return Result(doc, lambda: [
         f"indicator-of-zero witness at q={wire.q}",
@@ -405,7 +405,7 @@ def cmd_witness(args) -> Result:
 
 
 def cmd_butterfly(args) -> Result:
-    report = conjecture_sweep(
+    report = _cli.conjecture_sweep(
         q=args.q,
         n_stages=args.stages,
         twiddle_set=args.twiddles,
@@ -456,16 +456,6 @@ def int_list(text: str) -> tuple[int, ...] | None:
         return tuple(int(part) for part in text.split(",")) if text else None
     except ValueError:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
-
-
-def _bind_names(code) -> None:
-    """Bind the package's public names that `code`, or code nested in it,
-    reads (see `__getattr__`); a name already bound is never rebound."""
-    for name in set(code.co_names).intersection(_PUBLIC) - globals().keys():
-        __getattr__(name)
-    for const in code.co_consts:
-        if isinstance(const, CodeType):
-            _bind_names(const)
 
 
 def _theory_violation():
@@ -543,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _bind_names(args.func.__code__)
     try:
         result = args.func(args)
     except ValueError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +42,26 @@ class BiasProfile:
     n_values: int
     q: int
     counts: np.ndarray
-    min_count: int
-    max_count: int
-    ratio: Fraction | None
-    divides_exactly: bool
+
+    @cached_property
+    def min_count(self) -> int:
+        return int(self.counts.min())
+
+    @cached_property
+    def max_count(self) -> int:
+        return int(self.counts.max())
+
+    @property
+    def ratio(self) -> Fraction | None:
+        return Fraction(self.max_count, self.min_count) if self.min_count else None
 
     @property
     def is_degenerate(self) -> bool:
         return self.ratio is None
+
+    @property
+    def divides_exactly(self) -> bool:
+        return self.n_values % self.q == 0
 
     @property
     def floor_bound(self) -> int:
@@ -70,8 +83,7 @@ def bias_profile(n_values: int, q: int) -> BiasProfile:
 
     Writing N = a*q + b, residues below b are hit a+1 times and the rest
     a times; this is floor((N-1-r)/q) + 1 without the per-residue division.
-    The min/max summaries follow from the same two-segment structure, so
-    profile construction is one array write; confirming the actual array
+    Profile construction is one array write; confirming the actual array
     is verify_bounds' job.
     """
     if not isinstance(n_values, int) or n_values < 1:
@@ -86,18 +98,7 @@ def bias_profile(n_values: int, q: int) -> BiasProfile:
     counts = np.full(q, a, dtype=np.int64)
     counts[:b] += 1
     counts.setflags(write=False)
-    min_count = a
-    max_count = a + 1 if b else a
-    ratio = Fraction(max_count, min_count) if min_count > 0 else None
-    return BiasProfile(
-        n_values=n_values,
-        q=q,
-        counts=counts,
-        min_count=min_count,
-        max_count=max_count,
-        ratio=ratio,
-        divides_exactly=(b == 0),
-    )
+    return BiasProfile(n_values, q, counts)
 
 
 def brute_force_counts(n_values: int, q: int) -> np.ndarray:

@@ -105,6 +105,18 @@ class TestUremReparam:
         with pytest.raises(ValueError):
             mc.urem_reparam(cfg, 0, ML_KEM_Q)
 
+    @pytest.mark.parametrize("x,s1", [(ML_KEM_Q, 0), (-1, 0), (0, ML_KEM_Q),
+                                      (0, -1), (ML_KEM_Q, -1)])
+    def test_residue_refusal_matches_no_overflow_bounds(self, x, s1):
+        cfg = mc.WidthConfig(ML_KEM_Q, 24)
+        with pytest.raises(ValueError) as bounds:
+            mc.no_overflow_bounds(ML_KEM_Q, x, s1)
+        with pytest.raises(ValueError) as reparam:
+            mc.urem_reparam(cfg, x, s1)
+        name, value = ("x", x) if not 0 <= x < ML_KEM_Q else ("s1", s1)
+        assert str(bounds.value) == str(reparam.value) == (
+            f"{name}={value} outside [0, {ML_KEM_Q})")
+
     def test_word_overflow_is_a_distinct_error(self):
         # Bypass the admissibility gate to show the checked ops would
         # catch a too-narrow register on their own.

@@ -173,6 +173,18 @@ class TestWireExtraction:
 
 
 class TestTaints:
+    @pytest.mark.parametrize("n_stages", [1, 2, 3])
+    def test_signal_names_are_the_tap_inventory(self, n_stages):
+        """Over residues and over taint sets, the signal grid holds every
+        tap of `tap_inventory`, in its order, and no other."""
+        q = 5
+        secret = butterfly._share_pairs(q)
+        context = [(1, 2)] * n_stages
+        residues = butterfly._signal_grid(butterfly._residue_ops(q), [2] * n_stages,
+                                          butterfly._place_secret("a", secret, context))
+        taints = mc.trace_taints(n_stages, "b")
+        assert list(residues) == list(taints) == mc.tap_inventory(n_stages)
+
     def test_sharewise_signals_never_mix_shares(self):
         for role in ("a", "b"):
             for n_stages in (1, 2, 3):

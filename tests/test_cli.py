@@ -341,7 +341,13 @@ class TestUremCheck:
     def test_inadmissible_exits_2(self, capsys):
         code, _, err = run(capsys, "urem-check", "--q", "8388608", "--w", "24")
         assert code == 2
-        assert "inadmissible" in err
+        message = "width 24 inadmissible for q=8388608 (needs 2q < 2^w)"
+        assert err == f"error: {message}\n"
+        cfg = mc.WidthConfig(8388608, 24)
+        for word_op in (mc.urem_reparam, mc.urem_recombine):
+            with pytest.raises(ValueError) as exc:
+                word_op(cfg, 1, 0)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("mode", [("--samples", "5"), ("--exhaustive",)],
                              ids=["sampled", "exhaustive"])

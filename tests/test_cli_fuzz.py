@@ -124,7 +124,7 @@ def wire_documents(draw):
             doc[fault] = draw(BAD_HEADER)
         elif fault == "order":
             doc["order"] = draw(st.sampled_from(["s1_major", 0, None]))
-        elif fault == "entry":
+        elif fault == "entry" and table:  # a "length" fault can empty a q = 1 table
             table[draw(st.integers(0, len(table) - 1))] = draw(BAD_ENTRY)
         elif fault == "length":
             table[len(table) - 1:] = [] if draw(st.booleans()) else table[-1:] * 2

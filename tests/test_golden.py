@@ -13,7 +13,9 @@ np.fromstring.  The s0 % 11 residue wire was captured while a constant
 marginal was still rendered row by row.  The census-q5 files were captured
 while the census still enumerated all 2^25 wires.  The counts_omitted line
 of the q = 8380417 bias csv was captured again once csv fields holding a
-comma were quoted.
+comma were quoted.  The two-stage butterfly and the N < q bias files were
+captured while the butterfly signals were still keyed one literal name at
+a time and the bias summaries were still computed from divmod(N, q).
 Regenerate them (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -99,6 +101,10 @@ COMMANDS = {
     "urem-check-exhaustive-q17": ["urem-check", "--q", "17", "--w", "24",
                                   "--exhaustive"],
     "butterfly-q3-s1": ["butterfly", "--q", "3", "--stages", "1"],
+    # Stage 1's a operand is stage 0's c output.
+    "butterfly-q3-s2": ["butterfly", "--q", "3", "--stages", "2"],
+    # N < q: residues 100 and up are never hit, min count 0, ratio DEGENERATE.
+    "bias-n100-q1000": ["bias", "--n", "100", "--q", "1000"],
 }
 WALL_TIME = re.compile(rb"wall time: [0-9.]+ s")
 

@@ -59,7 +59,8 @@ def move_hit(src, dst):
 
 class TestRejection:
     """verify_bounds refuses counts that differ from the exact form; each
-    tampered profile keeps the sum, and the misplaced hits keep the bracket."""
+    tampered profile keeps the sum, and the misplaced hits keep the bracket.
+    A tampered profile's summaries are those of its own counts."""
 
     @pytest.mark.parametrize("q,n,edit", [
         # N = 2^23 + 50 leaves b = 58 at q = 100 and b = 50 at q = 2^17:
@@ -78,7 +79,11 @@ class TestRejection:
         counts = p.counts.copy()
         edit(counts)
         assert int(counts.sum()) == n
-        assert not mc.verify_bounds(dataclasses.replace(p, counts=counts))
+        tampered = dataclasses.replace(p, counts=counts)
+        assert not mc.verify_bounds(tampered)
+        low, high = int(counts.min()), int(counts.max())
+        assert (tampered.min_count, tampered.max_count) == (low, high)
+        assert tampered.ratio == (Fraction(high, low) if low else None)
 
     @pytest.mark.parametrize("q", [100, 1 << 17])
     def test_missing_residue(self, q):
