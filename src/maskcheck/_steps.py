@@ -10,8 +10,9 @@ import threading
 # 22-26 ms per 2^20 indices against 39-45 ms in one piece.
 STEP_CELLS = 1 << 16
 
-# Threads at most, one per usable CPU: the text parses, gathers and
-# bincounts they run release the GIL.
+# Threads at most, one per usable CPU.  Of what they run, np.fromstring,
+# np.take, np.bincount and the renderer's numpy steps release the GIL;
+# bytes.translate and isdigit, which each chunk parse also runs, hold it.
 MAX_THREADS = 8
 
 

@@ -34,8 +34,7 @@ class WidthConfig:
     width: int
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        _check_modulus(self.q)
         if not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
 
@@ -52,6 +51,11 @@ class WidthConfig:
             )
 
 
+def _check_modulus(q: int) -> None:
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+
+
 def _check_residues(q: int, x: int, s1: int) -> None:
     if not 0 <= x < q:
         raise ValueError(f"x={x} outside [0, {q})")
@@ -66,8 +70,7 @@ def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
     true for every valid input, and the tuple form exposes each side of
     the bound separately for the oracle suites.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    _check_modulus(q)
     _check_residues(q, x, s1)
     t = x + q - s1
     return (1 <= t, t < 2 * q)

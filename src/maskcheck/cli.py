@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __all__ as _PUBLIC, __version__
@@ -81,7 +81,8 @@ class Result(NamedTuple):
     asked for, so large outputs cost nothing in the other formats.  A `doc`
     value is a JSON value, a matrix of non-negative integers (np.ndarray),
     which the json output streams, or a zero-argument callable, which only
-    the json output calls.  `csv` gives the rows, header first, that a
+    the json output calls; a callable may return its JSON text in pieces
+    (an iterator of str).  `csv` gives the rows, header first, that a
     csv writer quotes; without it the csv output is the key,value rows of
     the scalar fields of `doc`.  An `alarm` reports a theory-contradicting
     result: it goes to stderr after the output and sets exit code 3.
@@ -162,20 +163,36 @@ def _json_matrix(m: np.ndarray):
     if m.size and m.min() < 0:
         raise ValueError("negative entries are not rendered")
     if not m.size:
-        yield "[" + ",".join(["[]"] * len(m)) + "]"
-        return
-    for i, text in enumerate(_row_blocks(m)):
-        # The matrix's opening "[" takes the first row's ",".
+        return iter(["[" + ",".join(["[]"] * len(m)) + "]"])
+    return _json_rows(_row_blocks(m))
+
+
+def _json_rows(blocks: Iterable[str]):
+    """A matrix as JSON text from the ",[a,b],[c,d]" texts of its rows, in
+    order: the matrix's opening "[" takes the first row's ","."""
+    for i, text in enumerate(blocks):
         yield "[" + text[1:] if i == 0 else text
     yield "]"
 
 
-def _list_rows(m: np.ndarray):
-    """The rows of a non-empty 2-D array of non-negative integers as the
-    text between the brackets of Python's list repr, "a, b, ...", made
-    from the blocks of `_row_blocks`."""
-    for text in _row_blocks(m):
+def _list_rows(blocks: Iterable[str]):
+    """The rows of ",[a,b],[c,d]" texts as the text between the brackets
+    of Python's list repr, "a, b, ..."."""
+    for text in blocks:
         yield from text.replace(",", ", ")[3:-1].split("], [")
+
+
+def _marginal_texts(wire):
+    """The ",[a,b],[c,d]" texts of a wire's marginal table from one pass
+    of the block kernel, which also completes the wire's analysis: a worker
+    renders a block only where it differs from row 0, and row 0's text
+    stands for the others."""
+    from .wires import _marginal_blocks
+
+    row = _render_rows(_cli.marginal_histogram(wire, 0)[None])
+    render = lambda counts, same: None if same else _render_rows(counts)
+    for rows, text in _marginal_blocks(wire, render):
+        yield row * (rows.stop - rows.start) if text is None else text
 
 
 def _emit(result: Result, fmt: str, out) -> None:
@@ -183,7 +200,8 @@ def _emit(result: Result, fmt: str, out) -> None:
 
     JSON is written key by key in sorted order; a callable value is called
     first, integer array values are streamed in blocks of rows by
-    `_json_matrix`, and every other value goes through json.dumps.  The
+    `_json_matrix`, an iterator's pieces of JSON text are written as they
+    come, and every other value goes through json.dumps.  The
     bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":")) of
     the document with its callables called and its arrays as lists, plus a
     newline.  csv rows go through one csv writer, which quotes a field
@@ -198,7 +216,9 @@ def _emit(result: Result, fmt: str, out) -> None:
             if callable(value):
                 value = value()
             if numpy and isinstance(value, numpy.ndarray):
-                for text in _json_matrix(value):
+                value = _json_matrix(value)
+            if isinstance(value, Iterator):
+                for text in value:
                     out.write(text)
             else:
                 out.write(json.dumps(value, sort_keys=True, separators=(",", ":")))
@@ -226,28 +246,47 @@ def cmd_classify(args) -> Result:
         raise ValueError(f"cannot read {args.wire}: {exc}") from exc
     except _cli.WireFormatError as exc:
         raise ValueError(f"{args.wire}: {exc}") from exc
+    # Here, not at the top: imported before wires, numpy adds ~0.9 MiB to peak RSS.
+    import numpy as np
+
+    from .wires import _in_blocks
+
+    q, alphabet = wire.q, wire.alphabet_size
+    doc = {"q": q, "alphabet": alphabet}
+    # A residue wire's marginal table is never held whole (see `_in_blocks`).
+    in_blocks = _in_blocks(q, alphabet)
+    if in_blocks and args.format == "json" and not _cli.is_value_independent(wire):
+        # One pass counts, compares and renders the marginals, and completes
+        # the analysis that the keys sorted after "marginals" read.
+        mi = lambda: _cli.mutual_information(wire)
+        doc.update(marginals=lambda: _json_rows(_marginal_texts(wire)),
+                   mutual_information_bits=lambda: mi().bits,
+                   mutual_information_is_zero=lambda: mi().is_zero,
+                   verdict=lambda: _cli.classify(wire).value)
+        return Result(doc, lambda: ())  # json only
+    # The analysis runs first, so that a theory violation exits 3 before any output.
     verdict = _cli.classify(wire)
-    marginals = _cli.marginal_table(wire)
-    if verdict is not _cli.Verdict.NON_CONSTANT_MARGINAL:  # every row equals row 0
-        # Here, not at the top: imported before wires, numpy adds ~0.9 MiB to peak RSS.
-        import numpy as np
-        marginals = np.broadcast_to(marginals[:1], marginals.shape)
     mi = _cli.mutual_information(wire)
-    doc = {
-        "q": wire.q,
-        "alphabet": wire.alphabet_size,
-        "verdict": verdict.value,
-        "marginals": marginals,
-        "mutual_information_bits": mi.bits,
-        "mutual_information_is_zero": mi.is_zero,
-    }
+    constant = verdict is not _cli.Verdict.NON_CONSTANT_MARGINAL  # every row equals row 0
+    if in_blocks and not constant:
+        blocks = lambda: _marginal_texts(wire)
+    else:
+        if in_blocks:
+            marginals = _cli.marginal_histogram(wire, 0)[None]
+        else:
+            marginals = _cli.marginal_table(wire)
+        if constant:
+            marginals = np.broadcast_to(marginals[:1], (q, alphabet))
+        blocks = lambda: _row_blocks(marginals)
+    doc.update(verdict=verdict.value, marginals=lambda: _json_rows(blocks()),
+               mutual_information_bits=mi.bits, mutual_information_is_zero=mi.is_zero)
 
     def human():
-        yield f"wire: q={wire.q} alphabet={wire.alphabet_size}"
+        yield f"wire: q={q} alphabet={alphabet}"
         yield f"verdict: {verdict.value}"
         yield f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})"
         yield "marginal histograms (one row per secret):"
-        for x, row in enumerate(_list_rows(marginals)):
+        for x, row in enumerate(_list_rows(blocks())):
             yield f"  x={x}: [{row}]"
 
     return Result(doc, human)

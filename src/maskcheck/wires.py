@@ -25,6 +25,7 @@ import io
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -140,12 +141,39 @@ class WireFunction:
         return int(self.table[s0 * self.q + s1])
 
     @cached_property
-    def _analysis(self) -> tuple[int, np.ndarray]:
-        """(verdict code, read-only marginal table), as a batch of one."""
-        codes, m = _analyze(self.q, self.table[None, :], self.alphabet_size, "wire")
-        m = m.astype(_COUNT_DTYPE, copy=False)  # a bincount's counts are int64
+    def _analysis(self) -> tuple[int, float, np.ndarray | None]:
+        """(verdict code, mutual information in bits, read-only marginal
+        table).  A wire whose marginal table is larger than a step is
+        analysed by `_marginal_pass` without that table (None here); any
+        other as a batch of one by `_analyze`."""
+        q, alphabet = self.q, self.alphabet_size
+        if _in_blocks(q, alphabet):
+            return _result(_marginal_blocks(self))
+        codes, m = _analyze(q, self.table[None, :], alphabet, "wire")
+        m = m[0].astype(_COUNT_DTYPE, copy=False)  # a bincount's counts are int64
         m.setflags(write=False)
-        return int(codes[0]), m[0]
+        if VERDICT_BY_CODE[codes[0]] is not Verdict.NON_CONSTANT_MARGINAL:
+            return int(codes[0]), 0.0, m
+        colsum = m.sum(axis=0)
+        terms = [_information_terms(m[rows], colsum, q) for _, rows in _steps.steps(1, *m.shape)]
+        return int(codes[0]), float(np.sum(np.concatenate(terms))), m
+
+    @cached_property
+    def _value_independent(self) -> bool:
+        """Is every column t[:, s1] of the table constant?"""
+        return bool(_rows_equal(self.table.reshape(1, self.q, self.q))[0])
+
+    @cached_property
+    def _marginals(self) -> np.ndarray:
+        """The read-only marginal table: the analysis's, or counted a block
+        at a time where the analysis does without it."""
+        if not _in_blocks(self.q, self.alphabet_size):
+            return self._analysis[2]
+        m = np.empty((self.q, self.alphabet_size), dtype=_COUNT_DTYPE)
+        for rows, counts in _block_marginals(self.q, self.table, self.alphabet_size):
+            m[rows] = counts
+        m.setflags(write=False)
+        return m
 
 
 def _check_cell_cap(q: int, alphabet_size: int):
@@ -236,28 +264,134 @@ def _rows_equal(a: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).reshape(len(a), -1).all(axis=1)
 
 
-def _block_marginals(q: int, cells: np.ndarray, alphabet: int) -> np.ndarray:
-    """Marginal tables (n, q, alphabet), in `_COUNT_DTYPE`, of n flat
-    s0-major tables, counted on threads a step (a block of secret rows x of
-    one wire) at a time: a block gathers its diagonals t[(x - s1) % q, s1],
+def _in_blocks(q: int, alphabet: int) -> bool:
+    """Is a marginal table of q * alphabet cells larger than a step (that
+    of any residue wire), so that it is counted a block of secret rows at a
+    time and never held whole for the analysis?"""
+    return q * alphabet > _steps.STEP_CELLS
+
+
+# Blocks per thread that `_block_marginals` counts before it yields them.
+_BLOCKS_PER_THREAD = 4
+
+
+def _diagonal_cells(q: int, rows: int) -> np.ndarray:
+    """base[j, s1] = ((j - s1) % q) * q + s1, the flat index of the cell
+    (j - s1, s1), for j < rows; adding x0 * q, mod q^2, moves it to secret
+    x0 + j."""
+    j, s1 = np.ogrid[:rows, :q]
+    return (j - s1) % q * q + s1
+
+
+def _count_block(q: int, table: np.ndarray, alphabet: int, base: np.ndarray,
+                 x0: int) -> np.ndarray:
+    """Marginal histograms of secrets x0 .. x0 + len(base) - 1 of a flat
+    s0-major table, (len(base), alphabet) in `_COUNT_DTYPE`: gathers their
+    diagonals t[(x - s1) % q, s1] through `base` (`_diagonal_cells`),
     offsets each row's keys by its row and bincounts them into its rows."""
-    m = np.zeros((len(cells), q, alphabet), dtype=_COUNT_DTYPE)
-    blocks = _steps.steps(len(cells), q, max(q, alphabet))
-    # base[j, s1] = ((j - s1) % q) * q + s1, the flat index of the cell
-    # (j - s1, s1); adding x0 * q, mod q^2, moves it to secret x0 + j.
-    j, s1 = np.ogrid[:blocks[0][1].stop if blocks else 0, :q]
-    base = (j - s1) % q * q + s1
+    keys = np.take(table, base + x0 * q, mode="wrap")
+    keys = keys + np.arange(0, len(base) * alphabet, alphabet)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=len(base) * alphabet)
+    return counts.reshape(len(base), alphabet).astype(_COUNT_DTYPE)
 
-    def count(step):
-        wire, rows = step
-        x0, x1, _ = rows.indices(q)
-        keys = np.take(cells[wire], base[:x1 - x0] + x0 * q, mode="wrap")
-        keys = keys + np.arange(0, (x1 - x0) * alphabet, alphabet)[:, None]
-        m[wire, rows] = np.bincount(keys.ravel(), minlength=(x1 - x0) * alphabet
-                                    ).reshape(x1 - x0, alphabet)
 
-    _steps.in_threads(count, blocks)
-    return m
+def _block_marginals(q: int, table: np.ndarray, alphabet: int, fn=None):
+    """(rows, counts) of a flat s0-major table's marginal table, a step (a
+    block of secret rows) at a time in secret order, where counts[j] is
+    secret rows.start + j's histogram (`_count_block`), or fn(counts) where
+    fn is given, run on the worker thread.  Blocks are counted on threads
+    a group of `_BLOCKS_PER_THREAD` per thread at a time, so no more than
+    that many are held."""
+    blocks = [slice(*rows.indices(q)[:2])
+              for _, rows in _steps.steps(1, q, max(q, alphabet))]
+    base = _diagonal_cells(q, blocks[0].stop)
+    group = _BLOCKS_PER_THREAD * _steps.thread_count(len(blocks))
+    for g in range(0, len(blocks), group):
+        part = blocks[g:g + group]
+        done = [None] * len(part)
+
+        def count(i):
+            rows = part[i]
+            counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
+            done[i] = fn(counts) if fn else counts
+
+        _steps.in_threads(count, range(len(part)))
+        yield from zip(part, done)
+
+
+def _information_terms(block: np.ndarray, colsum: np.ndarray, q: int) -> np.ndarray:
+    """The terms (h / q^2) * log2(h * q / colsum[v]) of the nonzero counts
+    h of a block of marginal rows, row by row: each is exactly 0.0 where
+    the row is the mean row colsum / q."""
+    nz = block > 0
+    h = block[nz].astype(np.float64)
+    ratios = (h * q) / np.broadcast_to(colsum, block.shape)[nz]
+    return (h / (float(q) * float(q))) * np.log2(ratios)
+
+
+def _marginal_pass(q: int, table: np.ndarray, alphabet: int, vi: bool, what: str,
+                   fn=None):
+    """The analysis of one flat s0-major table whose marginal table is
+    larger than a step, counted by `_block_marginals` and never held
+    whole.  Yields (rows, fn(counts, same)) per block in secret order,
+    where fn runs on the worker thread and `same` tells whether every row
+    of the block equals row 0; returns (verdict code, mutual information in
+    bits), raising TheoryViolation, named by `what`, where the table is
+    value-independent (`vi`) but its marginal is not constant.
+
+    Row 0 is counted first; the marginal is constant iff every block
+    equals it.  A block that differs gives the information terms of its
+    rows, and row 0's terms stand in for each row of a block that equals
+    it, so the terms in secret order are those of the whole marginal table
+    and their one sum is the same float.  The column sums they need are a
+    stepped bincount of the table (a whole-table bincount makes an intp
+    copy of it), made by the first block that differs from row 0.
+    """
+    row0 = _count_block(q, table, alphabet, _diagonal_cells(q, 1), 0)
+    colsum, lock = [], threading.Lock()
+
+    def column_sums():
+        with lock:
+            if not colsum:
+                colsum.append(sum(np.bincount(table[part], minlength=alphabet)
+                                  for _, part in _steps.steps(1, table.size, 1)))
+        return colsum[0]
+
+    def analyse(counts):
+        same = bool((counts == row0).all())
+        terms = None if same or vi else _information_terms(counts, column_sums(), q)
+        return same, terms, fn(counts, same) if fn else None
+
+    parts, constant = [], True
+    for rows, (same, terms, out) in _block_marginals(q, table, alphabet, analyse):
+        parts.append((rows.stop - rows.start, terms))
+        constant &= same
+        yield rows, out
+    code = int(_verdict_codes(q, np.array([vi]), np.array([constant]), what)[0])
+    if constant:
+        return code, 0.0
+    row0_terms, terms = _information_terms(row0, colsum[0], q), []
+    for n, block_terms in parts:
+        terms += [row0_terms] * n if block_terms is None else [block_terms]
+    return code, float(np.sum(np.concatenate(terms)))
+
+
+def _result(gen):
+    """The return value of a generator, run to its end."""
+    while True:
+        try:
+            next(gen)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _marginal_blocks(w: WireFunction, fn=None):
+    """The pass of `_marginal_pass` over a wire whose marginal table is
+    larger than a step; when it ends, its result is the wire's analysis."""
+    code, bits = yield from _marginal_pass(w.q, w.table, w.alphabet_size,
+                                           w._value_independent, "wire", fn)
+    w.__dict__["_analysis"] = analysis = (code, bits, None)  # where cached_property keeps it
+    return analysis
 
 
 def _analyze(q: int, cells: np.ndarray, alphabet: int,
@@ -271,18 +405,16 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     the diagonal s0 + s1 = x.  The soundness check of each row thus
     compares its columns with its diagonals.
 
-    A wire whose marginal table (q * alphabet cells) is larger than one
-    step, a residue wire, is counted by `_block_marginals`.  Otherwise the
-    keys t + `_diagonal_keys` are scattered into the n*q histograms
+    It is meant for a marginal table of at most one step (q * alphabet
+    cells, see `_in_blocks`); a larger one is analysed by `_marginal_pass`.
+    The keys t + `_diagonal_keys` are scattered into the n*q histograms
     `_steps.steps` of STEP_CELLS cells at a time, counting in `_COUNT_DTYPE`;
     a batch of one step takes one bincount (int64 counts), cheaper per
     call than add.at.  Both predicates are compared step by step.
     """
     n = len(cells)
     t = cells.reshape(n, q, q)
-    if q * alphabet > _steps.STEP_CELLS:
-        m = _block_marginals(q, cells, alphabet)
-    elif t.size <= _steps.STEP_CELLS:
+    if t.size <= _steps.STEP_CELLS:
         m = np.bincount((t + _diagonal_keys(q, n, alphabet)).ravel(),
                         minlength=n * q * alphabet)
     else:
@@ -300,23 +432,33 @@ def is_value_independent(w: WireFunction) -> bool:
 
     For each mask s1, x -> x - s1 is a bijection of Z_q, so the outputs
     over all secrets are exactly the column w(., s1) of the raw table; the
-    wire is value-independent iff every such column is constant.  O(q^2).
+    wire is value-independent iff every such column is constant.  O(q^2),
+    read off the table alone: `classify` cross-checks it with the marginals.
     """
-    return VERDICT_BY_CODE[w._analysis[0]] is Verdict.VALUE_INDEPENDENT
+    return w._value_independent
 
 
 def marginal_histogram(w: WireFunction, x) -> np.ndarray:
     """Output counts over a uniform mask for one secret x.
 
     counts[v] = #{s1 : w(x - s1, s1) = v}; the counts always sum to q
-    because each mask contributes exactly one output.
+    because each mask contributes exactly one output.  Read-only; a wire
+    whose marginal table is larger than a step counts the one row.
     """
-    return marginal_table(w)[_as_residue(x, w.q)]
+    x = _as_residue(x, w.q)
+    if not _in_blocks(w.q, w.alphabet_size):
+        return marginal_table(w)[x]
+    row = _count_block(w.q, w.table, w.alphabet_size, _diagonal_cells(w.q, 1), x)[0]
+    row.setflags(write=False)
+    return row
 
 
 def marginal_table(w: WireFunction) -> np.ndarray:
-    """All marginal histograms stacked: shape (q, alphabet_size), read-only."""
-    return w._analysis[1]
+    """All marginal histograms stacked: shape (q, alphabet_size), in
+    uint16, read-only and computed once.  A wire whose marginal table is
+    larger than a step (any residue wire) is analysed without it, so the
+    table is counted only when it is asked for here."""
+    return w._marginals
 
 
 def has_constant_marginal(w: WireFunction) -> bool:
@@ -350,6 +492,10 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
         raise ValueError("cells must be non-negative")
     alphabet = int(cells.max(initial=0)) + 1
     _check_cell_cap(q, alphabet)
+    if _in_blocks(q, alphabet):  # a row at a time, without its marginal table
+        vi = _rows_equal(cells.reshape(len(cells), q, q))
+        return np.array([_result(_marginal_pass(q, row, alphabet, v, f"bulk row {i}"))[0]
+                         for i, (row, v) in enumerate(zip(cells, vi))], dtype=np.int8)
     return _analyze(q, cells, alphabet, "bulk row {}")[0]
 
 
@@ -374,25 +520,12 @@ def mutual_information(w: WireFunction) -> MutualInformation:
     (counts[x][v] * q) / colsum[v].  When the histogram is constant,
     colsum[v] = q * counts[x][v] for every x, so each ratio is exactly 1.0,
     each term exactly 0.0 and the sum exactly 0.0 with no cancellation;
-    that case returns 0.0 without making the float arrays at all.
-    Otherwise only the nonzero counts become floats, found in blocks of
-    rows (see `_steps.steps`), and their terms are summed as one array.
+    that case is 0.0 without making the float arrays at all.  Otherwise
+    only the nonzero counts become floats, found in blocks of rows (see
+    `_information_terms`), and their terms are summed as one array.  Both
+    are computed with the verdict.
     """
-    if has_constant_marginal(w):
-        return MutualInformation(bits=0.0, is_zero=True)
-    m = marginal_table(w)
-    q = w.q
-    colsum = m.sum(axis=0)
-    total = float(q) * float(q)
-    terms = []
-    for _, rows in _steps.steps(1, *m.shape):
-        block = m[rows]
-        nz = block > 0
-        h = block[nz].astype(np.float64)
-        ratios = (h * q) / np.broadcast_to(colsum, block.shape)[nz]
-        terms.append((h / total) * np.log2(ratios))
-    bits = float(np.sum(np.concatenate(terms)))
-    return MutualInformation(bits=bits, is_zero=False)
+    return MutualInformation(bits=w._analysis[1], is_zero=has_constant_marginal(w))
 
 
 def t6_witness(q) -> WireFunction:

@@ -117,6 +117,16 @@ class TestUremReparam:
         assert str(bounds.value) == str(reparam.value) == (
             f"{name}={value} outside [0, {ML_KEM_Q})")
 
+    @pytest.mark.parametrize("q", [0, -1, -3329])
+    def test_modulus_refusal_matches_width_config(self, q):
+        """The modulus is refused first, before the residues or the width,
+        with one message."""
+        with pytest.raises(ValueError) as bounds:
+            mc.no_overflow_bounds(q, -1, -1)
+        with pytest.raises(ValueError) as config:
+            mc.WidthConfig(q, 0)
+        assert str(bounds.value) == str(config.value) == f"q must be >= 1, got {q}"
+
     def test_word_overflow_is_a_distinct_error(self):
         # Bypass the admissibility gate to show the checked ops would
         # catch a too-narrow register on their own.

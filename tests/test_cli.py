@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import _steps, cli
+from maskcheck import _steps, cli, wires
 from maskcheck.cli import main, stream_rng
 
 
@@ -44,6 +44,20 @@ def refuse_call(monkeypatch, module, name):
         raise AssertionError(f"{name} was called")
 
     monkeypatch.setattr(module, name, refused)
+
+
+def residue_table(kind, q):
+    """The flat s0-major table of a residue wire (alphabet q, q prime) of
+    each verdict: f(s1), a permutation g(s0), and (s0 + s1) % q."""
+    s = np.arange(q)
+    return {"value-independent": np.tile(s * 3 % q, q),
+            "constant-marginal": np.repeat(s * 5 % q, q),
+            "recombined": ((s[:, None] + s) % q).ravel()}[kind]
+
+
+RESIDUE_VERDICTS = {"value-independent": "VALUE_INDEPENDENT",
+                    "constant-marginal": "CONSTANT_MARGINAL_ONLY",
+                    "recombined": "NON_CONSTANT_MARGINAL"}
 
 
 class TestClassify:
@@ -86,6 +100,52 @@ class TestClassify:
         assert code == 0
         assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "NON_CONSTANT_MARGINAL"
         assert peak <= 2.6 * table_bytes
+
+    @pytest.mark.parametrize("kind", ["value-independent", "recombined"])
+    def test_peak_memory_without_marginal_table(self, tmp_path, monkeypatch, kind):
+        """A residue wire's marginal table (q * alphabet cells) is never
+        held whole: at q = 1031, with the step and chunk budgets small
+        beside it, a json run peaks at the uint16 table plus a few
+        PARSE_CHUNKs, below the table and the marginal table together."""
+        q = 1031
+        monkeypatch.setattr(_steps, "STEP_CELLS", 1 << 12)
+        monkeypatch.setattr(wires, "PARSE_CHUNK", 1 << 17)
+        monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.make_wire(q, residue_table(kind, q), alphabet_size=q), path)
+        table_bytes = q * q * np.dtype(np.uint16).itemsize  # as many as the marginal table
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "out.json", "w") as out, redirect_stdout(out):
+                code = main(["classify", str(path), "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads((tmp_path / "out.json").read_text())["verdict"] == RESIDUE_VERDICTS[kind]
+        assert peak <= table_bytes + 5 * wires.PARSE_CHUNK < 2 * table_bytes
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_residue_stdout_same_in_blocks_on_threads(self, capsys, monkeypatch, tmp_path,
+                                                      threads):
+        """Residue wires at q = 41 of each verdict, and a random one, counted
+        in blocks of three rows on 1 to 4 threads: stdout in every format
+        is the bytes of the whole-table analysis that a step of the default
+        size takes."""
+        q = 41
+        tables = [residue_table(kind, q) for kind in RESIDUE_VERDICTS]
+        tables.append(np.random.default_rng(threads).integers(0, q, q * q))
+        argvs = []
+        for i, table in enumerate(tables):
+            mc.save_wire(mc.make_wire(q, table, alphabet_size=q), tmp_path / f"{i}.json")
+            argvs += [("classify", str(tmp_path / f"{i}.json"), "--format", fmt)
+                      for fmt in ("json", "csv", "human")]
+        assert not wires._in_blocks(q, q)
+        expected = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(_steps, "STEP_CELLS", 160)
+        monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
+        assert wires._in_blocks(q, q) and len(_steps.steps(1, q, q)) == 14
+        assert [run(capsys, *argv) for argv in argvs] == expected
 
     def test_truncated_table_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -513,6 +573,29 @@ class TestTheoryViolationExits3:
         assert err == "theory violation: cross-check failed\n"
 
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_residue_marginal_contradiction_writes_no_output(self, capsys, monkeypatch,
+                                                             tmp_path, fmt):
+        """A value-independent residue wire whose block kernel counts one
+        secret's row differently: the analysis runs before any output."""
+        q = 257
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.make_wire(q, np.tile(np.arange(q) % 5, q), alphabet_size=q), path)
+        real = wires._count_block
+
+        def skewed(q, table, alphabet, base, x0):
+            counts = real(q, table, alphabet, base, x0)
+            if x0 <= q - 1 < x0 + len(counts):
+                counts[q - 1 - x0] = np.roll(counts[q - 1 - x0], 1)
+            return counts
+
+        monkeypatch.setattr(wires, "_count_block", skewed)
+        code, out, err = run(capsys, "classify", str(path), "--format", fmt)
+        assert code == 3 and not out
+        assert err == (f"theory violation: wire at q={q} is value-independent but its "
+                       "marginal histogram varies with the secret\n")
+
+
 class TestClosedStdout:
     """A reader that stops after one line: no traceback, and the exit code
     and alarm line the run would have had anyway."""
@@ -677,7 +760,7 @@ class TestJsonEmitter:
         rows = m.tolist()
         assert rendered(m) == dumps_compact(rows)
         # The human rows of classify: the inside of each row's list repr.
-        assert list(cli._list_rows(m)) == [repr(row)[1:-1] for row in rows]
+        assert list(cli._list_rows(cli._row_blocks(m))) == [repr(row)[1:-1] for row in rows]
 
     def test_rejects_what_it_cannot_render(self):
         with pytest.raises(ValueError, match="negative"):

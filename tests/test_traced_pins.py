@@ -10,9 +10,11 @@ those names or counts fails here, without a benchmark run.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from maskcheck import butterfly
+import maskcheck as mc
+from maskcheck import butterfly, cli
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -50,3 +52,28 @@ def test_sweep_calls_and_rows(monkeypatch, index):
     assert len(rows) == calls
     assert set(rows) == {workloads.SWEEP_Q ** 2}
     assert outcome.stdout.document()["n_configurations"] == configurations
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("kind", ["value-independent", "constant-marginal", "recombined"])
+def test_classify_traced_once(tmp_path, kind, fmt):
+    """`classify` of a residue wire (q = 257, alphabet q, so its marginal
+    table is counted in blocks) calls the wrapped `cli.classify` exactly
+    once, whose count adds the wire's q^2 cells: the traced pass requires
+    `wires.cells` to be 6 * 3329^2 over its six wire files."""
+    q = 257
+    s = np.arange(q)
+    table = {"value-independent": np.tile(s * 3 % q, q),
+             "constant-marginal": np.repeat(s * 5 % q, q),
+             "recombined": ((s[:, None] + s) % q).ravel()}[kind]
+    path = tmp_path / "wire.json"
+    mc.save_wire(mc.make_wire(q, table, alphabet_size=q), path)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracing._patches(tracer)), open(tmp_path / "out", "w") as out:
+        saved, sys.stdout = sys.stdout, out
+        try:
+            assert cli.main(["classify", str(path), "--format", fmt]) == 0
+        finally:
+            sys.stdout = saved
+    assert [span.name for span in tracer.spans].count("wires.classify") == 1
+    assert tracer.counts["wires.cells"] == q * q
