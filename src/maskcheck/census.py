@@ -31,12 +31,11 @@ from __future__ import annotations
 import time
 from array import array
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import comb
 from numbers import Integral
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -149,8 +148,7 @@ def wire_to_index(w: WireFunction) -> int:
     return sum(bit << p for p, bit in enumerate(w.table.tolist()))
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class _CensusCounts(NamedTuple):
     q: int
     total_wires: int
     count_value_independent: int
@@ -160,17 +158,30 @@ class CensusReport:
     soundness_violations: int
     wall_time_seconds: float
 
-    def __post_init__(self):
+
+class CensusReport(_CensusCounts):
+    """The verdict counts of one census.  Every way of building one (the
+    constructor, `_make` and `_replace`) checks that they are consistent."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.count_constant_marginal + self.count_non_constant != self.total_wires:
             raise ValueError("census counts do not partition the wire space")
         # Only the sound value-independent wires are constant-marginal ones.
         if (self.count_value_independent - self.soundness_violations
                 > self.count_constant_marginal):
             raise ValueError("more value-independent wires than constant-marginal ones")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         """Every field but the wall time, which differs between runs."""
-        doc = asdict(self)
+        doc = self._asdict()
         del doc["wall_time_seconds"]
         return doc
 
@@ -243,8 +254,7 @@ def constant_marginal_count_formula(q: int) -> int:
     return sum(comb(q, k) ** q for k in range(q + 1))
 
 
-@dataclass(frozen=True)
-class SpotCheck:
+class SpotCheck(NamedTuple):
     """Full per-wire report for one packed index, via the dense path."""
 
     q: int

@@ -39,11 +39,6 @@ FULL_COUNTS_MAX_Q = 1 << 16
 # exhaustive, --samples otherwise); larger runs are refused up front.
 UREM_MAX_PAIRS = 1 << 24
 
-# 10^1 .. 10^18: a non-negative int64 has one digit more than the number
-# of these it reaches.
-_POW10 = tuple(10**k for k in range(1, 19))
-
-
 def __getattr__(name: str):
     """Binds a public name of the package here the first time it is read
     (PEP 562), so that only the runs that use a name import its module.
@@ -106,95 +101,6 @@ def _kv_rows(doc: dict):
             yield key, doc[key]
 
 
-def _render_rows(block: np.ndarray) -> str:
-    """The rows of a non-empty 2-D block of non-negative integers as JSON
-    arrays, each with a comma before it: ",[a,b],[c,d]".
-
-    Rendered into a byte buffer by numpy, so no Python int or str is made
-    per entry.
-    """
-    import numpy as np
-
-    cols = block.shape[1]
-    digits = np.ones(block.shape, dtype=np.uint8)  # at most 19
-    for power in _POW10[:len(str(block.max())) - 1]:
-        digits += block >= power
-    # Each entry is its digits and a separator, and each row starts with ",[".
-    lengths = digits + np.uint8(1)
-    lengths[:, 0] += 2
-    ends = np.cumsum(lengths.ravel(), dtype=np.intp)
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    buf[ends - 1] = ord(",")
-    buf[ends[cols - 1::cols] - 1] = ord("]")
-    opens = ends[::cols] - digits[:, 0] - 2
-    buf[opens] = ord("[")
-    buf[opens - 1] = ord(",")
-    # Digits right to left; an entry drops out after its leading digit.
-    pos, x = ends - 2, block.ravel()
-    while pos.size:
-        quotient = x // 10
-        buf[pos] = (x - quotient * 10).astype(np.uint8) + np.uint8(ord("0"))
-        more = quotient > 0
-        pos, x = pos[more] - 1, quotient[more]
-    return buf.tobytes().decode("ascii")
-
-
-def _row_blocks(m: np.ndarray):
-    """The rows of a non-empty matrix as ",[a,b],[c,d]" text, a step of
-    whole rows at a time, so the renderer's temporaries stay a few MB.  A
-    matrix whose rows share one row's memory (stride 0) renders that row
-    once and repeats it."""
-    from ._steps import steps
-
-    row = _render_rows(m[:1]) if len(m) > 1 and not m.strides[0] else None
-    for _, rows in steps(1, *m.shape):
-        yield row * len(m[rows]) if row else _render_rows(m[rows])
-
-
-def _json_matrix(m: np.ndarray):
-    """A 2-D array of non-negative integers as JSON text, in blocks.
-
-    The blocks joined equal json.dumps(m.tolist(), separators=(",", ":")).
-    Each holds the whole rows of one step (see `_row_blocks`), so the
-    temporaries do not grow with the matrix.
-    """
-    if m.ndim != 2 or m.dtype.kind not in "iu":
-        raise TypeError(f"not a matrix of integers: {m.ndim}-D {m.dtype}")
-    if m.size and m.min() < 0:
-        raise ValueError("negative entries are not rendered")
-    if not m.size:
-        return iter(["[" + ",".join(["[]"] * len(m)) + "]"])
-    return _json_rows(_row_blocks(m))
-
-
-def _json_rows(blocks: Iterable[str]):
-    """A matrix as JSON text from the ",[a,b],[c,d]" texts of its rows, in
-    order: the matrix's opening "[" takes the first row's ","."""
-    for i, text in enumerate(blocks):
-        yield "[" + text[1:] if i == 0 else text
-    yield "]"
-
-
-def _list_rows(blocks: Iterable[str]):
-    """The rows of ",[a,b],[c,d]" texts as the text between the brackets
-    of Python's list repr, "a, b, ..."."""
-    for text in blocks:
-        yield from text.replace(",", ", ")[3:-1].split("], [")
-
-
-def _marginal_texts(wire):
-    """The ",[a,b],[c,d]" texts of a wire's marginal table from one pass
-    of the block kernel, which also completes the wire's analysis: a worker
-    renders a block only where it differs from row 0, and row 0's text
-    stands for the others."""
-    from .wires import _marginal_blocks
-
-    row = _render_rows(_cli.marginal_histogram(wire, 0)[None])
-    render = lambda counts, same: None if same else _render_rows(counts)
-    for rows, text in _marginal_blocks(wire, render):
-        yield row * (rows.stop - rows.start) if text is None else text
-
-
 def _emit(result: Result, fmt: str, out) -> None:
     """Write `result` to `out` as json, csv or human lines.
 
@@ -216,6 +122,8 @@ def _emit(result: Result, fmt: str, out) -> None:
             if callable(value):
                 value = value()
             if numpy and isinstance(value, numpy.ndarray):
+                from ._render import _json_matrix
+
                 value = _json_matrix(value)
             if isinstance(value, Iterator):
                 for text in value:
@@ -240,56 +148,9 @@ def _emit(result: Result, fmt: str, out) -> None:
 
 
 def cmd_classify(args) -> Result:
-    try:
-        wire = _cli.load_wire(args.wire)
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.wire}: {exc}") from exc
-    except _cli.WireFormatError as exc:
-        raise ValueError(f"{args.wire}: {exc}") from exc
-    # Here, not at the top: imported before wires, numpy adds ~0.9 MiB to peak RSS.
-    import numpy as np
+    from ._render import cmd_classify
 
-    from .wires import _in_blocks
-
-    q, alphabet = wire.q, wire.alphabet_size
-    doc = {"q": q, "alphabet": alphabet}
-    # A residue wire's marginal table is never held whole (see `_in_blocks`).
-    in_blocks = _in_blocks(q, alphabet)
-    if in_blocks and args.format == "json" and not _cli.is_value_independent(wire):
-        # One pass counts, compares and renders the marginals, and completes
-        # the analysis that the keys sorted after "marginals" read.
-        mi = lambda: _cli.mutual_information(wire)
-        doc.update(marginals=lambda: _json_rows(_marginal_texts(wire)),
-                   mutual_information_bits=lambda: mi().bits,
-                   mutual_information_is_zero=lambda: mi().is_zero,
-                   verdict=lambda: _cli.classify(wire).value)
-        return Result(doc, lambda: ())  # json only
-    # The analysis runs first, so that a theory violation exits 3 before any output.
-    verdict = _cli.classify(wire)
-    mi = _cli.mutual_information(wire)
-    constant = verdict is not _cli.Verdict.NON_CONSTANT_MARGINAL  # every row equals row 0
-    if in_blocks and not constant:
-        blocks = lambda: _marginal_texts(wire)
-    else:
-        if in_blocks:
-            marginals = _cli.marginal_histogram(wire, 0)[None]
-        else:
-            marginals = _cli.marginal_table(wire)
-        if constant:
-            marginals = np.broadcast_to(marginals[:1], (q, alphabet))
-        blocks = lambda: _row_blocks(marginals)
-    doc.update(verdict=verdict.value, marginals=lambda: _json_rows(blocks()),
-               mutual_information_bits=mi.bits, mutual_information_is_zero=mi.is_zero)
-
-    def human():
-        yield f"wire: q={q} alphabet={alphabet}"
-        yield f"verdict: {verdict.value}"
-        yield f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})"
-        yield "marginal histograms (one row per secret):"
-        for x, row in enumerate(_list_rows(blocks())):
-            yield f"  x={x}: [{row}]"
-
-    return Result(doc, human)
+    return cmd_classify(args)
 
 
 def cmd_census(args) -> Result:
@@ -427,12 +288,18 @@ def cmd_witness(args) -> Result:
             _cli.save_wire(wire, args.wire_out)
         except OSError as exc:
             raise ValueError(f"cannot write {args.wire_out}: {exc}") from exc
+
+    def wire_json():  # wire_to_dict's text, q^2 entries rendered in steps, for json only
+        from ._render import wire_json
+
+        return wire_json(wire)
+
     doc = {
         "q": wire.q,
         "verdict": verdict.value,
         "mutual_information_bits": mi.bits,
         "mutual_information_is_zero": mi.is_zero,
-        "wire": lambda: _cli.wire_to_dict(wire),  # a list of q^2 entries, for json only
+        "wire": wire_json,
     }
     return Result(doc, lambda: [
         f"indicator-of-zero witness at q={wire.q}",

@@ -350,3 +350,16 @@ class TestReportValidation:
                 count_non_constant=10, soundness_violations=0,
                 wall_time_seconds=0.0,
             )
+
+    def test_replace_and_make_enforce_both_checks(self):
+        """`_replace` and `_make` build through the constructor, so neither
+        makes a report the constructor refuses."""
+        report = mc.run_census(2)
+        with pytest.raises(ValueError, match="partition"):
+            report._replace(count_non_constant=report.count_non_constant + 1)
+        with pytest.raises(ValueError, match="more value-independent"):
+            report._replace(count_value_independent=report.count_constant_marginal + 1)
+        with pytest.raises(ValueError, match="partition"):
+            mc.CensusReport._make([*report[:5], 0, *report[6:]])
+        assert report._replace(soundness_violations=2).soundness_violations == 2
+        assert mc.CensusReport._make(report) == report

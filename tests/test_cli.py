@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import io
 import json
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import _steps, cli, wires
+from maskcheck import _render, _steps, cli, wires
 from maskcheck.cli import main, stream_rng
 
 
@@ -433,12 +432,12 @@ class TestWitness:
         reloaded = mc.load_wire(out_path)
         assert mc.classify(reloaded) is mc.Verdict.CONSTANT_MARGINAL_ONLY
 
-    def test_table_listed_for_json_only(self, capsys, monkeypatch):
-        """The wire's q^2-entry list is made only when json prints it."""
+    def test_table_rendered_for_json_only(self, capsys, monkeypatch):
+        """The wire's q^2-entry table is rendered only when json prints it."""
         def refused(wire):
-            raise AssertionError("the wire table was listed")
+            raise AssertionError("the wire table was rendered")
 
-        monkeypatch.setattr(cli, "wire_to_dict", refused, raising=False)
+        monkeypatch.setattr(_render, "wire_json", refused)
         golden = Path(__file__).parent / "data" / "golden"
         for fmt, ext in (("human", "txt"), ("csv", "csv")):
             code, out, _ = run(capsys, "witness", "--q", "5", "--format", fmt)
@@ -529,8 +528,8 @@ class TestTheoryViolationExits3:
 
     def test_census_soundness_violation(self, capsys, monkeypatch):
         real = cli.run_census
-        monkeypatch.setattr(cli, "run_census", lambda q, parallelism: dataclasses.replace(
-            real(q), soundness_violations=2))
+        monkeypatch.setattr(cli, "run_census", lambda q, parallelism: real(q)._replace(
+            soundness_violations=2))
         code, out, err = run(capsys, "census", "--q", "2")
         assert code == 3 and "  soundness violations:   2\n" in out
         assert err == ("error: census found 2 soundness violations "
@@ -681,7 +680,7 @@ def dumps_compact(value):
 
 
 def rendered(m):
-    return "".join(cli._json_matrix(m))
+    return "".join(_render._json_matrix(m))
 
 
 def block_rows(cols):
@@ -760,7 +759,22 @@ class TestJsonEmitter:
         rows = m.tolist()
         assert rendered(m) == dumps_compact(rows)
         # The human rows of classify: the inside of each row's list repr.
-        assert list(cli._list_rows(cli._row_blocks(m))) == [repr(row)[1:-1] for row in rows]
+        assert list(_render._list_rows(_render._row_blocks(m))) == [repr(row)[1:-1] for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([2, 3, 256, 257, 65536]),
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_wire_matches_json_dumps(self, q, alphabet, budget, seed):
+        """witness's json wire, rendered in steps of `budget` entries,
+        equals json.dumps of wire_to_dict."""
+        table = np.random.default_rng(seed).integers(0, alphabet, q * q)
+        w = mc.make_wire(q, table, alphabet_size=alphabet)
+        original, _steps.STEP_CELLS = _steps.STEP_CELLS, budget
+        try:
+            text = "".join(_render.wire_json(w))
+        finally:
+            _steps.STEP_CELLS = original
+        assert text == dumps_compact(mc.wire_to_dict(w))
 
     def test_rejects_what_it_cannot_render(self):
         with pytest.raises(ValueError, match="negative"):

@@ -30,20 +30,22 @@ def test_public_imports_are_exported():
 
 
 # Each CLI entry path, run in a fresh process: the maskcheck submodules it
-# loads and which of hashlib and fractions.  numpy is allowed for the other
-# subcommands; census, bounds and the paths that run none must leave it
-# unloaded.
+# loads and which of hashlib, fractions, dataclasses and inspect (which
+# dataclasses imports).  numpy is allowed for the other subcommands;
+# census, bounds and the paths that run none must leave it unloaded.  Only
+# the subcommands that print a marginal or wire table load the renderer.
+DC = "dataclasses inspect"
 ENTRY_PATHS = [
     (["--version"], "cli", ""),
     (["--help"], "cli", ""),
     (["urem-check", "--q", "7", "--seed", "-1"], "cli", ""),  # a usage error
     (["census", "--q", "3"], "census cli", ""),
-    (["classify", "{wire}"], "_steps cli wires zq", ""),
-    (["witness", "--q", "3"], "_steps cli wires zq", ""),
-    (["butterfly", "--q", "2"], "_steps butterfly cli wires zq", ""),
-    (["bias", "--n", "16", "--q", "5"], "cli rngbias", "fractions"),
-    (["bounds", "--q", "5", "--w", "8"], "bitvec cli", ""),
-    (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "bitvec cli", "hashlib"),
+    (["classify", "{wire}"], "_render _steps cli wires zq", DC),
+    (["witness", "--q", "3"], "_steps cli wires zq", DC),
+    (["butterfly", "--q", "2"], "_steps butterfly cli wires zq", DC),
+    (["bias", "--n", "16", "--q", "5"], "cli rngbias", f"fractions {DC}"),
+    (["bounds", "--q", "5", "--w", "8"], "bitvec cli", DC),
+    (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "bitvec cli", f"hashlib {DC}"),
 ]
 
 ENTRY_SCRIPT = """
@@ -55,7 +57,8 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
                                if m.startswith("maskcheck.")),
-                  [m for m in ("hashlib", "fractions") if m in sys.modules],
+                  [m for m in ("hashlib", "fractions", "dataclasses", "inspect")
+                   if m in sys.modules],
                   "numpy" in sys.modules,
                   [m for m in sys.modules
                    if m.partition(".")[0] in ("concurrent", "multiprocessing")]]))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
-from maskcheck import _steps, census, cli, wires
+from maskcheck import _render, _steps, census, cli, wires
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,7 +120,7 @@ def outcomes(tmp_path):
         w = mc.make_wire(q, table, alphabet_size=alphabet)
         mi = mc.mutual_information(w)
         found[name] = (mc.classify(w), mc.marginal_table(w).tolist(), mi.bits, mi.is_zero)
-        found[f"{name}-json"] = "".join(cli._json_matrix(mc.marginal_table(w)))
+        found[f"{name}-json"] = "".join(_render._json_matrix(mc.marginal_table(w)))
     bulk = np.vstack([rng.integers(0, 3, (4, 49)), np.tile(rng.integers(0, 3, 7), (2, 7))])
     found["bulk"] = mc.classify_cells_bulk(7, bulk).tolist()
     for q in (4, 5):
