@@ -432,7 +432,7 @@ class TestWitness:
         reloaded = mc.load_wire(out_path)
         assert mc.classify(reloaded) is mc.Verdict.CONSTANT_MARGINAL_ONLY
 
-    def test_table_rendered_for_json_only(self, capsys, monkeypatch):
+    def test_table_listed_for_json_only(self, capsys, monkeypatch):
         """The wire's q^2-entry table is rendered only when json prints it."""
         def refused(wire):
             raise AssertionError("the wire table was rendered")
