@@ -1,11 +1,13 @@
 """classify's output path, and the json text of matrices and wire tables.
 
-Only the runs that print a marginal table or a wire table import this
-module: `classify` (its handler is here), the json output of `witness`,
-and `cli._emit` when a document holds an array.  The renderer writes
-non-negative integers into a byte buffer with numpy, a step of rows at a
-time, so no Python int or str is made per entry and the temporaries stay
-a few MB.
+Only the runs that print a marginal table or write a wire table import
+this module: `classify` (its handler is here), the json output of
+`witness`, `save_wire` and `cli._emit` when a document holds an array.
+classify renders every wire's marginals, in every format, from the one
+stream of its marginal rows (`wires._marginal_stream`).  The renderer
+writes non-negative integers into a byte buffer with numpy, a step of
+rows at a time, so no Python int or str is made per entry and the
+temporaries stay a few MB.
 """
 
 from __future__ import annotations
@@ -59,12 +61,9 @@ def _render_rows(block: np.ndarray) -> str:
 
 def _row_blocks(m: np.ndarray):
     """The rows of a non-empty matrix as ",[a,b],[c,d]" text, a step of
-    whole rows at a time, so the renderer's temporaries stay a few MB.  A
-    matrix whose rows share one row's memory (stride 0) renders that row
-    once and repeats it."""
-    row = _render_rows(m[:1]) if len(m) > 1 and not m.strides[0] else None
+    whole rows at a time, so the renderer's temporaries stay a few MB."""
     for _, rows in steps(1, *m.shape):
-        yield row * len(m[rows]) if row else _render_rows(m[rows])
+        yield _render_rows(m[rows])
 
 
 def _json_matrix(m: np.ndarray):
@@ -99,29 +98,33 @@ def _list_rows(blocks: Iterable[str]):
 
 
 def _marginal_texts(wire):
-    """The ",[a,b],[c,d]" texts of a wire's marginal table from one pass
-    of the block kernel, which also completes the wire's analysis: a worker
-    renders a block only where it differs from row 0, and row 0's text
-    stands for the others."""
-    from .wires import _marginal_blocks
+    """The ",[a,b],[c,d]" texts of a wire's marginal table from its
+    `_marginal_stream`: a block is rendered (on a thread of the pass, where
+    it counts) only where it differs from row 0, and row 0's text stands
+    for the others."""
+    from .wires import _marginal_stream
 
-    row = _render_rows(_cli.marginal_histogram(wire, 0)[None])
-    render = lambda counts, same: None if same else _render_rows(counts)
-    for rows, text in _marginal_blocks(wire, render):
+    row = _render_rows(wire._row0[None])
+    for rows, text in _marginal_stream(wire, _render_rows):
         yield row * (rows.stop - rows.start) if text is None else text
 
 
+def _table_text(table: np.ndarray, sep: str = ","):
+    """The entries of a flat table of non-negative integers as JSON text
+    without its brackets, "a,b,c" or joined by `sep`, rendered a step of
+    entries at a time, never listed."""
+    for i, (_, cells) in enumerate(steps(1, table.size, 1)):
+        text = _render_rows(table[None, cells])[2:-1].replace(",", sep)  # ",[a,b]" -> "a,b"
+        yield sep + text if i else text
+
+
 def wire_json(wire):
-    """wire_to_dict(wire) as JSON text, in pieces: the flat table is
-    rendered a step of entries at a time, never listed."""
+    """wire_to_dict(wire) as compact JSON text, in pieces (`_table_text`)."""
     from .wires import WIRE_ORDER
 
     yield (f'{{"alphabet":{wire.alphabet_size},"order":"{WIRE_ORDER}",'
            f'"q":{wire.q},"table":[')
-    table = wire.table
-    for i, (_, cells) in enumerate(steps(1, table.size, 1)):
-        text = _render_rows(table[None, cells])[2:-1]  # ",[a,b]" -> "a,b"
-        yield "," + text if i else text
+    yield from _table_text(wire.table)
     yield "]}"
 
 
@@ -132,47 +135,29 @@ def cmd_classify(args) -> _cli.Result:
         raise ValueError(f"cannot read {args.wire}: {exc}") from exc
     except _cli.WireFormatError as exc:
         raise ValueError(f"{args.wire}: {exc}") from exc
-    # Here, not at the top: imported before wires, numpy adds ~0.9 MiB to peak RSS.
-    import numpy as np
-
-    from .wires import _in_blocks
-
-    q, alphabet = wire.q, wire.alphabet_size
-    doc = {"q": q, "alphabet": alphabet}
-    # A residue wire's marginal table is never held whole (see `_in_blocks`).
-    in_blocks = _in_blocks(q, alphabet)
-    if in_blocks and args.format == "json" and not _cli.is_value_independent(wire):
-        # One pass counts, compares and renders the marginals, and completes
-        # the analysis that the keys sorted after "marginals" read.
+    doc = {"q": wire.q, "alphabet": wire.alphabet_size,
+           "marginals": lambda: _json_rows(_marginal_texts(wire))}
+    if args.format == "json" and not _cli.is_value_independent(wire):
+        # One pass of the stream counts, compares and renders the marginals,
+        # and completes the analysis that the keys sorted after "marginals" read.
         mi = lambda: _cli.mutual_information(wire)
-        doc.update(marginals=lambda: _json_rows(_marginal_texts(wire)),
-                   mutual_information_bits=lambda: mi().bits,
+        doc.update(mutual_information_bits=lambda: mi().bits,
                    mutual_information_is_zero=lambda: mi().is_zero,
                    verdict=lambda: _cli.classify(wire).value)
         return _cli.Result(doc, lambda: ())  # json only
-    # The analysis runs first, so that a theory violation exits 3 before any output.
+    # The analysis runs first, so that a theory violation exits 3 before any
+    # output; the render then counts nothing where the marginal is constant.
     verdict = _cli.classify(wire)
     mi = _cli.mutual_information(wire)
-    constant = verdict is not _cli.Verdict.NON_CONSTANT_MARGINAL  # every row equals row 0
-    if in_blocks and not constant:
-        blocks = lambda: _marginal_texts(wire)
-    else:
-        if in_blocks:
-            marginals = _cli.marginal_histogram(wire, 0)[None]
-        else:
-            marginals = _cli.marginal_table(wire)
-        if constant:
-            marginals = np.broadcast_to(marginals[:1], (q, alphabet))
-        blocks = lambda: _row_blocks(marginals)
-    doc.update(verdict=verdict.value, marginals=lambda: _json_rows(blocks()),
-               mutual_information_bits=mi.bits, mutual_information_is_zero=mi.is_zero)
+    doc.update(verdict=verdict.value, mutual_information_bits=mi.bits,
+               mutual_information_is_zero=mi.is_zero)
 
     def human():
-        yield f"wire: q={q} alphabet={alphabet}"
+        yield f"wire: q={wire.q} alphabet={wire.alphabet_size}"
         yield f"verdict: {verdict.value}"
         yield f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})"
         yield "marginal histograms (one row per secret):"
-        for x, row in enumerate(_list_rows(blocks())):
+        for x, row in enumerate(_list_rows(_marginal_texts(wire))):
             yield f"  x={x}: [{row}]"
 
     return _cli.Result(doc, human)

@@ -19,10 +19,10 @@ MAX_THREADS = 8
 def steps(n: int, rows: int, cols: int) -> list[tuple[slice, slice]]:
     """(wires, rows) slices that cover an (n, rows, cols) batch in steps of
     at most STEP_CELLS cells: groups of whole wires while one fits in a
-    step, else blocks of rows of one wire (one row at least); none if empty."""
+    step, else row blocks of one wire (one row at least, ending by `rows`); none if empty."""
     wires = max(STEP_CELLS // max(rows * cols, 1), 1)
     block = max(min(rows, STEP_CELLS // max(cols, 1)), 1)
-    return [(slice(b, b + wires), slice(r, r + block))
+    return [(slice(b, b + wires), slice(r, min(r + block, rows)))
             for b in range(0, n, wires) for r in range(0, rows, block)]
 
 

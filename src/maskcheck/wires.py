@@ -144,11 +144,12 @@ class WireFunction:
     def _analysis(self) -> tuple[int, float, np.ndarray | None]:
         """(verdict code, mutual information in bits, read-only marginal
         table).  A wire whose marginal table is larger than a step is
-        analysed by `_marginal_pass` without that table (None here); any
-        other as a batch of one by `_analyze`."""
+        analysed without that table (None here) by the end of its
+        `_marginal_stream`, which any pass of the stream may reach first;
+        any other as a batch of one by `_analyze`."""
         q, alphabet = self.q, self.alphabet_size
         if _in_blocks(q, alphabet):
-            return _result(_marginal_blocks(self))
+            return _result(_marginal_stream(self))
         codes, m = _analyze(q, self.table[None, :], alphabet, "wire")
         m = m[0].astype(_COUNT_DTYPE, copy=False)  # a bincount's counts are int64
         m.setflags(write=False)
@@ -164,14 +165,16 @@ class WireFunction:
         return bool(_rows_equal(self.table.reshape(1, self.q, self.q))[0])
 
     @cached_property
+    def _row0(self) -> np.ndarray:
+        """Secret 0's marginal histogram, which every row is compared with."""
+        return marginal_histogram(self, 0)
+
+    @cached_property
     def _marginals(self) -> np.ndarray:
-        """The read-only marginal table: the analysis's, or counted a block
-        at a time where the analysis does without it."""
-        if not _in_blocks(self.q, self.alphabet_size):
-            return self._analysis[2]
+        """The read-only marginal table, filled from `_marginal_stream`."""
         m = np.empty((self.q, self.alphabet_size), dtype=_COUNT_DTYPE)
-        for rows, counts in _block_marginals(self.q, self.table, self.alphabet_size):
-            m[rows] = counts
+        for rows, counts in _marginal_stream(self, lambda counts: counts):
+            m[rows] = self._row0 if counts is None else counts
         m.setflags(write=False)
         return m
 
@@ -271,7 +274,7 @@ def _in_blocks(q: int, alphabet: int) -> bool:
     return q * alphabet > _steps.STEP_CELLS
 
 
-# Blocks per thread that `_block_marginals` counts before it yields them.
+# Blocks per thread that `_marginal_pass` counts before it yields them.
 _BLOCKS_PER_THREAD = 4
 
 
@@ -295,30 +298,6 @@ def _count_block(q: int, table: np.ndarray, alphabet: int, base: np.ndarray,
     return counts.reshape(len(base), alphabet).astype(_COUNT_DTYPE)
 
 
-def _block_marginals(q: int, table: np.ndarray, alphabet: int, fn=None):
-    """(rows, counts) of a flat s0-major table's marginal table, a step (a
-    block of secret rows) at a time in secret order, where counts[j] is
-    secret rows.start + j's histogram (`_count_block`), or fn(counts) where
-    fn is given, run on the worker thread.  Blocks are counted on threads
-    a group of `_BLOCKS_PER_THREAD` per thread at a time, so no more than
-    that many are held."""
-    blocks = [slice(*rows.indices(q)[:2])
-              for _, rows in _steps.steps(1, q, max(q, alphabet))]
-    base = _diagonal_cells(q, blocks[0].stop)
-    group = _BLOCKS_PER_THREAD * _steps.thread_count(len(blocks))
-    for g in range(0, len(blocks), group):
-        part = blocks[g:g + group]
-        done = [None] * len(part)
-
-        def count(i):
-            rows = part[i]
-            counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
-            done[i] = fn(counts) if fn else counts
-
-        _steps.in_threads(count, range(len(part)))
-        yield from zip(part, done)
-
-
 def _information_terms(block: np.ndarray, colsum: np.ndarray, q: int) -> np.ndarray:
     """The terms (h / q^2) * log2(h * q / colsum[v]) of the nonzero counts
     h of a block of marginal rows, row by row: each is exactly 0.0 where
@@ -329,26 +308,30 @@ def _information_terms(block: np.ndarray, colsum: np.ndarray, q: int) -> np.ndar
     return (h / (float(q) * float(q))) * np.log2(ratios)
 
 
-def _marginal_pass(q: int, table: np.ndarray, alphabet: int, vi: bool, what: str,
-                   fn=None):
+def _marginal_pass(q: int, table: np.ndarray, alphabet: int, vi: bool, row0: np.ndarray,
+                   what: str, fn=None):
     """The analysis of one flat s0-major table whose marginal table is
-    larger than a step, counted by `_block_marginals` and never held
-    whole.  Yields (rows, fn(counts, same)) per block in secret order,
-    where fn runs on the worker thread and `same` tells whether every row
-    of the block equals row 0; returns (verdict code, mutual information in
-    bits), raising TheoryViolation, named by `what`, where the table is
-    value-independent (`vi`) but its marginal is not constant.
+    larger than a step, never held whole.  Yields (rows, fn(counts) or None)
+    a step (a block of secret rows) at a time in secret order, where
+    counts[j] is secret rows.start + j's histogram (`_count_block`) and
+    None stands for a block whose every row equals `row0`, secret 0's;
+    returns (verdict code, mutual information in bits), raising
+    TheoryViolation, named by `what`, where the table is value-independent
+    (`vi`) but its marginal is not constant.
 
-    Row 0 is counted first; the marginal is constant iff every block
-    equals it.  A block that differs gives the information terms of its
-    rows, and row 0's terms stand in for each row of a block that equals
-    it, so the terms in secret order are those of the whole marginal table
-    and their one sum is the same float.  The column sums they need are a
+    Blocks are counted, compared with row 0 and given to fn on threads, a
+    group of `_BLOCKS_PER_THREAD` per thread at a time, so no more than
+    that many are held.  The marginal is constant iff every block equals
+    row 0.  A block that differs gives the information terms of its rows,
+    and row 0's terms stand in for each row of a block that equals it, so
+    the terms in secret order are those of the whole marginal table and
+    their one sum is the same float.  The column sums they need are a
     stepped bincount of the table (a whole-table bincount makes an intp
     copy of it), made by the first block that differs from row 0.
     """
-    row0 = _count_block(q, table, alphabet, _diagonal_cells(q, 1), 0)
-    colsum, lock = [], threading.Lock()
+    blocks = [rows for _, rows in _steps.steps(1, q, max(q, alphabet))]
+    base = _diagonal_cells(q, blocks[0].stop)
+    colsum, lock, done = [], threading.Lock(), {}
 
     def column_sums():
         with lock:
@@ -357,16 +340,21 @@ def _marginal_pass(q: int, table: np.ndarray, alphabet: int, vi: bool, what: str
                                   for _, part in _steps.steps(1, table.size, 1)))
         return colsum[0]
 
-    def analyse(counts):
+    def count(rows):
+        counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
         same = bool((counts == row0).all())
         terms = None if same or vi else _information_terms(counts, column_sums(), q)
-        return same, terms, fn(counts, same) if fn else None
+        done[rows.start] = same, terms, None if same or fn is None else fn(counts)
 
     parts, constant = [], True
-    for rows, (same, terms, out) in _block_marginals(q, table, alphabet, analyse):
-        parts.append((rows.stop - rows.start, terms))
-        constant &= same
-        yield rows, out
+    group = _BLOCKS_PER_THREAD * _steps.thread_count(len(blocks))
+    for g in range(0, len(blocks), group):
+        _steps.in_threads(count, blocks[g:g + group])
+        for rows in blocks[g:g + group]:
+            same, terms, out = done.pop(rows.start)
+            parts.append((rows.stop - rows.start, terms))
+            constant &= same
+            yield rows, out
     code = int(_verdict_codes(q, np.array([vi]), np.array([constant]), what)[0])
     if constant:
         return code, 0.0
@@ -385,13 +373,28 @@ def _result(gen):
             return stop.value
 
 
-def _marginal_blocks(w: WireFunction, fn=None):
-    """The pass of `_marginal_pass` over a wire whose marginal table is
-    larger than a step; when it ends, its result is the wire's analysis."""
-    code, bits = yield from _marginal_pass(w.q, w.table, w.alphabet_size,
-                                           w._value_independent, "wire", fn)
-    w.__dict__["_analysis"] = analysis = (code, bits, None)  # where cached_property keeps it
-    return analysis
+def _marginal_stream(w: WireFunction, fn=None):
+    """A wire's marginal table, one step of secret rows at a time in secret
+    order: yields (rows, fn(counts)) for a block of rows `counts`, or
+    (rows, None) where every row of the block equals row 0 (`w._row0`).
+
+    A wire whose marginal table fits in a step streams the one block of
+    the table its analysis holds.  A larger one whose cached analysis says
+    its marginal is constant yields None for every step and counts nothing;
+    any other is counted by `_marginal_pass`, whose end completes the
+    wire's analysis, the stream's return value.
+    """
+    q, alphabet = w.q, w.alphabet_size
+    if not _in_blocks(q, alphabet):
+        yield slice(0, q), None if has_constant_marginal(w) else fn(w._analysis[2])
+    elif "_analysis" in w.__dict__ and has_constant_marginal(w):  # cached, so not recounted
+        for _, rows in _steps.steps(1, q, max(q, alphabet)):
+            yield rows, None
+    else:
+        code, bits = yield from _marginal_pass(q, w.table, alphabet, w._value_independent,
+                                               w._row0, "wire", fn)
+        w.__dict__["_analysis"] = analysis = (code, bits, None)
+        return analysis
 
 
 def _analyze(q: int, cells: np.ndarray, alphabet: int,
@@ -442,12 +445,10 @@ def marginal_histogram(w: WireFunction, x) -> np.ndarray:
     """Output counts over a uniform mask for one secret x.
 
     counts[v] = #{s1 : w(x - s1, s1) = v}; the counts always sum to q
-    because each mask contributes exactly one output.  Read-only; a wire
-    whose marginal table is larger than a step counts the one row.
+    because each mask contributes exactly one output.  Read-only, and
+    counted as the one row of a block (`_count_block`).
     """
     x = _as_residue(x, w.q)
-    if not _in_blocks(w.q, w.alphabet_size):
-        return marginal_table(w)[x]
     row = _count_block(w.q, w.table, w.alphabet_size, _diagonal_cells(w.q, 1), x)[0]
     row.setflags(write=False)
     return row
@@ -494,8 +495,10 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
     _check_cell_cap(q, alphabet)
     if _in_blocks(q, alphabet):  # a row at a time, without its marginal table
         vi = _rows_equal(cells.reshape(len(cells), q, q))
-        return np.array([_result(_marginal_pass(q, row, alphabet, v, f"bulk row {i}"))[0]
-                         for i, (row, v) in enumerate(zip(cells, vi))], dtype=np.int8)
+        row0 = lambda row: _count_block(q, row, alphabet, _diagonal_cells(q, 1), 0)[0]
+        passes = (_marginal_pass(q, row, alphabet, v, row0(row), f"bulk row {i}")
+                  for i, (row, v) in enumerate(zip(cells, vi)))
+        return np.array([_result(p)[0] for p in passes], dtype=np.int8)
     return _analyze(q, cells, alphabet, "bulk row {}")[0]
 
 
@@ -857,6 +860,12 @@ def load_wire(path) -> WireFunction:
 
 
 def save_wire(w: WireFunction, path):
+    """Write json.dumps(wire_to_dict(w)) and a newline to `path`, the table
+    rendered a step of entries at a time (`_render._table_text`)."""
+    from ._render import _table_text
+
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(wire_to_dict(w), fh)
-        fh.write("\n")
+        fh.write(f'{{"q": {w.q}, "alphabet": {w.alphabet_size}, "order": "{WIRE_ORDER}", '
+                 '"table": [')
+        fh.writelines(_table_text(w.table, ", "))
+        fh.write("]}\n")

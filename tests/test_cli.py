@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
@@ -145,6 +145,41 @@ class TestClassify:
         monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
         assert wires._in_blocks(q, q) and len(_steps.steps(1, q, q)) == 14
         assert [run(capsys, *argv) for argv in argvs] == expected
+
+    @pytest.mark.parametrize("kind", ["value-independent", "constant-marginal"])
+    def test_constant_marginals_rendered_without_counting(self, monkeypatch, kind):
+        """After `classify`, a residue wire whose marginal is constant
+        renders every row as row 0 without counting a block again."""
+        q = 257
+        w = mc.make_wire(q, residue_table(kind, q), alphabet_size=q)
+        assert wires._in_blocks(q, q) and mc.classify(w).value == RESIDUE_VERDICTS[kind]
+        row = mc.marginal_histogram(w, 0).tolist()
+        refuse_call(monkeypatch, wires, "_count_block")
+        text = "".join(_render._json_rows(_render._marginal_texts(w)))
+        assert json.loads(text) == [row] * q
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("kind", list(RESIDUE_VERDICTS))
+    def test_each_block_counted_once(self, capsys, monkeypatch, tmp_path, kind, fmt):
+        """A classify run of a residue wire counts row 0 once and each block
+        of secret rows once: in one pass where its marginal is constant, or
+        in json; only the human rows of a non-constant marginal, which need
+        the verdict first, count the blocks a second time."""
+        q = 257
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.make_wire(q, residue_table(kind, q), alphabet_size=q), path)
+        calls, real = [], wires._count_block
+
+        def counted(q, table, alphabet, base, x0):
+            calls.append((x0, len(base)))
+            return real(q, table, alphabet, base, x0)
+
+        monkeypatch.setattr(wires, "_count_block", counted)
+        assert run(capsys, "classify", str(path), "--format", fmt)[0] == 0
+        blocks = [(rows.start, rows.stop - rows.start) for _, rows in _steps.steps(1, q, q)]
+        twice = kind == "recombined" and fmt == "human"
+        assert len(blocks) > 1
+        assert sorted(calls) == sorted([(0, 1)] + blocks * (1 + twice))
 
     def test_truncated_table_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -629,7 +664,6 @@ class TestTracedNames:
     @pytest.mark.parametrize("module,name,argv", [
         ("cli", "load_wire", ["classify", "{wire}"]),
         ("cli", "classify", ["classify", "{wire}"]),
-        ("cli", "marginal_table", ["classify", "{wire}"]),
         ("cli", "mutual_information", ["classify", "{wire}"]),
         ("cli", "conjecture_sweep", ["butterfly", "--q", "2"]),
         ("cli", "run_census", ["census", "--q", "2"]),
@@ -761,20 +795,25 @@ class TestJsonEmitter:
         # The human rows of classify: the inside of each row's list repr.
         assert list(_render._list_rows(_render._row_blocks(m))) == [repr(row)[1:-1] for row in rows]
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(1, 12), st.sampled_from([2, 3, 256, 257, 65536]),
            st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_wire_matches_json_dumps(self, q, alphabet, budget, seed):
-        """witness's json wire, rendered in steps of `budget` entries,
-        equals json.dumps of wire_to_dict."""
+    def test_wire_matches_json_dumps(self, tmp_path, q, alphabet, budget, seed):
+        """witness's json wire and a saved wire file, rendered in steps of
+        `budget` entries, equal json.dumps of wire_to_dict: compact, and
+        with json.dump's separators and a newline."""
         table = np.random.default_rng(seed).integers(0, alphabet, q * q)
         w = mc.make_wire(q, table, alphabet_size=alphabet)
         original, _steps.STEP_CELLS = _steps.STEP_CELLS, budget
         try:
             text = "".join(_render.wire_json(w))
+            mc.save_wire(w, tmp_path / "wire.json")
         finally:
             _steps.STEP_CELLS = original
         assert text == dumps_compact(mc.wire_to_dict(w))
+        saved = json.dumps(mc.wire_to_dict(w)) + "\n"
+        assert (tmp_path / "wire.json").read_bytes() == saved.encode("utf-8")
 
     def test_rejects_what_it_cannot_render(self):
         with pytest.raises(ValueError, match="negative"):

@@ -359,6 +359,55 @@ class TestDenseKernel:
         assert not out and err.startswith("theory violation: wire at q=3 ")
 
 
+@st.composite
+def stream_wires(draw):
+    """A Boolean wire, whose marginal table is one step, or a residue wire
+    (alphabet q) with a step budget of 1 to 40 cells, so that most stream
+    in blocks: a function of s1 (value-independent), of s0 (constant
+    marginal), of s0 + s1, random, or a function of s0 with one cell
+    changed, so that one secret's row alone differs from the others."""
+    q = draw(st.integers(1, 13))
+    residue = draw(st.booleans())
+    alphabet = q if residue else 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s0, s1 = np.divmod(np.arange(q * q), q)
+    g = rng.integers(0, alphabet, q)
+    table = draw(st.sampled_from([g[s1], g[s0], g[(s0 + s1) % q],
+                                  rng.integers(0, alphabet, q * q)]))
+    if draw(st.booleans()):
+        table = g[s0]
+        table[draw(st.integers(0, q * q - 1))] = draw(st.integers(0, alphabet - 1))
+    budget = draw(st.integers(1, 40)) if residue else _steps.STEP_CELLS
+    return mc.make_wire(q, table, alphabet_size=alphabet), budget
+
+
+class TestMarginalStream:
+    @settings(max_examples=300, deadline=None)
+    @given(stream_wires(), st.sampled_from([1, 2]), st.booleans())
+    def test_stream_matches_reparam_histograms(self, wire, threads, classified):
+        """Every (rows, v) of `_marginal_stream`, on 1 and 2 threads, fresh
+        or after `classify`, against histograms of the rows of
+        `reparam_table`: v is None iff each of those rows equals row 0,
+        else it is those rows; the blocks cover the secrets in order."""
+        w, budget = wire
+        expected = np.array([np.bincount(r, minlength=w.alphabet_size)
+                             for r in mc.reparam_table(w)])
+        covered = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_steps, "STEP_CELLS", budget)
+            mp.setattr(_steps, "usable_cpus", lambda: threads)
+            if classified:
+                mc.classify(w)
+            for rows, v in wires._marginal_stream(w, lambda counts: counts.copy()):
+                block = expected[rows]
+                assert (v is None) == bool((block == expected[0]).all())
+                if v is not None:
+                    assert v.tolist() == block.tolist()
+                covered += range(rows.start, rows.stop)
+            assert mc.marginal_table(w).tolist() == expected.tolist()
+        assert covered == list(range(w.q))
+
+
 class TestMarginals:
     def test_witness_histogram_q5(self):
         w = mc.t6_witness(5)
