@@ -1,13 +1,12 @@
-"""classify's output path, and the json text of matrices and wire tables.
+"""classify's output path, and the json text of marginal and wire tables.
 
 Only the runs that print a marginal table or write a wire table import
 this module: `classify` (its handler is here), the json output of
-`witness`, `save_wire` and `cli._emit` when a document holds an array.
-classify renders every wire's marginals, in every format, from the one
-stream of its marginal rows (`wires._marginal_stream`).  The renderer
-writes non-negative integers into a byte buffer with numpy, a step of
-rows at a time, so no Python int or str is made per entry and the
-temporaries stay a few MB.
+`witness` and `save_wire`.  classify renders every wire's marginals, in
+every format, from the one stream of its marginal rows
+(`wires._marginal_stream`).  The renderer writes non-negative integers
+into a byte buffer with numpy, a step of rows at a time, so no Python int
+or str is made per entry and the temporaries stay a few MB.
 """
 
 from __future__ import annotations
@@ -57,29 +56,6 @@ def _render_rows(block: np.ndarray) -> str:
         more = quotient > 0
         pos, x = pos[more] - 1, quotient[more]
     return buf.tobytes().decode("ascii")
-
-
-def _row_blocks(m: np.ndarray):
-    """The rows of a non-empty matrix as ",[a,b],[c,d]" text, a step of
-    whole rows at a time, so the renderer's temporaries stay a few MB."""
-    for _, rows in steps(1, *m.shape):
-        yield _render_rows(m[rows])
-
-
-def _json_matrix(m: np.ndarray):
-    """A 2-D array of non-negative integers as JSON text, in blocks.
-
-    The blocks joined equal json.dumps(m.tolist(), separators=(",", ":")).
-    Each holds the whole rows of one step (see `_row_blocks`), so the
-    temporaries do not grow with the matrix.
-    """
-    if m.ndim != 2 or m.dtype.kind not in "iu":
-        raise TypeError(f"not a matrix of integers: {m.ndim}-D {m.dtype}")
-    if m.size and m.min() < 0:
-        raise ValueError("negative entries are not rendered")
-    if not m.size:
-        return iter(["[" + ",".join(["[]"] * len(m)) + "]"])
-    return _json_rows(_row_blocks(m))
 
 
 def _json_rows(blocks: Iterable[str]):

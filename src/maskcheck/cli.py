@@ -74,13 +74,13 @@ class Result(NamedTuple):
     `doc` holds the subcommand's own fields; `main` adds "schema" and
     "command".  `human` and `csv` are called only when their format is
     asked for, so large outputs cost nothing in the other formats.  A `doc`
-    value is a JSON value, a matrix of non-negative integers (np.ndarray),
-    which the json output streams, or a zero-argument callable, which only
-    the json output calls; a callable may return its JSON text in pieces
-    (an iterator of str).  `csv` gives the rows, header first, that a
-    csv writer quotes; without it the csv output is the key,value rows of
-    the scalar fields of `doc`.  An `alarm` reports a theory-contradicting
-    result: it goes to stderr after the output and sets exit code 3.
+    value is one of three kinds: a JSON value; a zero-argument callable,
+    which only the json output calls and which returns a value of the
+    other two kinds; or an iterator of str, the value's JSON text in
+    pieces.  `csv` gives the rows, header first, that a csv writer quotes;
+    without it the csv output is the key,value rows of the scalar fields
+    of `doc`.  An `alarm` reports a theory-contradicting result: it goes
+    to stderr after the output and sets exit code 3.
     """
 
     doc: dict
@@ -105,26 +105,20 @@ def _emit(result: Result, fmt: str, out) -> None:
     """Write `result` to `out` as json, csv or human lines.
 
     JSON is written key by key in sorted order; a callable value is called
-    first, integer array values are streamed in blocks of rows by
-    `_json_matrix`, an iterator's pieces of JSON text are written as they
-    come, and every other value goes through json.dumps.  The
-    bytes equal json.dumps(doc, sort_keys=True, separators=(",", ":")) of
-    the document with its callables called and its arrays as lists, plus a
-    newline.  csv rows go through one csv writer, which quotes a field
+    first, an iterator's pieces of JSON text are written as they come, and
+    a JSON value goes through json.dumps.  The bytes equal
+    json.dumps(doc, sort_keys=True, separators=(",", ":")) of the document
+    with its callables called and each iterator's joined text parsed, plus
+    a newline.  csv rows go through one csv writer, which quotes a field
     holding a comma.
     """
     if fmt == "json":
-        numpy = sys.modules.get("numpy")  # an array in `doc` means it is loaded
         out.write("{")
         for i, key in enumerate(sorted(result.doc)):
             out.write(("," if i else "") + json.dumps(key) + ":")
             value = result.doc[key]
             if callable(value):
                 value = value()
-            if numpy and isinstance(value, numpy.ndarray):
-                from ._render import _json_matrix
-
-                value = _json_matrix(value)
             if isinstance(value, Iterator):
                 for text in value:
                     out.write(text)

@@ -26,6 +26,7 @@ Regenerate them (only for an intended output change) with
 import csv
 import hashlib
 import io
+import json
 import re
 import tempfile
 from contextlib import redirect_stdout
@@ -151,6 +152,16 @@ def test_golden_residue_wire_digest(tmp_path):
         if hashlib.sha256(out).hexdigest() + "\n" != digest:
             mismatched.append(golden.name)
     assert not mismatched
+
+
+@pytest.mark.parametrize("name", [name for name, fmt in CASES + DIGEST_CASES
+                                  if fmt == "json"])
+def test_json_is_its_own_compact_dump(name, tmp_path):
+    """Every json case, the residue wires' included, is json.dumps of its
+    own parse with sorted keys and compact separators, plus a newline: the
+    bytes `cli._emit` promises, on real output."""
+    text = run_case(name, "json", tmp_path)[0].decode()
+    assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" == text
 
 
 def test_csv_rows_as_wide_as_the_header(tmp_path):

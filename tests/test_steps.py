@@ -111,8 +111,8 @@ def outcomes(tmp_path):
     """What each stepped or threaded loop returns on fixed inputs: the
     analysis of a Boolean and a residue wire (both above 160 cells), a
     bulk batch, packed census lookups, the first bad entry make_wire
-    names, a residue file read in multi-digit chunks and a rendered
-    matrix."""
+    names, a residue file read in multi-digit chunks and classify's json
+    text of each wire's marginals."""
     rng = np.random.default_rng(7)
     found = {}
     for name, q, alphabet in (("boolean", 13, 2), ("residue", 29, 29)):
@@ -120,7 +120,7 @@ def outcomes(tmp_path):
         w = mc.make_wire(q, table, alphabet_size=alphabet)
         mi = mc.mutual_information(w)
         found[name] = (mc.classify(w), mc.marginal_table(w).tolist(), mi.bits, mi.is_zero)
-        found[f"{name}-json"] = "".join(_render._json_matrix(mc.marginal_table(w)))
+        found[f"{name}-json"] = "".join(_render._json_rows(_render._marginal_texts(w)))
     bulk = np.vstack([rng.integers(0, 3, (4, 49)), np.tile(rng.integers(0, 3, 7), (2, 7))])
     found["bulk"] = mc.classify_cells_bulk(7, bulk).tolist()
     for q in (4, 5):
