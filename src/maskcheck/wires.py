@@ -155,9 +155,7 @@ class WireFunction:
         m.setflags(write=False)
         if VERDICT_BY_CODE[codes[0]] is not Verdict.NON_CONSTANT_MARGINAL:
             return int(codes[0]), 0.0, m
-        colsum = m.sum(axis=0)
-        terms = [_information_terms(m[rows], colsum, q) for _, rows in _steps.steps(1, *m.shape)]
-        return int(codes[0]), float(np.sum(np.concatenate(terms))), m
+        return int(codes[0]), float(np.sum(_information_terms(m, m.sum(axis=0), q))), m
 
     @cached_property
     def _value_independent(self) -> bool:
@@ -274,7 +272,7 @@ def _in_blocks(q: int, alphabet: int) -> bool:
     return q * alphabet > _steps.STEP_CELLS
 
 
-# Blocks per thread that `_marginal_pass` counts before it yields them.
+# Blocks per thread that `_marginal_stream` counts before it yields them.
 _BLOCKS_PER_THREAD = 4
 
 
@@ -308,16 +306,19 @@ def _information_terms(block: np.ndarray, colsum: np.ndarray, q: int) -> np.ndar
     return (h / (float(q) * float(q))) * np.log2(ratios)
 
 
-def _marginal_pass(q: int, table: np.ndarray, alphabet: int, vi: bool, row0: np.ndarray,
-                   what: str, fn=None):
-    """The analysis of one flat s0-major table whose marginal table is
-    larger than a step, never held whole.  Yields (rows, fn(counts) or None)
-    a step (a block of secret rows) at a time in secret order, where
-    counts[j] is secret rows.start + j's histogram (`_count_block`) and
-    None stands for a block whose every row equals `row0`, secret 0's;
-    returns (verdict code, mutual information in bits), raising
-    TheoryViolation, named by `what`, where the table is value-independent
-    (`vi`) but its marginal is not constant.
+def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
+    """A wire's marginal table, one step of secret rows at a time in secret
+    order: yields (rows, fn(counts)) for a block of rows `counts`, or
+    (rows, None) where every row of the block equals row 0 (`w._row0`).
+
+    A wire whose marginal table fits in a step streams the one block of
+    the table its analysis holds.  A larger one whose cached analysis says
+    its marginal is constant yields None for every step and counts nothing.
+    Any other is counted a block at a time (`_count_block`) and never held
+    whole: the stream's end completes the wire's analysis, (verdict code,
+    mutual information in bits, None), and returns it, raising
+    TheoryViolation, named by `what`, where the wire is value-independent
+    but its marginal is not constant.
 
     Blocks are counted, compared with row 0 and given to fn on threads, a
     group of `_BLOCKS_PER_THREAD` per thread at a time, so no more than
@@ -329,7 +330,15 @@ def _marginal_pass(q: int, table: np.ndarray, alphabet: int, vi: bool, row0: np.
     stepped bincount of the table (a whole-table bincount makes an intp
     copy of it), made by the first block that differs from row 0.
     """
+    q, alphabet = w.q, w.alphabet_size
+    if not _in_blocks(q, alphabet):
+        yield slice(0, q), None if has_constant_marginal(w) else fn(w._analysis[2])
+        return
     blocks = [rows for _, rows in _steps.steps(1, q, max(q, alphabet))]
+    if "_analysis" in w.__dict__ and has_constant_marginal(w):  # cached, so not recounted
+        yield from ((rows, None) for rows in blocks)
+        return
+    table, vi, row0 = w.table, w._value_independent, w._row0
     base = _diagonal_cells(q, blocks[0].stop)
     colsum, lock, done = [], threading.Lock(), {}
 
@@ -356,12 +365,14 @@ def _marginal_pass(q: int, table: np.ndarray, alphabet: int, vi: bool, row0: np.
             constant &= same
             yield rows, out
     code = int(_verdict_codes(q, np.array([vi]), np.array([constant]), what)[0])
-    if constant:
-        return code, 0.0
-    row0_terms, terms = _information_terms(row0, colsum[0], q), []
-    for n, block_terms in parts:
-        terms += [row0_terms] * n if block_terms is None else [block_terms]
-    return code, float(np.sum(np.concatenate(terms)))
+    bits = 0.0
+    if not constant:
+        row0_terms, terms = _information_terms(row0, colsum[0], q), []
+        for n, block_terms in parts:
+            terms += [row0_terms] * n if block_terms is None else [block_terms]
+        bits = float(np.sum(np.concatenate(terms)))
+    w.__dict__["_analysis"] = analysis = (code, bits, None)
+    return analysis
 
 
 def _result(gen):
@@ -371,30 +382,6 @@ def _result(gen):
             next(gen)
         except StopIteration as stop:
             return stop.value
-
-
-def _marginal_stream(w: WireFunction, fn=None):
-    """A wire's marginal table, one step of secret rows at a time in secret
-    order: yields (rows, fn(counts)) for a block of rows `counts`, or
-    (rows, None) where every row of the block equals row 0 (`w._row0`).
-
-    A wire whose marginal table fits in a step streams the one block of
-    the table its analysis holds.  A larger one whose cached analysis says
-    its marginal is constant yields None for every step and counts nothing;
-    any other is counted by `_marginal_pass`, whose end completes the
-    wire's analysis, the stream's return value.
-    """
-    q, alphabet = w.q, w.alphabet_size
-    if not _in_blocks(q, alphabet):
-        yield slice(0, q), None if has_constant_marginal(w) else fn(w._analysis[2])
-    elif "_analysis" in w.__dict__ and has_constant_marginal(w):  # cached, so not recounted
-        for _, rows in _steps.steps(1, q, max(q, alphabet)):
-            yield rows, None
-    else:
-        code, bits = yield from _marginal_pass(q, w.table, alphabet, w._value_independent,
-                                               w._row0, "wire", fn)
-        w.__dict__["_analysis"] = analysis = (code, bits, None)
-        return analysis
 
 
 def _analyze(q: int, cells: np.ndarray, alphabet: int,
@@ -409,7 +396,7 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     compares its columns with its diagonals.
 
     It is meant for a marginal table of at most one step (q * alphabet
-    cells, see `_in_blocks`); a larger one is analysed by `_marginal_pass`.
+    cells, see `_in_blocks`); a larger one is analysed by `_marginal_stream`.
     The keys t + `_diagonal_keys` are scattered into the n*q histograms
     `_steps.steps` of STEP_CELLS cells at a time, counting in `_COUNT_DTYPE`;
     a batch of one step takes one bincount (int64 counts), cheaper per
@@ -482,9 +469,11 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
 
     `cells` has shape (n, q*q) and non-negative entries; the alphabet is
     taken as the largest entry plus one, and a row is held to the cell cap
-    of one wire before the marginals are allocated.  The result holds one
-    code per row, indexing into VERDICT_BY_CODE.  The soundness cross-check
-    runs on every row, same as `classify`.
+    of one wire before the marginals are allocated.  A row whose marginal
+    table is larger than a step is classified as a `WireFunction`, by its
+    `_marginal_stream`.  The result holds one code per row, indexing into
+    VERDICT_BY_CODE.  The soundness cross-check runs on every row, same as
+    `classify`.
     """
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != q * q:
@@ -493,12 +482,10 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
         raise ValueError("cells must be non-negative")
     alphabet = int(cells.max(initial=0)) + 1
     _check_cell_cap(q, alphabet)
-    if _in_blocks(q, alphabet):  # a row at a time, without its marginal table
-        vi = _rows_equal(cells.reshape(len(cells), q, q))
-        row0 = lambda row: _count_block(q, row, alphabet, _diagonal_cells(q, 1), 0)[0]
-        passes = (_marginal_pass(q, row, alphabet, v, row0(row), f"bulk row {i}")
-                  for i, (row, v) in enumerate(zip(cells, vi)))
-        return np.array([_result(p)[0] for p in passes], dtype=np.int8)
+    if _in_blocks(q, alphabet):
+        return np.array([_result(_marginal_stream(WireFunction(q, alphabet, row),
+                                                  what=f"bulk row {i}"))[0]
+                         for i, row in enumerate(cells)], dtype=np.int8)
     return _analyze(q, cells, alphabet, "bulk row {}")[0]
 
 

@@ -1,9 +1,12 @@
 """The package's public names: `__all__`, the lazy name table behind it,
-and the modules each CLI entry path loads."""
+the modules each CLI entry path loads, and the private names its comments
+and docstrings cite."""
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +86,35 @@ def test_cli_import_loads_no_pool_machinery(tmp_path):
         assert (loaded, extra, pools) == (modules.split(), others.split(), []), argv
         if code or argv[0] in ("--version", "--help", "census", "bounds"):
             assert not numpy, argv
+
+
+# The private methods of every NamedTuple, which no module of the package defines.
+NAMEDTUPLE_API = {"_replace", "_make", "_asdict", "_fields"}
+
+
+def test_cited_private_names_exist():
+    """Every private name in backticks in a module or a test, alone or
+    after a module's name, is a def, a class, an assignment target, an
+    argument, an attribute store or a module stem of the package, so that
+    no comment cites a name the code no longer has."""
+    src = Path(mc.__file__).resolve().parent
+    defined = set(NAMEDTUPLE_API)
+    for path in src.glob("*.py"):
+        defined.add(path.stem)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+    private = re.compile(r"(?<!\w)_[A-Za-z0-9]\w*")  # not a dunder
+    stale = []
+    for path in sorted([*src.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for span in re.findall(r"`([^`]+)`", line):
+                stale += [f"{path.name}:{n}: {name}" for name in private.findall(span)
+                          if name not in defined]
+    assert stale == []

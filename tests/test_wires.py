@@ -319,7 +319,7 @@ class TestDenseKernel:
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_block_marginals_match_reparam_histograms(self, monkeypatch, threads):
         """Residue wires (alphabet q) whose marginal table is larger than a
-        step of 160 cells, counted by `_block_marginals` on 1 to 4 threads in
+        step of 160 cells, counted by `_marginal_stream` on 1 to 4 threads in
         blocks of secret rows whose last one is short, against histograms of
         the rows of `reparam_table`."""
         monkeypatch.setattr(_steps, "STEP_CELLS", 160)
@@ -343,7 +343,7 @@ class TestDenseKernel:
         """Where a wire's tables compare equal but its marginal tables do
         not, the kernel raises TheoryViolation naming the wire: `classify`
         the wire, `classify_cells_bulk` its row, and the CLI exits 3 with
-        nothing on stdout."""
+        nothing on stdout; so do both, for a wire counted in blocks."""
         w = mc.make_wire(3, [0, 1, 1, 0, 0, 1, 1, 1, 0])
         path = tmp_path / "wire.json"
         mc.save_wire(w, path)
@@ -357,6 +357,19 @@ class TestDenseKernel:
         assert cli.main(["classify", str(path)]) == 3
         out, err = capsys.readouterr()
         assert not out and err.startswith("theory violation: wire at q=3 ")
+        # A value-independent residue wire counted in blocks, where every
+        # block after secret 0's is counted one column off.
+        monkeypatch.undo()
+        q, table = 13, np.tile(np.arange(13) % 3, 13)
+        monkeypatch.setattr(_steps, "STEP_CELLS", 20)
+        assert wires._in_blocks(q, 3)
+        count_block = wires._count_block
+        monkeypatch.setattr(wires, "_count_block", lambda q, t, a, base, x0: np.roll(
+            count_block(q, t, a, base, x0), int(x0 > 0), axis=1))
+        with pytest.raises(mc.TheoryViolation, match="^bulk row 0 at q=13 is value-independent"):
+            mc.classify_cells_bulk(q, np.vstack([table, table]))
+        with pytest.raises(mc.TheoryViolation, match="^wire at q=13 "):
+            mc.classify(mc.make_wire(q, table, alphabet_size=3))
 
 
 @st.composite
