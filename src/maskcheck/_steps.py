@@ -1,4 +1,4 @@
-"""The step budget and thread policy of every stepped or threaded loop
+"""The step budget and every thread, lock and in-flight bound of the package
 (this module imports neither numpy nor another module of the package)."""
 
 import os
@@ -14,6 +14,7 @@ STEP_CELLS = 1 << 16
 # np.take, np.bincount and the renderer's numpy steps release the GIL;
 # bytes.translate and isdigit, which each chunk parse also runs, hold it.
 MAX_THREADS = 8
+ITEMS_PER_THREAD = 4  # a thread's items per group of `in_threads`: bounds results held
 
 
 def steps(n: int, rows: int, cols: int) -> list[tuple[slice, slice]]:
@@ -38,37 +39,55 @@ def thread_count(tasks: int) -> int:
     return max(1, min(usable_cpus(), MAX_THREADS, tasks))
 
 
-def in_threads(fn, items) -> None:
-    """Run fn(item) for every item, thread k of n = thread_count(len(items))
-    taking items k, k + n, ... (the caller's thread is thread 0).  Once all
-    have ended, the error of the lowest-numbered thread that raised one (a
+def in_threads(fn, items):
+    """Yield fn(item) for every item in order, a group of ITEMS_PER_THREAD
+    items per thread at a time, each group started when its first result is
+    asked for: thread k of a group's n = thread_count(len(group)) takes
+    its items k, k + n, ... (the caller's thread is thread 0).  Once all have
+    ended, the error of the lowest-numbered thread that raised one (a
     warning turned error, too) is raised, so no caller sees a partial
-    result.  Only fn's errors are raised: from the first thread that cannot
-    start on, the caller's thread runs the items of the unstarted threads
-    after its own."""
-    n = thread_count(len(items))
-    errors = [None] * n
+    group.  Only fn's errors are raised: from the first thread that cannot
+    start on, the caller's thread runs the unstarted threads' items too."""
+    size = ITEMS_PER_THREAD * thread_count(len(items))
+    for g in range(0, len(items), size):
+        group = items[g:g + size]
+        n = thread_count(len(group))
+        results, errors, started = [None] * len(group), [None] * n, []
 
-    def run(k):
-        try:
-            for item in items[k::n]:
-                fn(item)
-        except BaseException as exc:
-            errors[k] = exc
-
-    started = []
-    try:
-        for k in range(1, n):
-            thread = threading.Thread(target=run, args=(k,))
+        def run(k):
             try:
-                thread.start()
-            except RuntimeError:  # can't start new thread
-                break
-            started.append(thread)
-        for k in (0, *range(len(started) + 1, n)):
-            run(k)
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in filter(None, errors):
-        raise exc
+                for i in range(k, len(group), n):
+                    results[i] = fn(group[i])
+            except BaseException as exc:
+                errors[k] = exc
+
+        try:
+            for k in range(1, n):
+                thread = threading.Thread(target=run, args=(k,))
+                try:
+                    thread.start()
+                except RuntimeError:  # can't start new thread
+                    break
+                started.append(thread)
+            for k in (0, *range(len(started) + 1, n)):
+                run(k)
+        finally:
+            for thread in started:
+                thread.join()
+        for exc in filter(None, errors):
+            raise exc
+        yield from results
+
+
+def once(fn):
+    """A function returning fn(), computed under a lock by its first caller
+    and shared with every later one; a call after fn raised computes again."""
+    lock, value = threading.Lock(), []
+
+    def get():
+        with lock:
+            if not value:
+                value.append(fn())
+        return value[0]
+
+    return get

@@ -25,7 +25,6 @@ import io
 import json
 import os
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -272,10 +271,6 @@ def _in_blocks(q: int, alphabet: int) -> bool:
     return q * alphabet > _steps.STEP_CELLS
 
 
-# Blocks per thread that `_marginal_stream` counts before it yields them.
-_BLOCKS_PER_THREAD = 4
-
-
 def _diagonal_cells(q: int, rows: int) -> np.ndarray:
     """base[j, s1] = ((j - s1) % q) * q + s1, the flat index of the cell
     (j - s1, s1), for j < rows; adding x0 * q, mod q^2, moves it to secret
@@ -320,15 +315,14 @@ def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
     TheoryViolation, named by `what`, where the wire is value-independent
     but its marginal is not constant.
 
-    Blocks are counted, compared with row 0 and given to fn on threads, a
-    group of `_BLOCKS_PER_THREAD` per thread at a time, so no more than
-    that many are held.  The marginal is constant iff every block equals
-    row 0.  A block that differs gives the information terms of its rows,
-    and row 0's terms stand in for each row of a block that equals it, so
-    the terms in secret order are those of the whole marginal table and
-    their one sum is the same float.  The column sums they need are a
-    stepped bincount of the table (a whole-table bincount makes an intp
-    copy of it), made by the first block that differs from row 0.
+    Blocks are counted, compared with row 0 and given to fn on threads a
+    group at a time (`_steps.in_threads`).  The marginal is constant iff
+    every block equals row 0.  A block that differs gives the information
+    terms of its rows, and row 0's terms stand in for each row of a block
+    that equals it, so the terms in secret order are those of the whole
+    marginal table and their one sum is the same float.  Their column sums
+    are a stepped bincount of the table (a whole-table bincount makes an
+    intp copy), made once (`_steps.once`) where a block differs from row 0.
     """
     q, alphabet = w.q, w.alphabet_size
     if not _in_blocks(q, alphabet):
@@ -340,34 +334,24 @@ def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
         return
     table, vi, row0 = w.table, w._value_independent, w._row0
     base = _diagonal_cells(q, blocks[0].stop)
-    colsum, lock, done = [], threading.Lock(), {}
-
-    def column_sums():
-        with lock:
-            if not colsum:
-                colsum.append(sum(np.bincount(table[part], minlength=alphabet)
-                                  for _, part in _steps.steps(1, table.size, 1)))
-        return colsum[0]
+    column_sums = _steps.once(lambda: sum(np.bincount(table[part], minlength=alphabet)
+                                          for _, part in _steps.steps(1, table.size, 1)))
 
     def count(rows):
         counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
         same = bool((counts == row0).all())
         terms = None if same or vi else _information_terms(counts, column_sums(), q)
-        done[rows.start] = same, terms, None if same or fn is None else fn(counts)
+        return same, terms, None if same or fn is None else fn(counts)
 
     parts, constant = [], True
-    group = _BLOCKS_PER_THREAD * _steps.thread_count(len(blocks))
-    for g in range(0, len(blocks), group):
-        _steps.in_threads(count, blocks[g:g + group])
-        for rows in blocks[g:g + group]:
-            same, terms, out = done.pop(rows.start)
-            parts.append((rows.stop - rows.start, terms))
-            constant &= same
-            yield rows, out
+    for rows, (same, terms, out) in zip(blocks, _steps.in_threads(count, blocks)):
+        parts.append((rows.stop - rows.start, terms))
+        constant &= same
+        yield rows, out
     code = int(_verdict_codes(q, np.array([vi]), np.array([constant]), what)[0])
     bits = 0.0
     if not constant:
-        row0_terms, terms = _information_terms(row0, colsum[0], q), []
+        row0_terms, terms = _information_terms(row0, column_sums(), q), []
         for n, block_terms in parts:
             terms += [row0_terms] * n if block_terms is None else [block_terms]
         bits = float(np.sum(np.concatenate(terms)))
@@ -741,24 +725,21 @@ def _parse_int_body(read_at, chunks: list, alphabet: int, keep=True) -> np.ndarr
     cut into `chunks`, as a table of the dtype that `alphabet` selects.
 
     Threads read their chunks with `read_at` and parse each with
-    `_parse_int_chunk` into its own slice of one table.  Entries of an
-    alphabet of at most 10 symbols are one digit each: such a body is
-    parsed on one thread, each chunk by `_parse_digit_chunk`, and by
-    `_parse_int_chunk` where that refuses it (a chunk holding a 10, say).
-    Returns None where a chunk is refused, holds a value that the dtype
-    cannot, or is not what pass 1 saw (a short read, other entries: the
-    file changed), so that only such a body goes through json.loads and no
-    table is returned with an entry unwritten.  Unless `keep`, the entries
-    are checked and dropped, and the table returned is empty.
+    `_parse_int_chunk` into its own slice of one table, a group at a time
+    until one is refused (`_steps.in_threads`).  A body of an alphabet of
+    at most 10 symbols, one digit an entry, is parsed on one thread, each
+    chunk by `_parse_digit_chunk`, or `_parse_int_chunk` where that refuses
+    it (a chunk holding a 10, say).  Returns None where a chunk is refused,
+    holds a value that the dtype cannot, or is not what pass 1 saw (a short
+    read, other entries: the file changed), so that only such a body goes
+    through json.loads and no table is returned with an entry unwritten.
+    Unless `keep`, the entries are checked and dropped, and the table is empty.
     """
     table = np.empty(chunks[-1][3] if keep else 0, dtype=_symbol_dtype(alphabet))
     top = np.iinfo(table.dtype).max
-    refused = []
 
     def parse(part):
         for start, stop, first, end in part:
-            if refused:
-                return
             chunk = read_at(start, stop - start)
             values = None
             if len(chunk) == stop - start:
@@ -767,14 +748,14 @@ def _parse_int_body(read_at, chunks: list, alphabet: int, keep=True) -> np.ndarr
                     values = _parse_int_chunk(chunk)
             del chunk
             if values is None or values.size != end - first or values.max() > top:
-                refused.append(first)
-                return
+                return False
             if keep:
                 table[first:end] = values
             del values  # before the next chunk's are made
+        return True
 
-    _steps.in_threads(parse, [[c] for c in chunks] if alphabet > 10 else [chunks])
-    return None if refused else table
+    parts = [[c] for c in chunks] if alphabet > 10 else [chunks]
+    return table if all(_steps.in_threads(parse, parts)) else None
 
 
 def _decode_wire_json(data: bytes):

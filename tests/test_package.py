@@ -71,7 +71,7 @@ print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
 def test_cli_import_loads_no_pool_machinery(tmp_path):
     """Each CLI entry path imports only the modules its subcommand calls,
     and none loads concurrent.futures or multiprocessing: the loader and
-    the dense analysis run their threads with `threading` alone."""
+    the dense analysis run their threads through `_steps.in_threads`."""
     wire = tmp_path / "wire.json"
     wire.write_text('{"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 1, 0]}')
     src = Path(mc.__file__).resolve().parent.parent
@@ -86,6 +86,19 @@ def test_cli_import_loads_no_pool_machinery(tmp_path):
         assert (loaded, extra, pools) == (modules.split(), others.split(), []), argv
         if code or argv[0] in ("--version", "--help", "census", "bounds"):
             assert not numpy, argv
+
+
+def test_threads_start_in_steps_alone():
+    """Only `_steps` imports threading, so every thread, lock and in-flight
+    bound of the package is set in one module."""
+    importers = []
+    for path in sorted(Path(mc.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(name and name.partition(".")[0] == "threading" for name in names):
+                importers.append(path.name)
+    assert importers == ["_steps.py"]
 
 
 # The private methods of every NamedTuple, which no module of the package defines.

@@ -2,6 +2,7 @@
 loop goes through, and results that must not depend on either."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -48,8 +49,106 @@ def test_in_threads_stripes_items_and_raises_the_first_error(monkeypatch):
             raise ValueError(f"item {item}")
 
     with pytest.raises(ValueError, match="item 4"):
-        _steps.in_threads(record, list(range(8)))
+        list(_steps.in_threads(record, list(range(8))))
     assert sorted(map(sorted, ran.values())) == [[0, 3, 6], [1, 4], [2, 5]]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_in_threads_yields_in_item_order(monkeypatch, threads):
+    """Results come in item order for no item, one, and one item fewer
+    or more than a group of ITEMS_PER_THREAD per thread; a group of one
+    item, the last of group + 1, starts no thread."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
+    group, real_start, starts = _steps.ITEMS_PER_THREAD * threads, threading.Thread.start, []
+
+    def start(self):
+        starts.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for n in (0, 1, group - 1, group + 1):
+        starts.clear()
+        assert list(_steps.in_threads(lambda i: i * i, list(range(n)))) == [
+            i * i for i in range(n)]
+        assert len(starts) == (threads - 1 if n > 1 else 0)
+
+
+def test_in_threads_starts_a_group_when_its_first_result_is_asked_for(monkeypatch):
+    """No item runs before the first result is asked for, and the second
+    group's items run only when its first result is."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
+    group, ran = 2 * _steps.ITEMS_PER_THREAD, []
+
+    def record(item):
+        ran.append(item)
+        return item
+
+    results = _steps.in_threads(record, list(range(group + 3)))
+    assert ran == []
+    for item in range(group):
+        assert next(results) == item
+        assert sorted(ran) == list(range(group))
+    assert next(results) == group
+    assert sorted(ran) == list(range(group + 3))
+
+
+def test_in_threads_raises_a_later_groups_error_after_the_earlier_results(monkeypatch):
+    """An error in the second group is raised once the first group's
+    results have all been yielded, not before."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
+    group = 2 * _steps.ITEMS_PER_THREAD
+
+    def fail_in_group_2(item):
+        if item == group + 1:
+            raise ValueError("group 2")
+        return item
+
+    results, got = _steps.in_threads(fail_in_group_2, list(range(2 * group))), []
+    with pytest.raises(ValueError, match="group 2"):
+        for item in results:
+            got.append(item)
+    assert got == list(range(group))
+
+
+def test_abandoned_in_threads_leaves_no_thread_running(monkeypatch):
+    """A caller that stops asking after a few results, or after none,
+    leaves as many threads alive as before it called."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 4)
+    baseline = threading.active_count()
+    for asked in (0, 1, 3 * _steps.ITEMS_PER_THREAD):
+        results = _steps.in_threads(lambda i: i, list(range(40)))
+        assert [next(results) for _ in range(asked)] == list(range(asked))
+        del results
+        assert threading.active_count() == baseline
+
+
+def test_once_computes_one_value_for_concurrent_callers():
+    """Eight threads that call at once get one value, computed once; after
+    fn raises, the next call computes again."""
+    calls, barrier = [], threading.Barrier(8)
+
+    def make():
+        calls.append(None)
+        if len(calls) == 1:
+            raise ValueError("first call")
+        time.sleep(0.05)  # long enough for the other callers to arrive
+        return object()
+
+    shared = _steps.once(make)
+    with pytest.raises(ValueError, match="first call"):
+        shared()
+    got = []
+
+    def call():
+        barrier.wait()
+        got.append(shared())
+
+    threads = [threading.Thread(target=call) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(calls) == 2 and len(got) == 8 and all(value is got[0] for value in got)
 
 
 def test_thread_start_failure_joins_the_started_threads(monkeypatch):
@@ -71,7 +170,7 @@ def test_thread_start_failure_joins_the_started_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(threading.Thread, "join", join)
-    _steps.in_threads(done.append, list(range(7)))
+    list(_steps.in_threads(done.append, list(range(7))))
     first = events[0][1]
     assert events == [("start", first), ("join", first)]
     assert done == [0, 3, 6, 2, 5, 1, 4]  # threads 0 and 2 on the caller's, then 1

@@ -247,7 +247,7 @@ def change_between_passes(monkeypatch, path, old, new):
 
     def rewrite_then_run(fn, items):
         path.write_bytes(path.read_bytes().replace(old, new, 1))
-        in_threads(fn, items)
+        yield from in_threads(fn, items)
 
     monkeypatch.setattr(_steps, "in_threads", rewrite_then_run)
 
@@ -415,6 +415,36 @@ def residue_file(path, q):
     s = np.arange(q)
     mc.save_wire(mc.make_wire(q, ((s[:, None] + s) % q).ravel(), alphabet_size=q), path)
     return path
+
+
+def test_refused_first_chunk_stops_the_parse_after_one_group(tmp_path, monkeypatch):
+    """A residue body whose first chunk is refused has at most one group of
+    chunks (ITEMS_PER_THREAD per thread) parsed before json.loads of the
+    whole file, which gives the reference's error message."""
+    force_threads(monkeypatch, 3)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 256)
+    path = residue_file(tmp_path / "wire.json", 31)
+    path.write_bytes(path.read_bytes().replace(b"[0, ", b"[-1, ", 1))
+    data = path.read_bytes()
+    _, chunks = wires._split_int_wire(lambda offset, size: data[offset:offset + size])
+    group = 3 * _steps.ITEMS_PER_THREAD
+    assert len(chunks) > 2 * group
+    parse, decode, calls, at_fallback = wires._parse_int_chunk, wires._decode_wire_json, [], []
+
+    def counted(chunk):
+        calls.append(chunk)
+        return parse(chunk)
+
+    def fallback(data):
+        at_fallback.append(len(calls))
+        return decode(data)
+
+    monkeypatch.setattr(wires, "_parse_int_chunk", counted)
+    monkeypatch.setattr(wires, "_decode_wire_json", fallback)
+    got = outcome(mc.load_wire, path)
+    assert got == outcome(reference_wire, path)
+    assert got[0] == "error" and "-1" in got[1]
+    assert at_fallback == [len(calls)] and 1 <= len(calls) <= group
 
 
 def fail_in_a_worker(monkeypatch, error):
