@@ -7,9 +7,9 @@ intermediate non-negative, and the intermediate is guaranteed to lie in
 [1, 2q), so any width with 2q < 2^w admits it.  ML-KEM (q = 3329) and
 ML-DSA (q = 8380417) both fit at w = 24.
 
-Every word operation here is checked: an intermediate outside [0, 2^w)
-raises WordOverflowError instead of silently wrapping, so a violated bound
-would be observable.
+Every word operation here is checked, on an int or once per call on a numpy
+int array: an intermediate outside [0, 2^w) raises WordOverflowError
+instead of silently wrapping, so a violated bound would be observable.
 """
 
 from __future__ import annotations
@@ -56,11 +56,18 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"q must be >= 1, got {q}")
 
 
-def _check_residues(q: int, x: int, s1: int) -> None:
-    if not 0 <= x < q:
-        raise ValueError(f"x={x} outside [0, {q})")
-    if not 0 <= s1 < q:
-        raise ValueError(f"s1={s1} outside [0, {q})")
+def _outside(value, limit: int):
+    """The least or greatest entry of an int or int array outside [0, limit), else None."""
+    ends = (value,) if isinstance(value, int) else (int(value.min()), int(value.max()))
+    for end in ends:
+        if not 0 <= end < limit:
+            return end
+
+
+def _check_residues(q: int, x, s1) -> None:
+    for name, value in (("x", x), ("s1", s1)):
+        if (bad := _outside(value, q)) is not None:
+            raise ValueError(f"{name}={bad} outside [0, {q})")
 
 
 def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
@@ -76,15 +83,15 @@ def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
     return (1 <= t, t < 2 * q)
 
 
-def _fit(cfg: WidthConfig, value: int, op: str) -> int:
-    if value < 0 or value >> cfg.width:
+def _fit(cfg: WidthConfig, value, op: str):
+    if (bad := _outside(value, 1 << cfg.width)) is not None:
         raise WordOverflowError(
-            f"{op} produced {value}, outside the {cfg.width}-bit unsigned range"
+            f"{op} produced {bad}, outside the {cfg.width}-bit unsigned range"
         )
     return value
 
 
-def urem_reparam(cfg: WidthConfig, x: int, s1: int) -> int:
+def urem_reparam(cfg: WidthConfig, x, s1):
     """First share via w-bit unsigned ops: URem(x + q - s1, q).
 
     The rearranged order x + q - s1 never goes negative (the literal
@@ -98,7 +105,7 @@ def urem_reparam(cfg: WidthConfig, x: int, s1: int) -> int:
     return t % cfg.q
 
 
-def urem_recombine(cfg: WidthConfig, s0: int, s1: int) -> int:
+def urem_recombine(cfg: WidthConfig, s0, s1):
     """URem(s0 + s1, q) in checked w-bit words; undoes urem_reparam."""
     cfg.require_admissible()
     t = _fit(cfg, s0 + s1, "s0 + s1")

@@ -35,8 +35,8 @@ EXIT_THEORY_VIOLATION = 3
 # Residue count arrays are omitted from bias output above this q.
 FULL_COUNTS_MAX_Q = 1 << 16
 
-# urem-check runs a Python loop over its pairs (q^2 of them when
-# exhaustive, --samples otherwise); larger runs are refused up front.
+# urem-check holds its sampled pairs whole and checks every pair (q^2 of
+# them when exhaustive, --samples otherwise); larger runs are refused up front.
 UREM_MAX_PAIRS = 1 << 24
 
 def __getattr__(name: str):
@@ -228,31 +228,34 @@ def cmd_urem_check(args) -> Result:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     cfg.require_admissible()
     q = args.q
-    exhaustive = args.exhaustive or q * q <= args.samples
-    n_pairs = q * q if exhaustive else args.samples
+    mode = "exhaustive" if args.exhaustive or q * q <= args.samples else "sampled"
+    n_pairs = q * q if mode == "exhaustive" else args.samples
     if n_pairs > UREM_MAX_PAIRS:
         raise ValueError(
             f"{n_pairs} pairs to check, above the cap of {UREM_MAX_PAIRS}")
-    if exhaustive:
-        pairs = ((x, s1) for x in range(q) for s1 in range(q))
-        mode = "exhaustive"
-    else:
-        if q > 1 << 63:
-            raise ValueError(f"q={q} is above 2^63, but sampled residues "
-                             "are drawn as int64")
+    if mode == "sampled" and q > 1 << 63:
+        raise ValueError(f"q={q} is above 2^63, but sampled residues "
+                         "are drawn as int64")
+    import numpy as np
+
+    from ._steps import steps
+
+    if mode == "sampled":
         rng = stream_rng(args.seed, "urem-check")
         xs = rng.integers(0, q, size=n_pairs)
         s1s = rng.integers(0, q, size=n_pairs)
-        pairs = zip(xs.tolist(), s1s.tolist())
-        mode = "sampled"
+        if 2 * q >= 1 << 63:  # x + q would wrap in int64
+            xs, s1s = xs.astype(object), s1s.astype(object)
     mismatches = 0
     round_trip_failures = 0
-    for x, s1 in pairs:
+    for _, rows in steps(1, n_pairs, 1):
+        if mode == "exhaustive":
+            x, s1 = np.divmod(np.arange(rows.start, rows.stop), q)
+        else:
+            x, s1 = xs[rows], s1s[rows]
         s0 = _cli.urem_reparam(cfg, x, s1)
-        if s0 != (x - s1) % q:
-            mismatches += 1
-        if _cli.urem_recombine(cfg, s0, s1) != x:
-            round_trip_failures += 1
+        mismatches += int(np.count_nonzero(s0 != (x - s1) % q))
+        round_trip_failures += int(np.count_nonzero(_cli.urem_recombine(cfg, s0, s1) != x))
     doc = {
         "q": q,
         "width": args.w,

@@ -5,8 +5,8 @@ is only uniform when q divides N.  Otherwise the low residues are hit one
 extra time.  This module computes the exact per-residue counts in closed
 form (never by sampling), together with the universal floor/ceil bounds
 floor(N/q) <= count(r) <= ceil(N/q) and the max/min bias ratio.
-`verify_bounds` confirms the counts against the exact form those bounds
-follow from, for every q, and against a direct tally when N is small.
+`verify_bounds` confirms the counts by a direct tally when q and N are
+small, else by the per-residue division floor((N-1-r)/q) + 1.
 
 The flagship instance: a 12-bit RNG (N = 4096) against q = 3329 gives
 count(0) = 2, count(767) = 1 and a bias ratio of exactly 2.  The module
@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+
+from ._steps import steps
 
 # brute_force_counts iterates all N values; keep it desk-scale.
 BRUTE_FORCE_LIMIT = 1 << 26
@@ -110,28 +112,26 @@ def brute_force_counts(n_values: int, q: int) -> np.ndarray:
     return np.bincount(np.arange(n_values, dtype=np.int64) % q, minlength=q)
 
 
-# Profiles with q and N at most these are also tallied by brute_force_counts.
+# Profiles with q and N at most these are tallied by brute_force_counts.
 DIRECT_SUMMATION_MAX_Q = 1 << 16
 DIRECT_SUMMATION_MAX_N = 1 << 22
 
 
 def verify_bounds(profile: BiasProfile) -> bool:
-    """Confirm every count is exactly the one N = a*q + b forces.
-
-    The q counts must be a + 1 for residues below b and a from b on.  That
-    exact form implies the sum identity (a*q + b = N), the floor/ceil
-    bracket (every count is a or a + 1) and equality when q divides N
-    (b = 0), so no separate check of these is made.  Profiles with
-    q <= DIRECT_SUMMATION_MAX_Q and N <= DIRECT_SUMMATION_MAX_N are also
-    compared with `brute_force_counts`, an independent tally of all N values.
-
+    """Confirm every count is the one N forces, apart from `bias_profile`'s
+    closed form: a tally of all N values (`brute_force_counts`) when
+    q <= DIRECT_SUMMATION_MAX_Q and N <= DIRECT_SUMMATION_MAX_N, else
+    floor((N - 1 - r)/q) + 1 for each residue r, a step at a time.  Either
+    implies the sum, the floor/ceil bracket and equality when q divides N.
     A False return means the library miscounted; tests treat it as fatal.
     """
     n, q, counts = profile.n_values, profile.q, profile.counts
-    a, b = divmod(n, q)
-    exact = (counts[:b] == a + 1).all() and (counts[b:] == a).all()
-    if counts.shape != (q,) or not exact:
+    if counts.shape != (q,):
         return False
     if q <= DIRECT_SUMMATION_MAX_Q and n <= DIRECT_SUMMATION_MAX_N:
         return np.array_equal(counts, brute_force_counts(n, q))
+    for _, rows in steps(1, q, 1):
+        r = np.arange(rows.start, rows.stop)
+        if not np.array_equal(counts[rows], (n - 1 - r) // q + 1):
+            return False
     return True

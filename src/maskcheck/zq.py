@@ -43,11 +43,6 @@ class Modulus:
     def element(self, value: int) -> "ZqElement":
         return ZqElement(value, self)
 
-    def elements(self):
-        """Iterate over all residues 0..q-1 as ZqElement."""
-        for v in range(self.q):
-            yield ZqElement(v, self)
-
     def __repr__(self):
         return f"Modulus({self.q})"
 

@@ -93,6 +93,53 @@ class TestUremReparam:
             assert mc.urem_reparam(cfg, x, s1) == (x - s1) % q
             assert mc.urem_round_trip(cfg, x, s1)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 17, 64])
+    def test_array_ops_equal_scalar_ops_exhaustive(self, q):
+        cfg = mc.WidthConfig(q, 24)
+        x, s1 = np.divmod(np.arange(q * q), q)
+        s0 = mc.urem_reparam(cfg, x, s1)
+        back = mc.urem_recombine(cfg, s0, s1)
+        for i, (xi, si) in enumerate(zip(x.tolist(), s1.tolist())):
+            assert s0[i] == mc.urem_reparam(cfg, xi, si)
+            assert back[i] == mc.urem_recombine(cfg, int(s0[i]), si) == xi
+
+    @pytest.mark.parametrize("q", [ML_KEM_Q, ML_DSA_Q])
+    def test_array_ops_equal_scalar_ops_sampled(self, q):
+        cfg = mc.WidthConfig(q, 24)
+        x, s1 = np.random.default_rng(q + 1).integers(0, q, size=(2, 100_000))
+        s0 = mc.urem_reparam(cfg, x, s1)
+        back = mc.urem_recombine(cfg, s0, s1)
+        scalar_s0 = [mc.urem_reparam(cfg, xi, si) for xi, si in zip(x.tolist(), s1.tolist())]
+        assert s0.tolist() == scalar_s0
+        assert back.tolist() == [mc.urem_recombine(cfg, a, si)
+                                 for a, si in zip(scalar_s0, s1.tolist())] == x.tolist()
+
+    @pytest.mark.parametrize("x,s1", [(ML_KEM_Q, 0), (-1, 0), (0, ML_KEM_Q),
+                                      (0, -1), (ML_KEM_Q, -1)])
+    def test_array_residue_refusal_names_the_extreme(self, x, s1):
+        """One pair out of range among valid ones: the array call raises the
+        scalar call's message for that pair."""
+        cfg = mc.WidthConfig(ML_KEM_Q, 24)
+        xs, s1s = np.full(9, 7), np.full(9, 3)
+        xs[4], s1s[4] = x, s1
+        with pytest.raises(ValueError) as scalar:
+            mc.urem_reparam(cfg, x, s1)
+        with pytest.raises(ValueError) as array:
+            mc.urem_reparam(cfg, xs, s1s)
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("value", [-1, ML_KEM_Q + 3000])
+    def test_array_word_overflow_names_the_extreme(self, value):
+        cfg = mc.WidthConfig(ML_KEM_Q, 12)
+        values = np.full(5, 4095)
+        values[2] = value
+        with pytest.raises(mc.WordOverflowError) as scalar:
+            mc.bitvec._fit(cfg, value, "x + q")
+        with pytest.raises(mc.WordOverflowError) as array:
+            mc.bitvec._fit(cfg, values, "x + q")
+        assert str(array.value) == str(scalar.value) == (
+            f"x + q produced {value}, outside the 12-bit unsigned range")
+
     def test_inadmissible_width_rejected(self):
         cfg = mc.WidthConfig(8388608, 24)
         with pytest.raises(ValueError, match="inadmissible"):

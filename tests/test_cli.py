@@ -432,6 +432,42 @@ class TestUremCheck:
         doc = json.loads(out)
         assert doc["pairs_checked"] == 5 and doc["mismatches"] == 0
 
+    @staticmethod
+    def record_calls(monkeypatch):
+        """Wrap both word ops on `cli`; returns the (op, x or s0) of each call."""
+        calls = []
+        for name in ("urem_reparam", "urem_recombine"):
+            def recorded(cfg, a, s1, name=name, real=getattr(mc, name)):
+                calls.append((name, a))
+                return real(cfg, a, s1)
+            monkeypatch.setattr(cli, name, recorded)
+        return calls
+
+    def test_exhaustive_at_the_pair_cap(self, capsys, monkeypatch):
+        """All 2^24 pairs of q = 4096, one call of each word op per step of
+        STEP_CELLS pairs."""
+        calls = self.record_calls(monkeypatch)
+        code, out, _ = run(capsys, "urem-check", "--q", "4096", "--w", "24",
+                           "--exhaustive", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pairs_checked"] == cli.UREM_MAX_PAIRS == 16777216
+        assert doc["mismatches"] == doc["round_trip_failures"] == 0
+        steps = cli.UREM_MAX_PAIRS // _steps.STEP_CELLS
+        assert [name for name, _ in calls] == ["urem_reparam", "urem_recombine"] * steps
+        assert {len(a) for _, a in calls} == {_steps.STEP_CELLS}
+
+    def test_sampled_q_above_two_to_the_62_checks_python_ints(self, capsys, monkeypatch):
+        """At 2q >= 2^63, x + q would wrap in int64: the pairs are objects."""
+        calls = self.record_calls(monkeypatch)
+        code, out, _ = run(capsys, "urem-check", "--q", str((1 << 62) + 1), "--w", "64",
+                           "--samples", "1000", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pairs_checked"] == 1000 and doc["mode"] == "sampled"
+        assert doc["mismatches"] == doc["round_trip_failures"] == 0
+        assert [a.dtype for _, a in calls] == [np.dtype(object)] * 2
+
     def test_inadmissible_exits_2(self, capsys):
         code, _, err = run(capsys, "urem-check", "--q", "8388608", "--w", "24")
         assert code == 2

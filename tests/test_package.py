@@ -46,9 +46,9 @@ ENTRY_PATHS = [
     (["classify", "{wire}"], "_render _steps cli wires zq", DC),
     (["witness", "--q", "3"], "_steps cli wires zq", DC),
     (["butterfly", "--q", "2"], "_steps butterfly cli wires zq", DC),
-    (["bias", "--n", "16", "--q", "5"], "cli rngbias", f"fractions {DC}"),
+    (["bias", "--n", "16", "--q", "5"], "_steps cli rngbias", f"fractions {DC}"),
     (["bounds", "--q", "5", "--w", "8"], "bitvec cli", DC),
-    (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "bitvec cli", f"hashlib {DC}"),
+    (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "_steps bitvec cli", f"hashlib {DC}"),
 ]
 
 ENTRY_SCRIPT = """
