@@ -14,7 +14,7 @@ STEP_CELLS = 1 << 16
 # np.take, np.bincount and the renderer's numpy steps release the GIL;
 # bytes.translate and isdigit, which each chunk parse also runs, hold it.
 MAX_THREADS = 8
-ITEMS_PER_THREAD = 4  # a thread's items per group of `in_threads`: bounds results held
+ITEMS_PER_THREAD = 4  # per thread, items `in_threads` takes ahead: bounds results held
 
 
 def steps(n: int, rows: int, cols: int) -> list[tuple[slice, slice]]:
@@ -40,43 +40,64 @@ def thread_count(tasks: int) -> int:
 
 
 def in_threads(fn, items):
-    """Yield fn(item) for every item in order, a group of ITEMS_PER_THREAD
-    items per thread at a time, each group started when its first result is
-    asked for: thread k of a group's n = thread_count(len(group)) takes
-    its items k, k + n, ... (the caller's thread is thread 0).  Once all have
-    ended, the error of the lowest-numbered thread that raised one (a
-    warning turned error, too) is raised, so no caller sees a partial
-    group.  Only fn's errors are raised: from the first thread that cannot
-    start on, the caller's thread runs the unstarted threads' items too."""
-    size = ITEMS_PER_THREAD * thread_count(len(items))
-    for g in range(0, len(items), size):
-        group = items[g:g + size]
-        n = thread_count(len(group))
-        results, errors, started = [None] * len(group), [None] * n, []
+    """Yield fn(item) for every item in order, each as soon as it is ready,
+    running the items on n = thread_count(len(items)) threads, the
+    caller's thread among them, from when the first result is asked for.
+    A thread takes the next item while fewer than ITEMS_PER_THREAD * n are
+    taken and not yet yielded; the caller's thread runs one itself when the
+    result it waits for is not ready, so a thread that cannot start leaves
+    its items to the others and no error is raised.  The error of the
+    earliest item that raised one (a warning turned error, too) is raised
+    in its place once every thread has ended, and no item is taken after
+    an error.  Closing the generator stops the takes and joins every thread."""
+    window = ITEMS_PER_THREAD * thread_count(len(items))
+    cond, done, threads = threading.Condition(), {}, []
+    taken, yielded, stop = 0, 0, False
 
-        def run(k):
+    def spent():  # under cond: no item is left to take
+        return stop or taken == len(items)
+
+    def work(finished):  # run the items this thread takes until finished() (under cond)
+        nonlocal taken, stop
+        while True:
+            with cond:
+                while not finished() and (spent() or taken - yielded >= window):
+                    cond.wait()
+                if finished():
+                    return
+                i, taken = taken, taken + 1
             try:
-                for i in range(k, len(group), n):
-                    results[i] = fn(group[i])
+                result = True, fn(items[i])
             except BaseException as exc:
-                errors[k] = exc
+                result = False, exc
+            with cond:
+                done[i] = result
+                stop |= not result[0]
+                cond.notify_all()
 
-        try:
-            for k in range(1, n):
-                thread = threading.Thread(target=run, args=(k,))
-                try:
-                    thread.start()
-                except RuntimeError:  # can't start new thread
-                    break
-                started.append(thread)
-            for k in (0, *range(len(started) + 1, n)):
-                run(k)
-        finally:
-            for thread in started:
-                thread.join()
-        for exc in filter(None, errors):
-            raise exc
-        yield from results
+    try:
+        for _ in range(1, thread_count(len(items))):
+            thread = threading.Thread(target=work, args=(spent,))
+            try:
+                thread.start()
+            except RuntimeError:  # can't start new thread
+                break
+            threads.append(thread)
+        for i in range(len(items)):
+            work(lambda: i in done)
+            with cond:
+                ok, value = done.pop(i)
+                yielded = i + 1
+                cond.notify_all()
+            if not ok:
+                raise value
+            yield value
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def once(fn):

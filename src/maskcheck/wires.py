@@ -315,14 +315,15 @@ def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
     TheoryViolation, named by `what`, where the wire is value-independent
     but its marginal is not constant.
 
-    Blocks are counted, compared with row 0 and given to fn on threads a
-    group at a time (`_steps.in_threads`).  The marginal is constant iff
-    every block equals row 0.  A block that differs gives the information
-    terms of its rows, and row 0's terms stand in for each row of a block
-    that equals it, so the terms in secret order are those of the whole
-    marginal table and their one sum is the same float.  Their column sums
-    are a stepped bincount of the table (a whole-table bincount makes an
-    intp copy), made once (`_steps.once`) where a block differs from row 0.
+    Blocks are counted, compared with row 0 and given to fn on threads, a
+    bounded window of blocks ahead of the caller (`_steps.in_threads`).
+    The marginal is constant iff every block equals row 0.  A block that
+    differs gives the information terms of its rows, and row 0's terms
+    stand in for each row of a block that equals it, so the terms in secret
+    order are those of the whole marginal table and their one sum is the
+    same float.  Their column sums are a stepped bincount of the table (a
+    whole-table bincount makes an intp copy), made once (`_steps.once`)
+    where a block differs from row 0.
     """
     q, alphabet = w.q, w.alphabet_size
     if not _in_blocks(q, alphabet):
@@ -725,11 +726,11 @@ def _parse_int_body(read_at, chunks: list, alphabet: int, keep=True) -> np.ndarr
     cut into `chunks`, as a table of the dtype that `alphabet` selects.
 
     Threads read their chunks with `read_at` and parse each with
-    `_parse_int_chunk` into its own slice of one table, a group at a time
-    until one is refused (`_steps.in_threads`).  A body of an alphabet of
-    at most 10 symbols, one digit an entry, is parsed on one thread, each
-    chunk by `_parse_digit_chunk`, or `_parse_int_chunk` where that refuses
-    it (a chunk holding a 10, say).  Returns None where a chunk is refused,
+    `_parse_int_chunk` into its own slice of one table, a bounded window of
+    chunks ahead, until one is refused (`_steps.in_threads`).  A body of an
+    alphabet of at most 10 symbols, one digit an entry, is parsed on one
+    thread, each chunk by `_parse_digit_chunk`, or `_parse_int_chunk` where
+    that refuses it (a chunk holding a 10, say).  Returns None where a chunk is refused,
     holds a value that the dtype cannot, or is not what pass 1 saw (a short
     read, other entries: the file changed), so that only such a body goes
     through json.loads and no table is returned with an entry unwritten.

@@ -1,6 +1,7 @@
 """The step budget and the thread helper that every stepped or threaded
 loop goes through, and results that must not depend on either."""
 
+import sys
 import threading
 import time
 
@@ -36,28 +37,82 @@ def test_steps_cover_each_cell_once(n, rows, cols, budget):
         assert parts == []
 
 
-def test_in_threads_stripes_items_and_raises_the_first_error(monkeypatch):
-    """Thread k of n runs items k, k + n, ... up to its first error; after
-    all have ended, the error of the lowest-numbered thread that raised
-    one is raised."""
-    monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
-    ran = {}
+TIMEOUT = 10  # seconds: a wait that runs out fails the test instead of hanging the suite
+REAL_START = threading.Thread.start
+
+
+def in_background(fn):
+    """Start fn() on a daemon thread of its own, whatever Thread.start is
+    patched to; returns (the thread, a function that waits at most TIMEOUT
+    for fn to return, then returns its result or raises its error)."""
+    out, finished = [], threading.Event()
+
+    def call():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:
+            out.append((False, exc))
+        finally:
+            finished.set()
+
+    def result():
+        assert finished.wait(TIMEOUT), f"no result within {TIMEOUT} s"
+        ok, value = out[0]
+        if not ok:
+            raise value
+        return value
+
+    thread = threading.Thread(target=call, daemon=True)
+    REAL_START(thread)
+    return thread, result
+
+
+def wait_for(condition):
+    """Poll condition() until it holds, failing the test after TIMEOUT."""
+    deadline = time.monotonic() + TIMEOUT
+    while not condition():
+        assert time.monotonic() < deadline, f"condition unmet within {TIMEOUT} s"
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_in_threads_raises_the_earliest_error_once_every_thread_has_ended(monkeypatch,
+                                                                         threads):
+    """Items 4 and 5 raise, item 5 first in time where another thread can
+    run it while item 4 waits: item 4's error is raised, after results
+    0-3, each item before it run once, and no thread that ran an item is
+    alive when it is raised."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
+    ran, five_raised = [], threading.Event()
 
     def record(item):
-        ran.setdefault(threading.current_thread().name, []).append(item)
-        if item in (4, 5):
-            raise ValueError(f"item {item}")
+        ran.append((item, threading.current_thread()))
+        if item == 4:
+            five_raised.wait(0.5 if threads == 1 else TIMEOUT)
+            raise ValueError("item 4")
+        if item == 5:
+            five_raised.set()
+            raise ValueError("item 5")
+        return item
 
+    got = []
+    consumer, result = in_background(
+        lambda: got.extend(_steps.in_threads(record, list(range(8)))))
     with pytest.raises(ValueError, match="item 4"):
-        list(_steps.in_threads(record, list(range(8))))
-    assert sorted(map(sorted, ran.values())) == [[0, 3, 6], [1, 4], [2, 5]]
+        result()
+    assert got == [0, 1, 2, 3]
+    assert sorted(item for item, _ in ran if item < 5) == [0, 1, 2, 3, 4]
+    assert not any(t.is_alive() for _, t in ran if t is not consumer)
+    assert len({t for _, t in ran}) <= threads
+    if threads > 1:
+        assert five_raised.is_set()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 def test_in_threads_yields_in_item_order(monkeypatch, threads):
     """Results come in item order for no item, one, and one item fewer
-    or more than a group of ITEMS_PER_THREAD per thread; a group of one
-    item, the last of group + 1, starts no thread."""
+    or more than ITEMS_PER_THREAD per thread; one item starts no thread,
+    more start one per thread but the caller's."""
     monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
     group, real_start, starts = _steps.ITEMS_PER_THREAD * threads, threading.Thread.start, []
 
@@ -73,41 +128,96 @@ def test_in_threads_yields_in_item_order(monkeypatch, threads):
         assert len(starts) == (threads - 1 if n > 1 else 0)
 
 
-def test_in_threads_starts_a_group_when_its_first_result_is_asked_for(monkeypatch):
-    """No item runs before the first result is asked for, and the second
-    group's items run only when its first result is."""
-    monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
-    group, ran = 2 * _steps.ITEMS_PER_THREAD, []
+@pytest.mark.parametrize("threads", [2, 3])
+def test_in_threads_takes_a_window_of_items_ahead(monkeypatch, threads):
+    """No item runs before the first result is asked for.  While item 0
+    blocks, exactly min(len(items), window) items start, where window is
+    ITEMS_PER_THREAD per thread; then each result yielded admits one
+    more, no item starts before it is admitted, and every item runs once."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: threads)
+    window = _steps.ITEMS_PER_THREAD * threads
+    for n in (window - 1, window + 5):
+        release, started, admitted, early = threading.Event(), [], [0], []
 
-    def record(item):
+        def record(item):
+            if item >= window + admitted[0]:
+                early.append(item)
+            started.append(item)
+            if item == 0:
+                assert release.wait(TIMEOUT)
+            return item
+
+        results = _steps.in_threads(record, list(range(n)))
+        _, first = in_background(lambda: next(results))
+        wait_for(lambda: len(started) >= min(n, window))
+        assert sorted(started) == list(range(min(n, window))) and early == []
+        admitted[0] = 1  # result 0, once released, admits item `window`
+        release.set()
+        assert first() == 0
+        for k in range(1, n):
+            wait_for(lambda: len(started) >= min(n, window + k))
+            assert len(started) == min(n, window + k) and early == []
+            admitted[0] = k + 1
+            assert in_background(lambda: next(results))[1]() == k
+        assert in_background(lambda: next(results, "end"))[1]() == "end"
+        assert sorted(started) == list(range(n)) and early == []
+
+
+def test_in_threads_raises_an_error_after_the_earlier_results(monkeypatch):
+    """An error of an item past the first window, raised while the item
+    before it still runs, is raised once every earlier result has been
+    yielded, not before, and no item a window or more past it is started."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
+    window = 2 * _steps.ITEMS_PER_THREAD
+    bad, started, raised = window + 1, [], threading.Event()
+
+    def fail_past_the_window(item):
+        started.append(item)
+        if item == bad - 1:
+            assert raised.wait(TIMEOUT)
+        if item == bad:
+            raised.set()
+            raise ValueError("past the window")
+        return item
+
+    got = []
+    _, result = in_background(lambda: got.extend(
+        _steps.in_threads(fail_past_the_window, list(range(4 * window)))))
+    with pytest.raises(ValueError, match="past the window"):
+        result()
+    assert got == list(range(bad))
+    assert bad in started and max(started) < bad + window
+
+
+def test_in_threads_under_contention(monkeypatch):
+    """Eight threads, more than the host's cores, switching every
+    microsecond over 3000 items: the results come in order, each item runs
+    once, and none starts a window or more ahead of the results asked for."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 8)
+    window = _steps.ITEMS_PER_THREAD * 8
+    items, ran, asked, early = list(range(3000)), [], [0], []
+
+    def square(item):
+        if item >= window + asked[0]:
+            early.append(item)
         ran.append(item)
-        return item
+        return item * item
 
-    results = _steps.in_threads(record, list(range(group + 3)))
-    assert ran == []
-    for item in range(group):
-        assert next(results) == item
-        assert sorted(ran) == list(range(group))
-    assert next(results) == group
-    assert sorted(ran) == list(range(group + 3))
+    def consume():
+        results, got = _steps.in_threads(square, items), []
+        for k in items:
+            asked[0] = k + 1  # asking for result k admits item window + k
+            got.append(next(results))
+        return got
 
-
-def test_in_threads_raises_a_later_groups_error_after_the_earlier_results(monkeypatch):
-    """An error in the second group is raised once the first group's
-    results have all been yielded, not before."""
-    monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
-    group = 2 * _steps.ITEMS_PER_THREAD
-
-    def fail_in_group_2(item):
-        if item == group + 1:
-            raise ValueError("group 2")
-        return item
-
-    results, got = _steps.in_threads(fail_in_group_2, list(range(2 * group))), []
-    with pytest.raises(ValueError, match="group 2"):
-        for item in results:
-            got.append(item)
-    assert got == list(range(group))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = in_background(consume)[1]()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in items]
+    assert sorted(ran) == items and early == []
 
 
 def test_abandoned_in_threads_leaves_no_thread_running(monkeypatch):
@@ -120,6 +230,31 @@ def test_abandoned_in_threads_leaves_no_thread_running(monkeypatch):
         assert [next(results) for _ in range(asked)] == list(range(asked))
         del results
         assert threading.active_count() == baseline
+
+
+def test_closing_in_threads_waits_for_the_items_it_started(monkeypatch):
+    """Closing the generator after its first result returns only once every
+    item it started has returned, so none writes on after it."""
+    monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
+    started, returned = [], []
+
+    def slow(item):
+        started.append(item)
+        if item:
+            time.sleep(0.05)
+        else:  # so that more than one item runs when the generator is closed
+            wait_for(lambda: len(started) > 1)
+        returned.append(item)
+        return item
+
+    def first_then_close():
+        results = _steps.in_threads(slow, list(range(20)))
+        first = next(results)
+        results.close()
+        return first, sorted(started), sorted(returned)
+
+    first, started_then, returned_then = in_background(first_then_close)[1]()
+    assert first == 0 and returned_then == started_then
 
 
 def test_once_computes_one_value_for_concurrent_callers():
@@ -151,16 +286,19 @@ def test_once_computes_one_value_for_concurrent_callers():
     assert len(calls) == 2 and len(got) == 8 and all(value is got[0] for value in got)
 
 
-def test_thread_start_failure_joins_the_started_threads(monkeypatch):
-    """When the second of three threads cannot start, the caller's thread
-    runs its items after its own, the first thread, already running, is
-    joined, and nothing is raised.  No real thread is started: `start`
-    records the thread, and `join` runs its work."""
+@pytest.mark.parametrize("allowed", [0, 1])
+def test_thread_start_failure_leaves_the_items_to_the_caller(monkeypatch, allowed):
+    """Of three threads, the first `allowed` starts succeed but run
+    nothing, and every later start fails: the caller's thread runs every
+    item in order, nothing is raised, and each started thread is joined
+    once, after the items.  `start` records the thread, and `join` runs
+    its work."""
     monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
-    events, done = [], []
+    events, calls = [], []
 
     def start(self):
-        if events:
+        calls.append(self)
+        if len(calls) > allowed:
             raise RuntimeError("can't start new thread")
         events.append(("start", self))
 
@@ -168,35 +306,40 @@ def test_thread_start_failure_joins_the_started_threads(monkeypatch):
         events.append(("join", self))
         self.run()
 
+    def record(item):
+        events.append((item, threading.current_thread()))
+        return item
+
     monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(threading.Thread, "join", join)
-    list(_steps.in_threads(done.append, list(range(7))))
-    first = events[0][1]
-    assert events == [("start", first), ("join", first)]
-    assert done == [0, 3, 6, 2, 5, 1, 4]  # threads 0 and 2 on the caller's, then 1
+    consumer, result = in_background(lambda: list(_steps.in_threads(record, list(range(7)))))
+    assert result() == list(range(7))
+    assert len(calls) == allowed + 1
+    assert events == ([("start", calls[0])] * allowed + [(i, consumer) for i in range(7)]
+                      + [("join", calls[0])] * allowed)
 
 
 def test_thread_start_failure_leaves_classify_output_unchanged(tmp_path, monkeypatch,
                                                                capsys):
     """classify of a residue wire whose marginal blocks take three threads:
-    when thread 2 of each threaded loop cannot start, the run exits 0 with
-    the output of a run in which every thread starts."""
+    when every second thread start fails, counted over the run, it exits 0
+    with the output of a run in which every thread starts."""
     path = str(residue_file(tmp_path / "wire.json", 400))
     monkeypatch.setattr(_steps, "usable_cpus", lambda: 3)
     assert cli.main(["classify", path, "--format", "json"]) == 0
     expected = capsys.readouterr().out
-    real_start, refused = threading.Thread.start, []
+    calls = []
 
     def start(self):
-        if self._args == (2,):  # the `run(k)` argument of `in_threads`
-            refused.append(self)
+        calls.append(self)
+        if len(calls) % 2 == 0:
             raise RuntimeError("can't start new thread")
-        real_start(self)
+        REAL_START(self)
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    assert cli.main(["classify", path, "--format", "json"]) == 0
+    assert in_background(lambda: cli.main(["classify", path, "--format", "json"]))[1]() == 0
     assert capsys.readouterr().out == expected
-    assert refused
+    assert len(calls) >= 2
 
 
 def residue_file(path, q):
