@@ -49,8 +49,10 @@ def in_threads(fn, items):
     its items to the others and no error is raised.  The error of the
     earliest item that raised one (a warning turned error, too) is raised
     in its place once every thread has ended, and no item is taken after
-    an error.  Closing the generator stops the takes and joins every thread."""
-    window = ITEMS_PER_THREAD * thread_count(len(items))
+    an error.  Closing the generator stops the takes and joins every thread;
+    the threads are daemons, so one never closed does not block the exit."""
+    n = thread_count(len(items))
+    window = ITEMS_PER_THREAD * n
     cond, done, threads = threading.Condition(), {}, []
     taken, yielded, stop = 0, 0, False
 
@@ -76,8 +78,8 @@ def in_threads(fn, items):
                 cond.notify_all()
 
     try:
-        for _ in range(1, thread_count(len(items))):
-            thread = threading.Thread(target=work, args=(spent,))
+        for _ in range(1, n):
+            thread = threading.Thread(target=work, args=(spent,), daemon=True)
             try:
                 thread.start()
             except RuntimeError:  # can't start new thread
