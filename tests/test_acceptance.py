@@ -67,12 +67,13 @@ def test_c02_t5_universal_bounds():
     rng = np.random.default_rng(SEED)
     violations = 0
     checked = 0
-    full_reverifications = 0
+    tallied = 0
     # 950 pairs log-uniform over the full ranges, 50 with q | N so the
     # equality branch is never vacuous, all from one seeded stream.  Every
     # count is bounded by [min_count, max_count], so bounding those bounds
-    # covers all q residues; profiles small enough for the independent
-    # re-tally additionally go through verify_bounds in full.
+    # covers all q residues; every profile goes through verify_bounds, and
+    # those with q <= 2^16 and N <= 2^22 are also compared with a tally of
+    # all N values.
     for i in range(1000):
         if i < 950:
             q = min(1 << 24, max(1, int(2.0 ** rng.uniform(0.0, 24.0))))
@@ -89,12 +90,14 @@ def test_c02_t5_universal_bounds():
         if not mc.verify_bounds(p):
             violations += 1
         if q <= (1 << 16) and n <= (1 << 22):
-            full_reverifications += 1  # those runs included the direct tally
+            tallied += 1
+            if not np.array_equal(p.counts, mc.brute_force_counts(n, q)):
+                violations += 1
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and checked == 1000 and elapsed < 10.0
     report(2, ok, f"{checked} seeded (N, q) pairs, every count re-verified "
-                  f"({full_reverifications} by direct tally), {violations} "
+                  f"({tallied} by direct tally), {violations} "
                   f"bound violations, {elapsed:.2f}s")
 
 

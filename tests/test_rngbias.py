@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskcheck as mc
+from maskcheck._steps import STEP_CELLS
 
 
 class TestKnownProfiles:
@@ -26,7 +28,7 @@ class TestKnownProfiles:
         assert p.divides_exactly
         assert mc.verify_bounds(p)
 
-    # 2^16 and 2^16 + 1 sit on either side of the direct-tally limit on q.
+    # 2^16 residues fill one step of verify_bounds; 2^16 + 1 spill into a second.
     @pytest.mark.parametrize("q", [8380417, 1 << 16, (1 << 16) + 1])
     def test_n_below_q_is_degenerate(self, q):
         p = mc.bias_profile(4096, q)
@@ -137,3 +139,19 @@ class TestInvariants:
         p = mc.bias_profile(16, 4)
         with pytest.raises(ValueError):
             p.counts[0] = 99
+
+
+@pytest.mark.parametrize("q", [5, 3329, 1 << 16])
+def test_verify_bounds_peak_memory_is_a_few_steps(q):
+    """verify_bounds holds a few steps of residues, never an array of N
+    values: at N = 2^22 numpy's traced peak stays within four int64
+    arrays of STEP_CELLS entries."""
+    p = mc.bias_profile(1 << 22, q)
+    tracemalloc.start()
+    try:
+        ok = mc.verify_bounds(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= 4 * 8 * STEP_CELLS
