@@ -35,8 +35,8 @@ EXIT_THEORY_VIOLATION = 3
 # Residue count arrays are omitted from bias output above this q.
 FULL_COUNTS_MAX_Q = 1 << 16
 
-# urem-check holds its sampled pairs whole and checks every pair (q^2 of
-# them when exhaustive, --samples otherwise); larger runs are refused up front.
+# urem-check checks its pairs (q^2, or --samples) a step at a time: the cap
+# bounds the run's time, not what it holds.  Larger runs are refused up front.
 UREM_MAX_PAIRS = 1 << 24
 
 def __getattr__(name: str):
@@ -240,19 +240,16 @@ def cmd_urem_check(args) -> Result:
 
     from ._steps import steps
 
-    if mode == "sampled":
-        rng = stream_rng(args.seed, "urem-check")
-        xs = rng.integers(0, q, size=n_pairs)
-        s1s = rng.integers(0, q, size=n_pairs)
-        if 2 * q >= 1 << 63:  # x + q would wrap in int64
-            xs, s1s = xs.astype(object), s1s.astype(object)
+    rng = stream_rng(args.seed, "urem-check") if mode == "sampled" else None
     mismatches = 0
     round_trip_failures = 0
     for _, rows in steps(1, n_pairs, 1):
         if mode == "exhaustive":
             x, s1 = np.divmod(np.arange(rows.start, rows.stop), q)
         else:
-            x, s1 = xs[rows], s1s[rows]
+            x, s1 = rng.integers(0, q, size=(2, rows.stop - rows.start))
+        if 2 * q >= 1 << 63:  # x + q would wrap in int64
+            x, s1 = x.astype(object), s1.astype(object)
         s0 = _cli.urem_reparam(cfg, x, s1)
         mismatches += int(np.count_nonzero(s0 != (x - s1) % q))
         round_trip_failures += int(np.count_nonzero(_cli.urem_recombine(cfg, s0, s1) != x))

@@ -434,28 +434,50 @@ class TestUremCheck:
 
     @staticmethod
     def record_calls(monkeypatch):
-        """Wrap both word ops on `cli`; returns the (op, x or s0) of each call."""
+        """Wrap both word ops on `cli`; returns, for each call, the op, the
+        length of its x (or s0), the dtypes of that and of s1, and whether
+        some x (or s0) differs from its s1.  The arrays are not kept: a run
+        at the cap passes 2^24 pairs."""
         calls = []
         for name in ("urem_reparam", "urem_recombine"):
             def recorded(cfg, a, s1, name=name, real=getattr(mc, name)):
-                calls.append((name, a))
+                calls.append((name, len(a), (a.dtype, s1.dtype), bool(np.any(a != s1))))
                 return real(cfg, a, s1)
             monkeypatch.setattr(cli, name, recorded)
         return calls
 
-    def test_exhaustive_at_the_pair_cap(self, capsys, monkeypatch):
-        """All 2^24 pairs of q = 4096, one call of each word op per step of
-        STEP_CELLS pairs."""
+    @pytest.mark.parametrize("argv", [
+        ("--q", "4096", "--exhaustive"),
+        ("--q", "8380417", "--samples", "16777216"),
+    ], ids=["exhaustive", "sampled"])
+    def test_at_the_pair_cap(self, capsys, monkeypatch, argv):
+        """2^24 pairs, all of q = 4096 or drawn at q = 8380417: one call of
+        each word op per step of STEP_CELLS pairs, whose x and s1 are not
+        one array."""
         calls = self.record_calls(monkeypatch)
-        code, out, _ = run(capsys, "urem-check", "--q", "4096", "--w", "24",
-                           "--exhaustive", "--format", "json")
+        code, out, _ = run(capsys, "urem-check", "--w", "24", *argv, "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["pairs_checked"] == cli.UREM_MAX_PAIRS == 16777216
         assert doc["mismatches"] == doc["round_trip_failures"] == 0
         steps = cli.UREM_MAX_PAIRS // _steps.STEP_CELLS
-        assert [name for name, _ in calls] == ["urem_reparam", "urem_recombine"] * steps
-        assert {len(a) for _, a in calls} == {_steps.STEP_CELLS}
+        assert [name for name, *_ in calls] == ["urem_reparam", "urem_recombine"] * steps
+        assert {n for _, n, *_ in calls} == {_steps.STEP_CELLS}
+        assert any(differs for name, *_, differs in calls if name == "urem_reparam")
+
+    def test_sampled_peak_memory_is_a_few_steps(self, capsys):
+        """Sampled pairs are drawn a step at a time: 2^20 pairs at
+        q = 8380417 trace a numpy peak of at most eight int64 arrays of a
+        step, where pairs drawn whole would take 16 MiB."""
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "urem-check", "--q", "8380417", "--w", "24",
+                               "--samples", str(1 << 20), "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["pairs_checked"] == 1 << 20
+        assert peak <= 8 * 8 * _steps.STEP_CELLS
 
     def test_sampled_q_above_two_to_the_62_checks_python_ints(self, capsys, monkeypatch):
         """At 2q >= 2^63, x + q would wrap in int64: the pairs are objects."""
@@ -466,7 +488,7 @@ class TestUremCheck:
         doc = json.loads(out)
         assert doc["pairs_checked"] == 1000 and doc["mode"] == "sampled"
         assert doc["mismatches"] == doc["round_trip_failures"] == 0
-        assert [a.dtype for _, a in calls] == [np.dtype(object)] * 2
+        assert [dtypes for _, _, dtypes, _ in calls] == [(np.dtype(object),) * 2] * 2
 
     def test_inadmissible_exits_2(self, capsys):
         code, _, err = run(capsys, "urem-check", "--q", "8388608", "--w", "24")
