@@ -9,7 +9,8 @@ Exit codes: 0 success (any verdict counts as success for classify),
 2 malformed input or invalid parameters, 3 a theory-contradicting result
 (a soundness violation, an encoding mismatch, a bias bound failure).  Code
 3 never occurs in a correct build; CI should treat it as an alarm, not a
-test failure.  A reader that closes stdout early does not change the code.
+test failure.  A reader that closes stdout early does not change the code;
+a stdout that fails otherwise (a full disk, say) exits 2.
 """
 
 from __future__ import annotations
@@ -445,10 +446,13 @@ def main(argv=None) -> int:
     try:
         _emit(result, args.format, sys.stdout)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early.  Point it at devnull so the flush
-        # at interpreter exit does not fail a second time.
+    except OSError as exc:
+        # Point stdout at devnull so the flush at interpreter exit does not
+        # fail a second time.  A reader that closed stdout early is no error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     if result.alarm:
         print(f"error: {result.alarm}", file=sys.stderr)
     return result.exit_code

@@ -69,11 +69,11 @@ def test_c02_t5_universal_bounds():
     checked = 0
     tallied = 0
     # 950 pairs log-uniform over the full ranges, 50 with q | N so the
-    # equality branch is never vacuous, all from one seeded stream.  Every
-    # count is bounded by [min_count, max_count], so bounding those bounds
-    # covers all q residues; every profile goes through verify_bounds, and
-    # those with q <= 2^16 and N <= 2^22 are also compared with a tally of
-    # all N values.
+    # equality branch is never vacuous, all from one seeded stream.  The
+    # summaries are checked against the bracket, and verify_bounds checks
+    # each of the q counts against the per-residue division; those with
+    # q <= 2^16 and N <= 2^22 are also compared with a tally of all N
+    # values.
     for i in range(1000):
         if i < 950:
             q = min(1 << 24, max(1, int(2.0 ** rng.uniform(0.0, 24.0))))

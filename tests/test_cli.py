@@ -712,6 +712,38 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == code
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFullStdout:
+    """A stdout where every write fails (ENOSPC): one error line and exit 2,
+    as an unwritable --wire-out path gives, and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "WIRE"],
+        ["classify", "WIRE", "--format", "csv"],
+        ["classify", "WIRE", "--format", "human"],
+        ["census", "--q", "2"],
+        ["bias", "--n", "4096", "--q", "3329"],
+        ["bounds", "--q", "3329", "--w", "24"],
+        ["urem-check", "--q", "3329", "--samples", "1000"],
+        ["witness", "--q", "3"],
+        ["butterfly", "--q", "3"],
+    ], ids=lambda argv: "-".join(a for a in argv if a[0].isalpha() and a != "WIRE"))
+    def test_write_error_exits_2(self, tmp_path, argv):
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.make_wire(31, residue_table("recombined", 31), alphabet_size=31), path)
+        argv = [str(path) if a == "WIRE" else a for a in argv]
+        argv += [] if "--format" in argv else ["--format", "json"]
+        script = "import sys\nfrom maskcheck import cli\nsys.exit(cli.main())"
+        src = Path(cli.__file__).resolve().parent.parent
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], stdout=full,
+                                  stderr=subprocess.PIPE, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == \
+            "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 class TestTracedNames:
     """The traced benchmark run replaces these names on `cli`, and one on
     `butterfly`, before it calls `main`: the replacement is what runs."""

@@ -260,27 +260,18 @@ def test_closing_in_threads_waits_for_the_items_it_started(monkeypatch):
     assert first == 0 and returned_then == started_then
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_unclosed_in_threads_does_not_keep_the_process_alive(tmp_path, monkeypatch):
-    """classify --format json of a residue wire of 200 marginal blocks,
-    far more than the window of 8, to a stdout where every flush fails:
-    the write error escapes `main`, and its traceback holds the marginal
-    stream's generator, which nobody closes, while its thread waits for
-    the window to move.  The process still ends, non-zero, with the error."""
-    path = residue_file(tmp_path / "wire.json", 400)
-    script = ("import sys\nfrom maskcheck import _steps, cli\n"
-              "_steps.STEP_CELLS = 1 << 10\n_steps.usable_cpus = lambda: 2\n"
-              "sys.exit(cli.main())")
-    monkeypatch.setattr(_steps, "STEP_CELLS", 1 << 10)
-    assert len(_steps.steps(1, 400, 400)) == 200 > 2 * _steps.ITEMS_PER_THREAD
-    src = Path(cli.__file__).resolve().parent.parent
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-c", script, "classify", str(path),
-                               "--format", "json"], stdout=full, stderr=subprocess.PIPE,
-                              env=dict(env, PYTHONPATH=str(src)), timeout=TIMEOUT)
-    assert proc.returncode != 0
-    assert proc.stderr.decode().rstrip().endswith("No space left on device")
+def test_unclosed_in_threads_does_not_keep_the_process_alive():
+    """A process that still holds an in_threads generator at exit, 100
+    items on 2 threads (a window of 8) with one result taken, so that the
+    other thread waits for the window to move: the process still ends."""
+    script = ("from maskcheck import _steps\n_steps.usable_cpus = lambda: 2\n"
+              "results = _steps.in_threads(lambda item: item, list(range(100)))\n"
+              "assert next(results) == 0\n")
+    assert 100 > 2 * _steps.ITEMS_PER_THREAD
+    src = Path(_steps.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=TIMEOUT)
+    assert proc.returncode == 0 and not proc.stderr
 
 
 def test_once_computes_one_value_for_concurrent_callers():
