@@ -101,16 +101,3 @@ def in_threads(fn, items):
         for thread in threads:
             thread.join()
 
-
-def once(fn):
-    """A function returning fn(), computed under a lock by its first caller
-    and shared with every later one; a call after fn raised computes again."""
-    lock, value = threading.Lock(), []
-
-    def get():
-        with lock:
-            if not value:
-                value.append(fn())
-        return value[0]
-
-    return get

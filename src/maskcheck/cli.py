@@ -10,7 +10,8 @@ Exit codes: 0 success (any verdict counts as success for classify),
 (a soundness violation, an encoding mismatch, a bias bound failure).  Code
 3 never occurs in a correct build; CI should treat it as an alarm, not a
 test failure.  A reader that closes stdout early does not change the code;
-a stdout that fails otherwise (a full disk, say) exits 2.
+a stdout that fails otherwise (a full disk, say) exits 2.  An interrupt
+(Ctrl-C) exits 130 with one "error: interrupted" line and no traceback.
 """
 
 from __future__ import annotations
@@ -433,7 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        return _run(build_parser().parse_args(argv))
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports a command it interrupted
+
+
+def _run(args) -> int:
     try:
         result = args.func(args)
     except ValueError as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -154,7 +155,7 @@ class WireFunction:
         m.setflags(write=False)
         if VERDICT_BY_CODE[codes[0]] is not Verdict.NON_CONSTANT_MARGINAL:
             return int(codes[0]), 0.0, m
-        return int(codes[0]), float(np.sum(_information_terms(m, m.sum(axis=0), q))), m
+        return int(codes[0]), _information_bits(q, alphabet, *_keys(m, alphabet)), m
 
     @cached_property
     def _value_independent(self) -> bool:
@@ -291,14 +292,30 @@ def _count_block(q: int, table: np.ndarray, alphabet: int, base: np.ndarray,
     return counts.reshape(len(base), alphabet).astype(_COUNT_DTYPE)
 
 
-def _information_terms(block: np.ndarray, colsum: np.ndarray, q: int) -> np.ndarray:
-    """The terms (h / q^2) * log2(h * q / colsum[v]) of the nonzero counts
-    h of a block of marginal rows, row by row: each is exactly 0.0 where
-    the row is the mean row colsum / q."""
-    nz = block > 0
-    h = block[nz].astype(np.float64)
-    ratios = (h * q) / np.broadcast_to(colsum, block.shape)[nz]
-    return (h / (float(q) * float(q))) * np.log2(ratios)
+def _keys(counts: np.ndarray, alphabet: int, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, symbol) histogram of uint16 marginal rows, each held `rows` times:
+    int32 keys h * alphabet + v (< 2^27 by the cell cap) of counts h > 0, sorted, with n."""
+    keys = counts * np.int32(alphabet) + np.arange(alphabet, dtype=np.int32)
+    keys, n = np.unique(keys[keys >= alphabet], return_counts=True)
+    return keys, n * rows
+
+
+def _merge(histograms) -> tuple[np.ndarray, np.ndarray]:
+    """One (keys, n) histogram of several: each key once, sorted, its n summed."""
+    keys, at = np.unique(np.concatenate([k for k, _ in histograms]), return_inverse=True)
+    return keys, np.bincount(at, np.concatenate([n for _, n in histograms])).astype(np.int64)
+
+
+def _information_bits(q: int, alphabet: int, keys: np.ndarray, n: np.ndarray) -> float:
+    """Mutual information in bits of a marginal table from its key histogram
+    (`_keys`): math.fsum of n * h * log2(h * q / colsum[v]) over the keys
+    h * alphabet + v, / q^2, colsum[v] summing n * h over v's keys.  Only
+    libm's log2 and one rounding, in no order, lie between counts and float."""
+    h, v = np.divmod(keys, alphabet)
+    mass, at = n * h, np.unique(v, return_inverse=True)[1]
+    colsum = np.bincount(at, mass).astype(np.int64)[at]
+    return math.fsum(m * math.log2(c * q / t) for m, c, t
+                     in zip(mass.tolist(), h.tolist(), colsum.tolist())) / (q * q)
 
 
 def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
@@ -306,24 +323,18 @@ def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
     order: yields (rows, fn(counts)) for a block of rows `counts`, or
     (rows, None) where every row of the block equals row 0 (`w._row0`).
 
-    A wire whose marginal table fits in a step streams the one block of
-    the table its analysis holds.  A larger one whose cached analysis says
-    its marginal is constant yields None for every step and counts nothing.
-    Any other is counted a block at a time (`_count_block`) and never held
-    whole: the stream's end completes the wire's analysis, (verdict code,
-    mutual information in bits, None), and returns it, raising
-    TheoryViolation, named by `what`, where the wire is value-independent
-    but its marginal is not constant.
-
-    Blocks are counted, compared with row 0 and given to fn on threads, a
-    bounded window of blocks ahead of the caller (`_steps.in_threads`).
-    The marginal is constant iff every block equals row 0.  A block that
-    differs gives the information terms of its rows, and row 0's terms
-    stand in for each row of a block that equals it, so the terms in secret
-    order are those of the whole marginal table and their one sum is the
-    same float.  Their column sums are a stepped bincount of the table (a
-    whole-table bincount makes an intp copy), made once (`_steps.once`)
-    where a block differs from row 0.
+    A wire whose marginal table fits in a step streams the one block its
+    analysis holds, and a larger one whose cached analysis has a constant
+    marginal yields None for every step, counting nothing.  Any other is
+    counted a block at a time (`_count_block`) on threads, a bounded window
+    of blocks ahead of the caller (`_steps.in_threads`); each block is
+    compared with row 0 (the marginal is constant iff all are equal), given
+    to fn and dropped.  A block that differs gives its key histogram
+    (`_keys`), one equal to row 0 counts row 0's keys once a row, and the
+    caller merges the histograms it holds past STEP_CELLS keys.  The end
+    completes the wire's analysis, (verdict code, mutual information in
+    bits, None), and returns it, raising TheoryViolation, named by `what`,
+    where the wire is value-independent but its marginal is not constant.
     """
     q, alphabet = w.q, w.alphabet_size
     if not _in_blocks(q, alphabet):
@@ -335,27 +346,23 @@ def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
         return
     table, vi, row0 = w.table, w._value_independent, w._row0
     base = _diagonal_cells(q, blocks[0].stop)
-    column_sums = _steps.once(lambda: sum(np.bincount(table[part], minlength=alphabet)
-                                          for _, part in _steps.steps(1, table.size, 1)))
 
     def count(rows):
         counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
         same = bool((counts == row0).all())
-        terms = None if same or vi else _information_terms(counts, column_sums(), q)
-        return same, terms, None if same or fn is None else fn(counts)
+        hist = [] if same or vi else [_keys(counts, alphabet)]
+        return same, hist, None if same or fn is None else fn(counts)
 
-    parts, constant = [], True
-    for rows, (same, terms, out) in zip(blocks, _steps.in_threads(count, blocks)):
-        parts.append((rows.stop - rows.start, terms))
-        constant &= same
+    histograms, row0_rows = [], 0
+    for rows, (same, hist, out) in zip(blocks, _steps.in_threads(count, blocks)):
+        row0_rows += (rows.stop - rows.start) * same
+        histograms += hist
+        if sum(len(k) for k, _ in histograms[1:]) > _steps.STEP_CELLS:
+            histograms = [_merge(histograms)]
         yield rows, out
-    code = int(_verdict_codes(q, np.array([vi]), np.array([constant]), what)[0])
-    bits = 0.0
-    if not constant:
-        row0_terms, terms = _information_terms(row0, column_sums(), q), []
-        for n, block_terms in parts:
-            terms += [row0_terms] * n if block_terms is None else [block_terms]
-        bits = float(np.sum(np.concatenate(terms)))
+    code = int(_verdict_codes(q, np.array([vi]), np.array([row0_rows == q]), what)[0])
+    bits = 0.0 if row0_rows == q else _information_bits(
+        q, alphabet, *_merge([*histograms, _keys(row0, alphabet, row0_rows)]))
     w.__dict__["_analysis"] = analysis = (code, bits, None)
     return analysis
 
@@ -491,14 +498,11 @@ def mutual_information(w: WireFunction) -> MutualInformation:
 
     Both the secret and the mask are uniform on Z_q, so the q^2 pairs
     (x, s1) are equiprobable and every probability in sight is a ratio of
-    integer counts.  Per-term ratios p(v|x)/p(v) reduce to
-    (counts[x][v] * q) / colsum[v].  When the histogram is constant,
-    colsum[v] = q * counts[x][v] for every x, so each ratio is exactly 1.0,
-    each term exactly 0.0 and the sum exactly 0.0 with no cancellation;
-    that case is 0.0 without making the float arrays at all.  Otherwise
-    only the nonzero counts become floats, found in blocks of rows (see
-    `_information_terms`), and their terms are summed as one array.  Both
-    are computed with the verdict.
+    integer counts: a term depends only on its (count, symbol) pair, so the
+    marginal table's pairs are counted and their terms summed once
+    (`_information_bits`).  A constant histogram makes every ratio
+    p(v|x)/p(v) exactly 1, and is 0.0 without any float at all.  Both are
+    computed with the verdict.
     """
     return MutualInformation(bits=w._analysis[1], is_zero=has_constant_marginal(w))
 

@@ -100,6 +100,25 @@ class TestClassify:
         assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "NON_CONSTANT_MARGINAL"
         assert peak <= 2.6 * table_bytes
 
+    def test_same_stdout_under_numpy_baseline_dispatch(self, tmp_path):
+        """The mutual information printed does not depend on numpy's SIMD
+        dispatch: a random q = 31 Boolean wire prints the same stdout with
+        numpy's AVX512 kernels turned off.  On a CPU without AVX512 the
+        variable only warns, and both runs take the same kernels."""
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.make_wire(31, np.random.default_rng(0).integers(0, 2, 961)), path)
+        script = "import sys\nfrom maskcheck import cli\nsys.exit(cli.main())"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        outs = []
+        for disabled in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}):
+            proc = subprocess.run([sys.executable, "-c", script, "classify", str(path),
+                                   "--format", "json"], capture_output=True, timeout=60,
+                                  env=dict(env, **disabled))
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["verdict"] == "NON_CONSTANT_MARGINAL"
+
     @pytest.mark.parametrize("kind", ["value-independent", "recombined"])
     def test_peak_memory_without_marginal_table(self, tmp_path, monkeypatch, kind):
         """A residue wire's marginal table (q * alphabet cells) is never
@@ -305,6 +324,18 @@ class TestCensus:
         monkeypatch.setenv("MASKCHECK_WORKERS", "abc")
         assert run(capsys, "census", "--q", "2", "--format", "json") == expected
         assert expected[0] == 0
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        """Ctrl-C during a run: one error line and exit 130, no traceback."""
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_census", interrupted)
+        try:
+            result = run(capsys, "census", "--q", "2")
+        except KeyboardInterrupt:  # uncaught, it would end the test session
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert result == (130, "", "error: interrupted\n")
 
 
 class TestBias:

@@ -17,7 +17,10 @@ comma were quoted.  The two-stage butterfly and the N < q bias files were
 captured while the butterfly signals were still keyed one literal name at
 a time and the bias summaries were still computed from divmod(N, q).  The
 q = 300 witness, whose 90,000-entry table spans two render blocks, was
-captured while its json wire was still one json.dumps of a list.
+captured while its json wire was still one json.dumps of a list.  The
+q = 1031 residue and random-bits q = 257 files were captured again when
+mutual information came to be summed once, by math.fsum over the (count,
+symbol) keys of the marginal table: their last digits moved.
 Regenerate them (only for an intended output change) with
 
     PYTHONPATH=src python tests/test_golden.py

@@ -274,35 +274,6 @@ def test_unclosed_in_threads_does_not_keep_the_process_alive():
     assert proc.returncode == 0 and not proc.stderr
 
 
-def test_once_computes_one_value_for_concurrent_callers():
-    """Eight threads that call at once get one value, computed once; after
-    fn raises, the next call computes again."""
-    calls, barrier = [], threading.Barrier(8)
-
-    def make():
-        calls.append(None)
-        if len(calls) == 1:
-            raise ValueError("first call")
-        time.sleep(0.05)  # long enough for the other callers to arrive
-        return object()
-
-    shared = _steps.once(make)
-    with pytest.raises(ValueError, match="first call"):
-        shared()
-    got = []
-
-    def call():
-        barrier.wait()
-        got.append(shared())
-
-    threads = [threading.Thread(target=call) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert len(calls) == 2 and len(got) == 8 and all(value is got[0] for value in got)
-
-
 @pytest.mark.parametrize("allowed", [0, 1])
 def test_thread_start_failure_leaves_the_items_to_the_caller(monkeypatch, allowed):
     """Of three threads, the first `allowed` starts succeed but run

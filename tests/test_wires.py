@@ -1,7 +1,10 @@
+import decimal
 import itertools
 import json
 import math
 import re
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -617,6 +620,62 @@ class TestMutualInformation:
         for _ in range(200):
             w = random_wire(rng, 3)
             assert mc.mutual_information(w).is_zero == mc.has_constant_marginal(w)
+
+    def test_recombined_residue_wire_is_log2_q(self):
+        """w = s0 + s1 reveals the secret: one count q per row, and the key
+        sum rounds to the correctly rounded log2(q)."""
+        q = 3329
+        s = np.arange(q, dtype=np.uint16)
+        w = mc.make_wire(q, ((s[:, None] + s) % q).ravel(), alphabet_size=q)
+        assert mc.mutual_information(w).bits == math.log2(q)
+
+    # A step of 20 cells streams each wire below whose marginal table is
+    # larger (`_marginal_stream`, all at q >= 11), in blocks of 1 to 4 rows
+    # whose key histograms are merged many times.
+    @pytest.mark.parametrize("step", [_steps.STEP_CELLS, 20])
+    def test_within_4_ulps_of_a_decimal_reference(self, monkeypatch, step):
+        """Random wires and wires g((s0 + s1) % q) whose first half of secrets
+        share row 0's histogram, against the definition summed in 50-digit
+        decimals from naive histograms.  Each term is rounded on its own, so
+        the error is bounded in ulps of the sum of the terms' magnitudes:
+        4 ulps of the reference where the terms do not cancel, and up to 35
+        ulps of it at q = 7 (a Boolean wire whose magnitudes sum to 14 times
+        the reference)."""
+        monkeypatch.setattr(_steps, "STEP_CELLS", step)
+        rng = np.random.default_rng(34)
+        for q in (2, 3, 5, 7, 11, 13):
+            s0, s1 = np.divmod(np.arange(q * q), q)
+            for alphabet in sorted({2, 3, q}):
+                g = rng.integers(0, alphabet, q)
+                g[:(q + 1) // 2] = g[0]
+                for table in (rng.integers(0, alphabet, q * q), g[(s0 + s1) % q]):
+                    rows = [naive_hist(q, list(table), x, alphabet) for x in range(q)]
+                    colsum = [sum(col) for col in zip(*rows)]
+                    with decimal.localcontext(decimal.Context(prec=50)):
+                        terms = [Decimal(h) / (q * q) * (Decimal(h * q) / colsum[v]).ln()
+                                 / Decimal(2).ln()
+                                 for row in rows for v, h in enumerate(row) if h]
+                        ref, magnitude = sum(terms), sum(map(abs, terms))
+                    bits = mc.mutual_information(mc.make_wire(q, table, alphabet)).bits
+                    assert abs(Decimal(bits) - ref) <= 4 * Decimal(math.ulp(float(magnitude)))
+
+    def test_random_residue_wire_peak_memory(self, monkeypatch):
+        """classify and mutual_information of a random q = 3329 residue wire
+        on 2 threads hold a merged key histogram, a few steps of keys and the
+        blocks in flight beside the table: numpy's traced peak stays below
+        32 MiB."""
+        monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
+        q = 3329
+        w = mc.make_wire(q, np.random.default_rng(1).integers(0, q, q * q, dtype=np.uint16),
+                         alphabet_size=q)
+        tracemalloc.start()
+        try:
+            verdict, mi = mc.classify(w), mc.mutual_information(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict is mc.Verdict.NON_CONSTANT_MARGINAL and mi.bits > 0
+        assert peak < 32 << 20
 
 
 class TestWitness:
