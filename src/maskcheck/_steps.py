@@ -5,9 +5,9 @@ import os
 import threading
 
 # Cells (entries, counts, keys, values) a stepped loop touches per step,
-# so its temporaries stay a few MB: at q = 3329 a dense-analysis step is 19
-# rows, and a census step's 2^16 intp keys (512 KB) stay in a core's L2,
-# 22-26 ms per 2^20 indices against 39-45 ms in one piece.
+# so its temporaries stay a few MB: at q = 3329 a dense-analysis step or a
+# marginal-stream block is 19 rows, and a table's scan or text, urem-check,
+# bias and `classify_packed` step 2^16 entries, pairs, residues or indices.
 STEP_CELLS = 1 << 16
 
 # Threads at most, one per usable CPU.  Of what they run, np.fromstring,

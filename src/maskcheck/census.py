@@ -76,9 +76,9 @@ def _key_tables(q: int) -> tuple:
     diag = [1 << _FIELD_BITS * ((p // q + p % q) % q) for p in range(q * q)]
 
     def keys(weights):  # bit j of an index adds weights[j]
-        out = [0]
+        out = array("q", [0])
         for w in weights:
-            out += [key + w for key in out]
+            out = out + array("q", map(w.__add__, out))
         return out
 
     vi, cm = bytearray(1 << _FIELD_BITS * q), bytearray(1 << _FIELD_BITS * q)
@@ -86,7 +86,7 @@ def _key_tables(q: int) -> tuple:
         vi[key] = 1
     # Every field f: f times the all-ones key, for each f < 2^3.
     cm[::sum(1 << _FIELD_BITS * i for i in range(q))] = b"\1" * (1 << _FIELD_BITS)
-    return (*(memoryview(array("q", keys(w))).toreadonly()
+    return (*(memoryview(keys(w)).toreadonly()
               for w in (col[:k], col[k:], diag[:k], diag[k:])), bytes(vi), bytes(cm))
 
 
@@ -189,21 +189,25 @@ class CensusReport(_CensusCounts):
 def _value_independent_pairs(q: int) -> tuple[list, list]:
     """(lo, hi) half patterns of every wire whose column key is VI.
 
-    The half patterns are grouped by column key; for each VI key t and
-    each low key a, the high patterns of key t - a are looked up.  Since
-    key sums never carry, an integer match is a match of every field.
+    First the (VI key t, low key a) pairs whose high key t - a exists are
+    found among the distinct keys; then only the half patterns of those
+    keys are grouped, and each low pattern of key a meets each high
+    pattern of key t - a.  Since key sums never carry, an integer match is
+    a match of every field.
     """
     col_lo, col_hi, _, _, vi, _ = _key_tables(q)
-    lows, highs = {}, {}
+    los, his = set(col_lo), set(col_hi)
+    pairs = [(a, b) for t in compress(count(), vi) for a in los if (b := t - a) in his]
+    lows, highs = {a: [] for a, _ in pairs}, {b: [] for _, b in pairs}
     for groups, keys in ((lows, col_lo), (highs, col_hi)):
         for p, key in enumerate(keys):
-            groups.setdefault(key, []).append(p)
+            if key in groups:
+                groups[key].append(p)
     lo, hi = [], []
-    for t in compress(count(), vi):
-        for a, ps in lows.items():
-            for h in highs.get(t - a, ()):
-                lo += ps
-                hi += [h] * len(ps)
+    for a, b in pairs:
+        for h in highs[b]:
+            lo += lows[a]
+            hi += [h] * len(lows[a])
     return lo, hi
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,23 @@ def test_key_tables_match_numpy_oracle(q):
         assert bytes(table) == oracle.tobytes()
         with pytest.raises(TypeError):
             table[0] = 1
+
+
+def test_cold_census_traces_within_twice_its_tables():
+    """A q = 5 census from cold keeps little beside the six key tables it
+    builds: its traced peak stays within twice their bytes (512 KiB), so no
+    step groups every half pattern or builds a table as a list of ints."""
+    census._key_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        report = mc.run_census(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.count_value_independent == EXPECTED[5]["vi"]
+    table_bytes = sum(len(bytes(t)) for t in census._key_tables(5))
+    assert table_bytes == 256 << 10
+    assert peak <= 2 * table_bytes
 
 
 def census_counts(q):
