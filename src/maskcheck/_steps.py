@@ -6,8 +6,8 @@ import threading
 
 # Cells (entries, counts, keys, values) a stepped loop touches per step,
 # so its temporaries stay a few MB: at q = 3329 a dense-analysis step or a
-# marginal-stream block is 19 rows, and a table's scan or text, urem-check,
-# bias and `classify_packed` step 2^16 entries, pairs, residues or indices.
+# marginal-stream block is 19 rows, and a table's scan or text, urem-check
+# and `classify_packed` step 2^16 entries, pairs or indices.
 STEP_CELLS = 1 << 16
 
 # Threads at most, one per usable CPU.  Of what they run, np.fromstring,

@@ -187,7 +187,7 @@ def cmd_bias(args) -> Result:
     }
     csv = None
     if profile.q <= FULL_COUNTS_MAX_Q:
-        doc["counts"] = counts = profile.counts.tolist()
+        doc["counts"] = counts = profile.counts
         csv = lambda: [("residue", "count"), *enumerate(counts)]
     else:
         doc["counts_omitted"] = f"q > {FULL_COUNTS_MAX_Q}, summary only"

@@ -2,11 +2,11 @@
 
 A k-bit generator produces N = 2^k equiprobable values; reducing them mod q
 is only uniform when q divides N.  Otherwise the low residues are hit one
-extra time.  A profile is just (N, q): its counts follow in closed form, a
-step of residues at a time, its least and greatest counts are the universal
-bounds floor(N/q) <= count(r) <= ceil(N/q), and their ratio is the bias.
-`verify_bounds`, the one reader of every count, confirms them for every q
-and N by the per-residue division floor((N-1-r)/q) + 1.
+extra time.  A profile is just (N, q): its counts follow in closed form as
+at most two runs of equal counts, its least and greatest counts are the
+universal bounds floor(N/q) <= count(r) <= ceil(N/q), and their ratio is the
+bias.  `verify_bounds`, the one reader of the runs, confirms them for every
+q and N by the division floor((N-1-r)/q) + 1 at both ends of each run.
 
 The flagship instance: a 12-bit RNG (N = 4096) against q = 3329 gives
 count(0) = 2, count(767) = 1 and a bias ratio of exactly 2.  The module
@@ -18,15 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from ._steps import steps
-
 # brute_force_counts iterates all N values; keep it desk-scale.
 BRUTE_FORCE_LIMIT = 1 << 26
 
-# verify_bounds checks one int64 count per residue, so q bounds its time
-# (ML-DSA's 8380417 fits); N must keep every count within int64.
+# `counts` expands to one int per residue, so q stays desk-scale (ML-DSA's
+# 8380417 fits); both caps are the CLI's documented input contract.
 PROFILE_MAX_Q = 1 << 24
 PROFILE_MAX_N = (1 << 63) - 1
 
@@ -44,15 +40,14 @@ class BiasProfile:
     n_values: int
     q: int
 
-    def count_steps(self):
-        """Yield (rows, counts) for each step of residues, in order."""
+    def count_runs(self) -> list[tuple[int, int, int]]:
+        """(start, stop, count) for each run of residues of equal count, in order."""
         a, b = divmod(self.n_values, self.q)
-        for _, rows in steps(1, self.q, 1):
-            yield rows, (np.arange(rows.start, rows.stop) < b) + a
+        return [(0, b, a + 1), (b, self.q, a)] if b else [(0, self.q, a)]
 
     @property
-    def counts(self) -> np.ndarray:  # all q counts in a new array, for printing
-        return np.concatenate([counts for _, counts in self.count_steps()])
+    def counts(self) -> list[int]:  # all q counts in a new list, for printing
+        return sum(([count] * (stop - start) for start, stop, count in self.count_runs()), [])
 
     @property
     def ratio(self) -> Fraction | None:
@@ -86,8 +81,8 @@ class BiasProfile:
 
 def bias_profile(n_values: int, q: int) -> BiasProfile:
     """The residue profile of {0, ..., n_values-1} mod q: the arguments,
-    checked.  Its counts are made a step at a time whenever they are read;
-    confirming them is verify_bounds' job."""
+    checked.  Its counts are read as runs; confirming them is
+    verify_bounds' job."""
     if not isinstance(n_values, int) or n_values < 1:
         raise ValueError(f"n_values must be a positive integer, got {n_values!r}")
     if not isinstance(q, int) or q < 1:
@@ -99,26 +94,30 @@ def bias_profile(n_values: int, q: int) -> BiasProfile:
     return BiasProfile(n_values, q)
 
 
-def brute_force_counts(n_values: int, q: int) -> np.ndarray:
-    """Counts by direct iteration over every n < N; the desk-scale oracle."""
+def brute_force_counts(n_values: int, q: int):
+    """Counts by direct iteration over every n < N, in numpy; the desk-scale oracle."""
     if n_values > BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"brute force capped at N <= {BRUTE_FORCE_LIMIT}, got {n_values}"
         )
+    import numpy as np
+
     return np.bincount(np.arange(n_values, dtype=np.int64) % q, minlength=q)
 
 
 def verify_bounds(profile: BiasProfile) -> bool:
-    """Confirm that `profile.count_steps()` covers residues 0..q-1 in order
-    and that every count is the one N forces, apart from the closed form:
-    floor((N - 1 - r)/q) + 1, the number of n < N with n = r mod q.  This
-    implies the sum, the floor/ceil bracket and equality when q divides N.
-    A False return means the library miscounted; tests treat it as fatal.
+    """Confirm that the non-empty runs of `profile.count_runs()` cover residues 0..q-1 in
+    order and that every count is the one N forces, apart from the closed form:
+    floor((N - 1 - r)/q) + 1, the number of n < N with n = r mod q.  This implies the
+    sum, the floor/ceil bracket and equality when q divides N.  A False return means
+    the library miscounted; tests treat it as fatal.
     """
     n, q, end = profile.n_values, profile.q, 0
-    for rows, counts in profile.count_steps():
-        r = np.arange(rows.start, rows.stop)
-        if rows.start != end or not np.array_equal(counts, (n - 1 - r) // q + 1):
+    for start, stop, count in profile.count_runs():
+        # The division never increases with r, so matching both ends means matching every
+        # residue in between.  This is still a check of every residue, made by an argument.
+        if start != end or stop <= start or any(
+                count != (n - 1 - r) // q + 1 for r in (start, stop - 1)):
             return False
-        end = rows.stop
+        end = stop
     return end == q

@@ -35,7 +35,7 @@ def test_public_imports_are_exported():
 # Each CLI entry path, run in a fresh process: the maskcheck submodules it
 # loads and which of hashlib, fractions, dataclasses and inspect (which
 # dataclasses imports).  numpy is allowed for the other subcommands;
-# census, bounds and the paths that run none must leave it unloaded.  Only
+# census, bounds, bias and the paths that run none must leave it unloaded.  Only
 # the subcommands that print a marginal or wire table load the renderer.
 DC = "dataclasses inspect"
 ENTRY_PATHS = [
@@ -46,7 +46,7 @@ ENTRY_PATHS = [
     (["classify", "{wire}"], "_render _steps cli wires zq", DC),
     (["witness", "--q", "3"], "_steps cli wires zq", DC),
     (["butterfly", "--q", "2"], "_steps butterfly cli wires zq", DC),
-    (["bias", "--n", "16", "--q", "5"], "_steps cli rngbias", f"fractions {DC}"),
+    (["bias", "--n", "16", "--q", "5"], "cli rngbias", f"fractions {DC}"),
     (["bounds", "--q", "5", "--w", "8"], "bitvec cli", DC),
     (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "_steps bitvec cli", f"hashlib {DC}"),
 ]
@@ -84,7 +84,7 @@ def test_cli_import_loads_no_pool_machinery(tmp_path):
         code, loaded, extra, numpy, pools = json.loads(proc.stdout.splitlines()[-1])
         assert code == (2 if "-1" in argv else 0), (argv, proc.stderr)
         assert (loaded, extra, pools) == (modules.split(), others.split(), []), argv
-        if code or argv[0] in ("--version", "--help", "census", "bounds"):
+        if code or argv[0] in ("--version", "--help", "census", "bounds", "bias"):
             assert not numpy, argv
 
 
