@@ -10,8 +10,19 @@ hardware words, and an exploratory masked-butterfly composition sweep.
 """
 
 import importlib
+import operator
 
 __version__ = "0.1.0"
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int; a bool, or what `operator.index` refuses, raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 # The public names of each submodule.  A submodule is imported the first
 # time one of its names is read from the package (PEP 562), so a process

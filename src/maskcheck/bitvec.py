@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import _integer
+
 
 class WordOverflowError(ArithmeticError):
     """An intermediate left the w-bit unsigned range instead of wrapping."""
@@ -35,7 +37,7 @@ class WidthConfig:
 
     def __post_init__(self):
         _check_modulus(self.q)
-        if not 1 <= self.width <= MAX_WIDTH:
+        if not 1 <= _integer(self.width, "width") <= MAX_WIDTH:
             raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
 
     @cached_property
@@ -52,7 +54,7 @@ class WidthConfig:
 
 
 def _check_modulus(q: int) -> None:
-    if q < 1:
+    if _integer(q, "q") < 1:
         raise ValueError(f"q must be >= 1, got {q}")
 
 

@@ -22,11 +22,13 @@ evidence, not proof, and the report says so.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _integer
 from .wires import (
     VERDICT_BY_CODE,
     Verdict,
@@ -184,8 +186,8 @@ def _share_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _context_shares(q: int, pair) -> tuple[int, int]:
-    plain, mask = pair
-    return (int(plain) - int(mask)) % q, int(mask) % q
+    plain, mask = (_integer(v, "fixed_context") for v in pair)
+    return (plain - mask) % q, mask % q
 
 
 def extract_wire_function(pipeline, tap: str, secret_role: str,
@@ -237,8 +239,7 @@ def trace_taints(n_stages: int, secret_role: str) -> dict:
     return _signal_grid(_TAINT_OPS, (None,) * n_stages, operands)
 
 
-@dataclass(frozen=True)
-class TapFinding:
+class TapFinding(NamedTuple):
     """One (configuration, tap) pair singled out by the sweep."""
 
     tap: str
@@ -248,17 +249,10 @@ class TapFinding:
     verdict: Verdict
 
     def to_dict(self) -> dict:
-        return {
-            "tap": self.tap,
-            "twiddles": list(self.twiddles),
-            "secret_role": self.secret_role,
-            "context": [list(p) for p in self.context],
-            "verdict": self.verdict.value,
-        }
+        return {**self._asdict(), "verdict": self.verdict.value}
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Aggregated verdicts of a conjecture sweep.
 
     `non_constant_marginal` lists sharewise taps whose wire showed a
@@ -273,8 +267,8 @@ class SweepReport:
     secret_roles: tuple
     n_configurations: int
     tap_verdict_counts: dict
-    non_constant_marginal: list = field(default_factory=list)
-    value_independent_adversarial: list = field(default_factory=list)
+    non_constant_marginal: list
+    value_independent_adversarial: list
     note: str = EVIDENCE_NOTE
 
     @property
@@ -283,11 +277,7 @@ class SweepReport:
 
     def to_dict(self) -> dict:
         return {
-            "q": self.q,
-            "n_stages": self.n_stages,
-            "twiddle_set": list(self.twiddle_set),
-            "secret_roles": list(self.secret_roles),
-            "n_configurations": self.n_configurations,
+            **self._asdict(),
             "tap_verdict_counts": {
                 tap: {v.value: n for v, n in counts.items() if n}
                 for tap, counts in self.tap_verdict_counts.items()
@@ -297,7 +287,6 @@ class SweepReport:
                 f.to_dict() for f in self.value_independent_adversarial
             ],
             "clean": self.clean,
-            "note": self.note,
         }
 
 
@@ -327,7 +316,7 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
         twiddle_set = tuple(range(1, q))
     given = {}  # each residue's twiddle as given
     for t in twiddle_set:
-        r = int(t) % q
+        r = _integer(t, "twiddle") % q
         if r == 0:
             # A zero twiddle drops the secret from the recombined probe.
             raise ValueError(f"twiddle {t} is 0 mod {q}; twiddles must be nonzero mod q")
@@ -381,18 +370,8 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
                 hits = np.nonzero(codes == code)[0][:MAX_FINDINGS - len(findings)]
                 for ctx_idx in hits.tolist():
                     pair = (int(pairs[0][ctx_idx]), int(pairs[1][ctx_idx]))
-                    findings.append(TapFinding(
-                        tap=tap, twiddles=twiddles, secret_role=role,
-                        context=(pair,) * n_stages, verdict=flagged,
-                    ))
+                    findings.append(TapFinding(tap, twiddles, role, (pair,) * n_stages,
+                                               flagged))
 
-    return SweepReport(
-        q=q,
-        n_stages=n_stages,
-        twiddle_set=twiddle_set,
-        secret_roles=secret_roles,
-        n_configurations=n_configurations,
-        tap_verdict_counts=verdict_counts,
-        non_constant_marginal=ncm_findings,
-        value_independent_adversarial=adv_vi_findings,
-    )
+    return SweepReport(q, n_stages, twiddle_set, secret_roles, n_configurations,
+                       verdict_counts, ncm_findings, adv_vi_findings)

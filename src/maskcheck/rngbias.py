@@ -15,8 +15,10 @@ reports bias; it never judges how much bias is tolerable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+from . import _integer
 
 # brute_force_counts iterates all N values; keep it desk-scale.
 BRUTE_FORCE_LIMIT = 1 << 26
@@ -27,8 +29,7 @@ PROFILE_MAX_Q = 1 << 24
 PROFILE_MAX_N = (1 << 63) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class BiasProfile:
+class BiasProfile(NamedTuple):
     """Exact residue counts of {0, ..., N-1} reduced mod q: writing
     N = a*q + b, residues below b are hit a+1 times and the rest a times.
 
@@ -83,10 +84,10 @@ def bias_profile(n_values: int, q: int) -> BiasProfile:
     """The residue profile of {0, ..., n_values-1} mod q: the arguments,
     checked.  Its counts are read as runs; confirming them is
     verify_bounds' job."""
-    if not isinstance(n_values, int) or n_values < 1:
-        raise ValueError(f"n_values must be a positive integer, got {n_values!r}")
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    n_values, q = _integer(n_values, "n_values"), _integer(q, "q")
+    for name, value in (("n_values", n_values), ("q", q)):
+        if value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if q > PROFILE_MAX_Q:
         raise ValueError(f"q={q} above the profile cap {PROFILE_MAX_Q} (one count per residue)")
     if n_values > PROFILE_MAX_N:

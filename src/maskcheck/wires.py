@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import _steps
+from . import _integer, _steps
 from .zq import DEFAULT_ENUMERATION_CAP, ZqElement, _as_modulus
 
 # Dense tables are refused above this many cells (q^2, or q * alphabet for
@@ -105,7 +105,7 @@ class WireFunction:
 
     def __post_init__(self):
         q, alphabet = _as_modulus(self.q).q, self.alphabet_size
-        if alphabet < 1:
+        if _integer(alphabet, "alphabet_size") < 1:
             raise ValueError(f"alphabet_size must be >= 1, got {alphabet}")
         _check_cell_cap(q, alphabet)
         arr = np.asarray(self.table)
@@ -220,8 +220,7 @@ def reparam_table(w: WireFunction) -> np.ndarray:
     Row x is the wire's output over all masks for secret x.  The analysis
     never builds this view (see `_analyze`); it is here to be printed.
     """
-    x, s1 = np.ogrid[:w.q, :w.q]
-    return w.table[(x - s1) % w.q * w.q + s1]
+    return w.table[_diagonal_cells(w.q, w.q)]
 
 
 # Verdict codes of the analysis kernels: the order of Verdict's members.

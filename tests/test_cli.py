@@ -678,13 +678,22 @@ class TestTheoryViolationExits3:
             report = real(**kwargs)
             report.non_constant_marginal.append(mc.butterfly.TapFinding(
                 "s0.c0", (1,), "a", ((0, 0),), mc.Verdict.NON_CONSTANT_MARGINAL))
+            report.value_independent_adversarial.append(mc.butterfly.TapFinding(
+                "s0.d_recombined", (1,), "b", ((1, 0),), mc.Verdict.VALUE_INDEPENDENT))
             return report
 
         monkeypatch.setattr(cli, "conjecture_sweep", flagged)
         code, out, err = run(capsys, "butterfly", "--q", "2", "--format", "json")
-        assert code == 3 and json.loads(out)["clean"] is False
+        doc = json.loads(out)
+        assert code == 3 and doc["clean"] is False
+        assert doc["non_constant_marginal"] == [
+            {"tap": "s0.c0", "twiddles": [1], "secret_role": "a", "context": [[0, 0]],
+             "verdict": "NON_CONSTANT_MARGINAL"}]
+        assert doc["value_independent_adversarial"] == [
+            {"tap": "s0.d_recombined", "twiddles": [1], "secret_role": "b",
+             "context": [[1, 0]], "verdict": "VALUE_INDEPENDENT"}]
         assert err == ("error: sweep flagged 1 sharewise non-constant-marginal taps "
-                       "and 0 value-independent recombination probes\n")
+                       "and 1 value-independent recombination probes\n")
 
     def test_raised_theory_violation_writes_no_output(self, capsys, monkeypatch):
         def contradiction(wire):

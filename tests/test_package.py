@@ -1,6 +1,7 @@
 """The package's public names: `__all__`, the lazy name table behind it,
-the modules each CLI entry path loads, and the private names its comments
-and docstrings cite."""
+the modules each CLI entry path loads, the private names its comments
+and docstrings cite, and the integer arguments that every module checks
+through `_integer`."""
 
 import ast
 import importlib
@@ -10,6 +11,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import maskcheck as mc
 
@@ -46,7 +50,7 @@ ENTRY_PATHS = [
     (["classify", "{wire}"], "_render _steps cli wires zq", DC),
     (["witness", "--q", "3"], "_steps cli wires zq", DC),
     (["butterfly", "--q", "2"], "_steps butterfly cli wires zq", DC),
-    (["bias", "--n", "16", "--q", "5"], "cli rngbias", f"fractions {DC}"),
+    (["bias", "--n", "16", "--q", "5"], "cli rngbias", "fractions"),
     (["bounds", "--q", "5", "--w", "8"], "bitvec cli", DC),
     (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "_steps bitvec cli", f"hashlib {DC}"),
 ]
@@ -131,3 +135,43 @@ def test_cited_private_names_exist():
                 stale += [f"{path.name}:{n}: {name}" for name in private.findall(span)
                           if name not in defined]
     assert stale == []
+
+
+def one_stage():
+    return [mc.ButterflyStage(mc.ZqElement(1, mc.Modulus(3)))]
+
+
+# Each library call that once took a float or a bool as an integer: it
+# truncated it, stored it, or failed later with another error.
+NOT_INTEGERS = [
+    pytest.param("alphabet_size", lambda: mc.make_wire(2, [0, 1, 1, 0], alphabet_size=2.5),
+                 id="make_wire-alphabet-float"),
+    pytest.param("alphabet_size", lambda: mc.make_wire(2, [0, 1, 1, 0], alphabet_size=True),
+                 id="make_wire-alphabet-bool"),
+    pytest.param("q", lambda: mc.WidthConfig(5.5, 8), id="WidthConfig-q-float"),
+    pytest.param("width", lambda: mc.WidthConfig(5, 8.0), id="WidthConfig-width-float"),
+    pytest.param("width", lambda: mc.WidthConfig(5, True), id="WidthConfig-width-bool"),
+    pytest.param("twiddle", lambda: mc.conjecture_sweep(3, 1, twiddle_set=(1.5,)),
+                 id="conjecture_sweep-twiddle-float"),
+    pytest.param("fixed_context", lambda: mc.extract_wire_function(
+        one_stage(), "s0.c0", "a", [(1.7, 0.2)]), id="extract_wire_function-context-float"),
+    pytest.param("n_values", lambda: mc.bias_profile(True, 5), id="bias_profile-n-bool"),
+    pytest.param("q", lambda: mc.bias_profile(16, True), id="bias_profile-q-bool"),
+]
+
+
+@pytest.mark.parametrize("name,call", NOT_INTEGERS)
+def test_non_integer_argument_is_refused(name, call):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    assert mc.make_wire(2, [0, 1, 1, 0], alphabet_size=np.uint8(2)).alphabet_size == 2
+    assert mc.WidthConfig(np.int64(5), np.int64(8)).admissible
+    assert mc.conjecture_sweep(3, 1, twiddle_set=(np.int64(4),)).twiddle_set == (1,)
+    wire = mc.extract_wire_function(one_stage(), "s0.c0", "a", [(np.int64(1), np.int8(0))])
+    assert wire.table.tolist() == mc.extract_wire_function(
+        one_stage(), "s0.c0", "a", [(1, 0)]).table.tolist()
+    profile = mc.bias_profile(np.int64(16), np.uint16(5))
+    assert profile == mc.bias_profile(16, 5) and type(profile.n_values) is int

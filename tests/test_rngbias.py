@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -58,10 +57,13 @@ def move_hit(src, dst):
     return edit
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class GivenRuns(mc.BiasProfile):
     """A profile whose count source is the test's own (start, stop, count) runs."""
-    runs: list = None
+
+    def __new__(cls, n_values, q, runs):
+        self = super().__new__(cls, n_values, q)
+        self.runs = runs
+        return self
 
     def count_runs(self):
         return self.runs
