@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 
 
 def _integer(value, name: str) -> int:
-    """`value` as an int; a bool, or what `operator.index` refuses, raises ValueError."""
+    """`value` as an int, which callers keep in its place (a numpy scalar
+    wraps); a bool, or what `operator.index` refuses, raises ValueError."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)

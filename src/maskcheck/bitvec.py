@@ -36,8 +36,9 @@ class WidthConfig:
     width: int
 
     def __post_init__(self):
-        _check_modulus(self.q)
-        if not 1 <= _integer(self.width, "width") <= MAX_WIDTH:
+        object.__setattr__(self, "q", _check_modulus(self.q))
+        object.__setattr__(self, "width", _integer(self.width, "width"))
+        if not 1 <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {self.width}")
 
     @cached_property
@@ -53,9 +54,15 @@ class WidthConfig:
             )
 
 
-def _check_modulus(q: int) -> None:
-    if _integer(q, "q") < 1:
+def _check_modulus(q) -> int:
+    if (q := _integer(q, "q")) < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    return q
+
+
+def _word(value, name: str):
+    """An int array as it is (a batch of words), any other value through `_integer`."""
+    return value if getattr(value, "ndim", 0) else _integer(value, name)
 
 
 def _outside(value, limit: int):
@@ -66,10 +73,12 @@ def _outside(value, limit: int):
             return end
 
 
-def _check_residues(q: int, x, s1) -> None:
+def _check_residues(q: int, x, s1) -> tuple:
+    x, s1 = _word(x, "x"), _word(s1, "s1")
     for name, value in (("x", x), ("s1", s1)):
         if (bad := _outside(value, q)) is not None:
             raise ValueError(f"{name}={bad} outside [0, {q})")
+    return x, s1
 
 
 def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
@@ -79,8 +88,8 @@ def no_overflow_bounds(q: int, x: int, s1: int) -> tuple[bool, bool]:
     true for every valid input, and the tuple form exposes each side of
     the bound separately for the oracle suites.
     """
-    _check_modulus(q)
-    _check_residues(q, x, s1)
+    q = _check_modulus(q)
+    x, s1 = _check_residues(q, x, s1)
     t = x + q - s1
     return (1 <= t, t < 2 * q)
 
@@ -101,7 +110,7 @@ def urem_reparam(cfg: WidthConfig, x, s1):
     no-overflow bound keeps the intermediate under 2q < 2^w.
     """
     cfg.require_admissible()
-    _check_residues(cfg.q, x, s1)
+    x, s1 = _check_residues(cfg.q, x, s1)
     t = _fit(cfg, x + cfg.q, "x + q")
     t = _fit(cfg, t - s1, "x + q - s1")
     return t % cfg.q
@@ -110,7 +119,7 @@ def urem_reparam(cfg: WidthConfig, x, s1):
 def urem_recombine(cfg: WidthConfig, s0, s1):
     """URem(s0 + s1, q) in checked w-bit words; undoes urem_reparam."""
     cfg.require_admissible()
-    t = _fit(cfg, s0 + s1, "s0 + s1")
+    t = _fit(cfg, _word(s0, "s0") + _word(s1, "s1"), "s0 + s1")
     return t % cfg.q
 
 

@@ -306,9 +306,9 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
     listing the first MAX_FINDINGS of each kind.  Twiddles must be nonzero
     and distinct mod q, and roles distinct.
     """
-    if not 2 <= q <= SWEEP_MAX_Q:
+    if not 2 <= (q := _integer(q, "q")) <= SWEEP_MAX_Q:
         raise ValueError(f"sweep supports 2 <= q <= {SWEEP_MAX_Q}, got {q}")
-    if not 1 <= n_stages <= SWEEP_MAX_STAGES:
+    if not 1 <= (n_stages := _integer(n_stages, "n_stages")) <= SWEEP_MAX_STAGES:
         raise ValueError(
             f"sweep supports 1 to {SWEEP_MAX_STAGES} stages, got {n_stages}"
         )

@@ -34,8 +34,9 @@ from collections import Counter
 from functools import lru_cache
 from itertools import compress, count
 from math import comb
-from numbers import Integral
 from typing import TYPE_CHECKING, NamedTuple
+
+from . import _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,17 +50,17 @@ MAX_CENSUS_Q = 5
 _FIELD_BITS = 3
 
 
-def _check_q(q: int):
-    if not 1 <= q <= MAX_CENSUS_Q:
+def _check_q(q) -> int:
+    if not 1 <= (q := _integer(q, "q")) <= MAX_CENSUS_Q:
         raise ValueError(f"exhaustive census supports 1 <= q <= {MAX_CENSUS_Q}, got {q}")
+    return q
 
 
-def _check_index(q: int, wire_index):
-    _check_q(q)
-    if not isinstance(wire_index, Integral):
-        raise ValueError(f"wire index {wire_index!r} is not an integer")
+def _check_index(q, wire_index) -> tuple[int, int]:
+    q, wire_index = _check_q(q), _integer(wire_index, "wire_index")
     if not 0 <= wire_index < 1 << q * q:
         raise ValueError(f"wire index {wire_index} out of range [0, 2^{q * q}) for q={q}")
+    return q, wire_index
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +103,7 @@ def classify_packed(q: int, wires) -> tuple[np.ndarray, np.ndarray]:
 
     from ._steps import steps
 
-    _check_q(q)
+    q = _check_q(q)
     w = np.asarray(wires)
     if w.dtype.kind not in "iu":
         raise ValueError(f"packed wire indices must be integers, got {w.dtype}")
@@ -127,7 +128,7 @@ def packed_verdict(q: int, wire_index: int) -> Verdict:
     """Verdict of one wire straight off the packed representation."""
     from .wires import VERDICT_BY_CODE, _verdict_codes
 
-    _check_index(q, wire_index)
+    q, wire_index = _check_index(q, wire_index)
     vi, cm = classify_packed(q, [wire_index])
     return VERDICT_BY_CODE[_verdict_codes(q, vi, cm, f"packed wire {wire_index}")[0]]
 
@@ -136,8 +137,8 @@ def index_to_wire(q: int, wire_index: int) -> WireFunction:
     """Decode a packed wire index into a dense Boolean WireFunction."""
     from .wires import make_wire
 
-    _check_index(q, wire_index)
-    return make_wire(q, [int(wire_index) >> p & 1 for p in range(q * q)], alphabet_size=2)
+    q, wire_index = _check_index(q, wire_index)
+    return make_wire(q, [wire_index >> p & 1 for p in range(q * q)], alphabet_size=2)
 
 
 def wire_to_index(w: WireFunction) -> int:
@@ -223,8 +224,8 @@ def run_census(q: int, parallelism: int = 1) -> CensusReport:
     sum is not constant-marginal.  The count always runs in the calling
     process; `parallelism` is still accepted and must be >= 1.
     """
-    _check_q(q)
-    if parallelism < 1:
+    q = _check_q(q)
+    if (parallelism := _integer(parallelism, "parallelism")) < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     t0 = time.perf_counter()
     _, _, diag_lo, diag_hi, _, cm = _key_tables(q)
@@ -254,7 +255,7 @@ def constant_marginal_count_formula(q: int) -> int:
     on each of the q diagonals gives sum_k C(q, k)^q wires.  Used purely
     as a cross-check against the enumeration census.
     """
-    _check_q(q)
+    q = _check_q(q)
     return sum(comb(q, k) ** q for k in range(q + 1))
 
 
@@ -279,6 +280,7 @@ def spot_check(q: int, wire_index: int) -> SpotCheck:
     """
     from .wires import Verdict, classify, marginal_table
 
+    q, wire_index = _check_index(q, wire_index)
     w = index_to_wire(q, wire_index)
     verdict = classify(w)
     vi = verdict is Verdict.VALUE_INDEPENDENT

@@ -104,8 +104,8 @@ class WireFunction:
     table: np.ndarray
 
     def __post_init__(self):
-        q, alphabet = _as_modulus(self.q).q, self.alphabet_size
-        if _integer(alphabet, "alphabet_size") < 1:
+        q, alphabet = _as_modulus(self.q).q, _integer(self.alphabet_size, "alphabet_size")
+        if alphabet < 1:
             raise ValueError(f"alphabet_size must be >= 1, got {alphabet}")
         _check_cell_cap(q, alphabet)
         arr = np.asarray(self.table)
@@ -129,6 +129,7 @@ class WireFunction:
         table = np.ascontiguousarray(arr.astype(_symbol_dtype(alphabet), copy=False))
         table.setflags(write=False)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alphabet_size", alphabet)
         object.__setattr__(self, "table", table)
 
     @property
@@ -198,8 +199,8 @@ def make_wire(q, table, alphabet_size: int = 2) -> WireFunction:
 def wire_from_fn(q, fn, alphabet_size: int = 2) -> WireFunction:
     """Tabulate w(s0, s1) = fn(s0, s1) over all share pairs."""
     qq = _as_modulus(q).q
-    _check_cell_cap(qq, alphabet_size)
-    table = [int(fn(s0, s1)) for s0 in range(qq) for s1 in range(qq)]
+    _check_cell_cap(qq, _integer(alphabet_size, "alphabet_size"))
+    table = [fn(s0, s1) for s0 in range(qq) for s1 in range(qq)]
     return WireFunction(qq, alphabet_size, table)
 
 
@@ -208,8 +209,7 @@ def _as_residue(x, q: int) -> int:
         if x.q != q:
             raise ValueError(f"modulus mismatch: wire has q={q}, x has q={x.q}")
         return x.value
-    xv = int(x)
-    if not 0 <= xv < q:
+    if not 0 <= (xv := _integer(x, "secret")) < q:
         raise ValueError(f"secret {xv} outside [0, {q})")
     return xv
 

@@ -2,9 +2,9 @@
 
 The modulus is an ordinary runtime value: nothing here is specialized to a
 compile-time q, so the same code path serves q = 1, the NIST lattice moduli
-(3329 and 8380417) and arbitrary moduli up to machine-integer scale.  Python
-integers are unbounded, so intermediates like x - s1 + q can never wrap
-before reduction.
+(3329 and 8380417) and arbitrary moduli up to machine-integer scale.  Integer
+arguments, numpy ones too, are kept as the Python ints `maskcheck._integer`
+returns, which are unbounded, so x - s1 + q can never wrap before reduction.
 
 Two reparametrizations are provided: arithmetic (secret x, mask s1 give the
 first share s0 = x - s1 mod q) and Boolean (XOR masking on k-bit words).
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _integer
+
 # Enumerative checks (bijectivity, image counting) refuse to run above this
 # modulus unless the caller raises the cap explicitly.
 DEFAULT_ENUMERATION_CAP = 1 << 20
@@ -30,8 +32,7 @@ class Modulus:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or isinstance(self.q, bool):
-            raise TypeError(f"modulus must be an int, got {type(self.q).__name__}")
+        object.__setattr__(self, "q", _integer(self.q, "q"))
         if self.q < 1:
             raise ValueError(f"modulus must be >= 1, got {self.q}")
 
@@ -60,7 +61,7 @@ class ZqElement:
 
     def __post_init__(self):
         # Canonicalize on construction so 0 <= value < q always holds.
-        object.__setattr__(self, "value", self.value % self.modulus.q)
+        object.__setattr__(self, "value", _integer(self.value, "value") % self.modulus.q)
 
     @property
     def q(self) -> int:
@@ -104,6 +105,8 @@ class BitWord:
     bits: int
 
     def __post_init__(self):
+        object.__setattr__(self, "width", _integer(self.width, "width"))
+        object.__setattr__(self, "bits", _integer(self.bits, "bits"))
         if self.width < 0:
             raise ValueError(f"width must be >= 0, got {self.width}")
         if not 0 <= self.bits < (1 << self.width):
@@ -146,11 +149,10 @@ def arith_reparam_is_bijection(
     This is intentionally a brute-force image count, not an algebraic
     argument, so it can serve as an independent oracle.
     """
-    modulus = _as_modulus(q)
-    qq = modulus.q
+    qq = _as_modulus(q).q
     if qq > cap:
         raise ValueError(f"q={qq} exceeds enumeration cap {cap}")
-    s1v = s1.value if isinstance(s1, ZqElement) else int(s1) % qq
+    s1v = s1.value if isinstance(s1, ZqElement) else _integer(s1, "s1") % qq
     images = np.sort((np.arange(qq, dtype=np.int64) - s1v) % qq)
     return 1 + np.count_nonzero(np.diff(images)) == qq
 

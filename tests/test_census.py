@@ -325,9 +325,9 @@ class TestPackedDenseAgreement:
         with pytest.raises(ValueError, match="must be integers"):
             mc.classify_packed(2, bad)
 
-    @pytest.mark.parametrize("bad", [1.0, 1.5, "3", None])
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "3", None, True])
     def test_packed_verdict_non_integer_rejected(self, bad):
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match="^wire_index must be an integer, got "):
             mc.packed_verdict(2, bad)
 
     def test_packed_accepts_any_integer_dtype(self):

@@ -105,6 +105,33 @@ def test_threads_start_in_steps_alone():
     assert importers == ["_steps.py"]
 
 
+def test_integer_arguments_have_one_rule():
+    """`_integer` is the one rule for an integer argument: no module
+    imports `numbers`, and only `__init__` calls `operator.index` or asks
+    `isinstance(..., bool)`."""
+    uses = []
+    for path in sorted(Path(mc.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                names = ["isinstance-bool" for kind in kinds
+                         if isinstance(kind, ast.Name) and kind.id == "bool"]
+            else:
+                continue
+            uses += [(path.name, name) for name in names
+                     if name.partition(".")[0] == "numbers"
+                     or name in ("operator.index", "isinstance-bool")]
+    assert sorted(uses) == [("__init__.py", "isinstance-bool"),
+                            ("__init__.py", "operator.index")]
+
+
 # The private methods of every NamedTuple, which no module of the package defines.
 NAMEDTUPLE_API = {"_replace", "_make", "_asdict", "_fields"}
 
@@ -141,9 +168,44 @@ def one_stage():
     return [mc.ButterflyStage(mc.ZqElement(1, mc.Modulus(3)))]
 
 
+def t6_q3():
+    return mc.t6_witness(3)
+
+
 # Each library call that once took a float or a bool as an integer: it
 # truncated it, stored it, or failed later with another error.
 NOT_INTEGERS = [
+    pytest.param("q", lambda: mc.Modulus(2.5), id="Modulus-q-float"),
+    pytest.param("q", lambda: mc.Modulus(True), id="Modulus-q-bool"),
+    pytest.param("q", lambda: mc.make_wire(2.0, [0, 1, 1, 0]), id="make_wire-q-float"),
+    pytest.param("q", lambda: mc.t6_witness(3.0), id="t6_witness-q-float"),
+    pytest.param("value", lambda: mc.ZqElement(1.5, mc.Modulus(5)), id="ZqElement-value-float"),
+    pytest.param("width", lambda: mc.BitWord(2.5, 1), id="BitWord-width-float"),
+    pytest.param("width", lambda: mc.BitWord(True, 1), id="BitWord-width-bool"),
+    pytest.param("bits", lambda: mc.BitWord(1, True), id="BitWord-bits-bool"),
+    pytest.param("s1", lambda: mc.arith_reparam_is_bijection(5, 1.5),
+                 id="arith_reparam_is_bijection-s1-float"),
+    pytest.param("secret", lambda: mc.marginal_histogram(t6_q3(), 1.7),
+                 id="marginal_histogram-secret-float"),
+    pytest.param("secret", lambda: mc.translation_bijection_check(t6_q3(), 1.2, 2),
+                 id="translation_bijection_check-secret-float"),
+    pytest.param("q", lambda: mc.run_census(True), id="run_census-q-bool"),
+    pytest.param("parallelism", lambda: mc.run_census(2, parallelism=1.5),
+                 id="run_census-parallelism-float"),
+    pytest.param("q", lambda: mc.classify_packed(2.0, [0]), id="classify_packed-q-float"),
+    pytest.param("q", lambda: mc.constant_marginal_count_formula(True),
+                 id="constant_marginal_count_formula-q-bool"),
+    pytest.param("wire_index", lambda: mc.index_to_wire(2, True), id="index_to_wire-index-bool"),
+    pytest.param("wire_index", lambda: mc.packed_verdict(2, True), id="packed_verdict-index-bool"),
+    pytest.param("wire_index", lambda: mc.spot_check(2, 1.0), id="spot_check-index-float"),
+    pytest.param("q", lambda: mc.conjecture_sweep(3.0, 1), id="conjecture_sweep-q-float"),
+    pytest.param("n_stages", lambda: mc.conjecture_sweep(2, True),
+                 id="conjecture_sweep-stages-bool"),
+    pytest.param("x", lambda: mc.no_overflow_bounds(5, True, 2), id="no_overflow_bounds-x-bool"),
+    pytest.param("s1", lambda: mc.urem_reparam(mc.WidthConfig(5, 8), 1, 0.5),
+                 id="urem_reparam-s1-float"),
+    pytest.param("s0", lambda: mc.urem_recombine(mc.WidthConfig(5, 8), 2.5, 1),
+                 id="urem_recombine-s0-float"),
     pytest.param("alphabet_size", lambda: mc.make_wire(2, [0, 1, 1, 0], alphabet_size=2.5),
                  id="make_wire-alphabet-float"),
     pytest.param("alphabet_size", lambda: mc.make_wire(2, [0, 1, 1, 0], alphabet_size=True),
@@ -175,3 +237,80 @@ def test_numpy_integers_are_integers():
         one_stage(), "s0.c0", "a", [(1, 0)]).table.tolist()
     profile = mc.bias_profile(np.int64(16), np.uint16(5))
     assert profile == mc.bias_profile(16, 5) and type(profile.n_values) is int
+
+
+def test_numpy_integers_are_kept_as_ints():
+    """Each record stores the int `_integer` returns, so no numpy scalar
+    reaches fixed-width arithmetic: every stored field is an int, and each
+    result that once wrapped is exact."""
+    m = mc.Modulus(np.int64(2**61 - 1))
+    element = mc.ZqElement(np.int64(2**60), m)
+    word = mc.BitWord(np.uint8(4), np.int64(3))
+    cfg = mc.WidthConfig(np.int64(5), np.int64(100))
+    wire = mc.make_wire(np.int64(2), [0, 1, 1, 0], alphabet_size=np.uint8(2))
+    sweep = mc.conjecture_sweep(np.int64(2), np.int64(1))
+    spot = mc.spot_check(np.int64(2), np.uint8(9))
+    stored = [m.q, element.value, word.width, word.bits, cfg.q, cfg.width, wire.q,
+              wire.alphabet_size, mc.run_census(np.int64(2)).q, sweep.q, sweep.n_stages,
+              spot.q, spot.wire_index]
+    assert [type(v).__name__ for v in stored] == ["int"] * len(stored)
+    assert (element * element).value == 576460752303423488  # 2^120 = 2^59 mod 2^61 - 1
+    assert cfg.admissible and mc.WidthConfig(np.int64(2**40), np.int64(64)).admissible
+    assert json.loads(json.dumps(mc.wire_to_dict(wire)))["alphabet"] == 2
+    assert mc.marginal_histogram(t6_q3(), np.int64(1)).tolist() == [2, 1]
+
+
+class Index:
+    """An integer only through `__index__`, as `_integer` reads it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_index_objects_are_read_as_their_int():
+    """A secret or a mask is used as the int `_integer` returns, not as
+    the object passed in, which supports no arithmetic or comparison."""
+    w = t6_q3()
+    assert mc.marginal_histogram(w, Index(1)).tolist() == [2, 1]
+    assert mc.translation_bijection_check(w, Index(1), Index(2))
+    assert mc.arith_reparam_is_bijection(5, Index(2))
+
+
+def test_numpy_word_operands_do_not_wrap():
+    """Scalar word operands are read as ints; an int array keeps its
+    min/max scan.  Each result here wraps in int64."""
+    cfg = mc.WidthConfig(2**62 + 1, 64)
+    s0 = mc.urem_reparam(cfg, np.int64(2**62), np.int64(0))
+    assert (s0, type(s0)) == (4611686018427387904, int)
+    assert mc.urem_recombine(cfg, np.int64(2**62), np.int64(2**62)) == 2**62 - 1
+    assert mc.no_overflow_bounds(np.int64(2**62 + 1), np.int64(2**62), np.int64(0)) == (
+        True, True)
+    assert mc.urem_reparam(mc.WidthConfig(5, 8), np.array([4, 0]), 1).tolist() == [3, 4]
+
+
+def test_numpy_alphabet_meets_the_cell_cap():
+    """A uint16 alphabet is refused at the cap as its int is, before a
+    table is read or tabulated (the cap's product wrapped in uint16)."""
+    def never(s0, s1):
+        raise AssertionError("tabulated past the cap")
+
+    refusals = []
+    for alphabet in (65535, np.uint16(65535)):
+        for build in (lambda: mc.make_wire(2048, [], alphabet_size=alphabet),
+                      lambda: mc.wire_from_fn(2048, never, alphabet_size=alphabet)):
+            with pytest.raises(ValueError) as refused:
+                build()
+            refusals.append(str(refused.value))
+    assert refusals == ["q=2048 with alphabet 65535 needs 134215680 table cells, "
+                        "above cap 67108864"] * 4
+
+
+def test_table_entries_keep_their_own_rule():
+    """`wire_from_fn` tabulates what `fn` returns: the table gate refuses a
+    float entry, which was once truncated, and counts a bool as an integer."""
+    with pytest.raises(ValueError, match="^table entry 0.7 at index 0 is not an integer$"):
+        mc.wire_from_fn(2, lambda s0, s1: 0.7 + s0)
+    assert mc.wire_from_fn(2, lambda s0, s1: s0 == s1).table.tolist() == [1, 0, 0, 1]
