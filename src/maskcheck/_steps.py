@@ -11,8 +11,9 @@ import threading
 STEP_CELLS = 1 << 16
 
 # Threads at most, one per usable CPU.  Of what they run, np.fromstring,
-# np.take, np.bincount and the renderer's numpy steps release the GIL;
-# bytes.translate and isdigit, which each chunk parse also runs, hold it.
+# the one-digit chunk check's compares, np.take, np.bincount and the
+# renderer's numpy steps release the GIL; bytes.translate and isdigit,
+# which a multi-digit chunk parse also runs, hold it.
 MAX_THREADS = 8
 ITEMS_PER_THREAD = 4  # per thread, items `in_threads` takes ahead: bounds results held
 

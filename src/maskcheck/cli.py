@@ -434,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # no command calls BLAS: keep its idle pool off a CPU
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return _run(build_parser().parse_args(argv))
     except KeyboardInterrupt:

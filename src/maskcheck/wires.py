@@ -137,6 +137,7 @@ class WireFunction:
         return self.q * self.q
 
     def __call__(self, s0: int, s1: int) -> int:
+        s0, s1 = _integer(s0, "s0"), _integer(s1, "s1")
         if not (0 <= s0 < self.q and 0 <= s1 < self.q):
             raise ValueError(f"shares ({s0}, {s1}) outside [0, {self.q})")
         return int(self.table[s0 * self.q + s1])
@@ -537,7 +538,7 @@ def translation_bijection_check(
     bijectively.
     """
     q = w.q
-    if q > cap:
+    if q > (cap := _integer(cap, "cap")):
         raise ValueError(f"q={q} exceeds enumeration cap {cap}")
     xv = _as_residue(x, q)
     xpv = _as_residue(x_prime, q)
@@ -603,18 +604,25 @@ def wire_from_dict(doc) -> WireFunction:
 
 
 _JSON_WS_BYTES = b" \t\n\r"
+_DIGIT_HEAD = re.compile(rb"([ \t\n\r]*)[0-9][ \t\n\r]*,[ \t\n\r]*")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _parse_digit_chunk(body: bytes) -> np.ndarray | None:
-    """The entries of a "d,d,...,d" run of one-digit values with JSON
-    whitespace around them, as uint8, or None for any other run.  Without
-    whitespace the digits and commas must alternate, from a digit to a
-    digit."""
-    run = np.frombuffer(body.translate(None, _JSON_WS_BYTES), dtype=np.uint8)
-    if run.size % 2 == 0 or (run[1::2] != ord(",")).any():
+    """The entries of a run of two or more one-digit values with JSON
+    whitespace around them, as uint8, or None for any other run.  The
+    separator (blanks, a comma, blanks) is read after the first digit, and
+    the run is checked in place to repeat it between every two digits, by
+    strided numpy compares that release the GIL."""
+    head = _DIGIT_HEAD.match(body, 0, 64)  # bounded looks at both ends
+    if head is None:
         return None
-    values = run[::2] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+    end = max(len(body) - 64, 0) + len(body[-64:].rstrip(_JSON_WS_BYTES))
+    run = np.frombuffer(body, np.uint8)[head.end(1):end]
+    w = head.end() - head.end(1)  # a digit and the separator after it
+    if (run.size - 1) % w or any((run[k::w] != run[k]).any() for k in range(1, w)):
+        return None
+    values = run[::w] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
     return values if values.max() <= 9 else None
 
 
@@ -728,12 +736,12 @@ def _parse_int_body(read_at, chunks: list, alphabet: int, keep=True) -> np.ndarr
     """Pass 2 of the loader: the entries of the body that `_split_int_wire`
     cut into `chunks`, as a table of the dtype that `alphabet` selects.
 
-    Threads read their chunks with `read_at` and parse each with
-    `_parse_int_chunk` into its own slice of one table, a bounded window of
-    chunks ahead, until one is refused (`_steps.in_threads`).  A body of an
-    alphabet of at most 10 symbols, one digit an entry, is parsed on one
-    thread, each chunk by `_parse_digit_chunk`, or `_parse_int_chunk` where
-    that refuses it (a chunk holding a 10, say).  Returns None where a chunk is refused,
+    Threads read their chunks with `read_at` and parse each into its own
+    slice of one table, a bounded window of chunks ahead, until one is
+    refused (`_steps.in_threads`): with `_parse_int_chunk`, or for an
+    alphabet of at most 10 symbols, one digit an entry, with
+    `_parse_digit_chunk` first and `_parse_int_chunk` where that refuses
+    the chunk (one holding a 10, say).  Returns None where a chunk is refused,
     holds a value that the dtype cannot, or is not what pass 1 saw (a short
     read, other entries: the file changed), so that only such a body goes
     through json.loads and no table is returned with an entry unwritten.
@@ -742,24 +750,21 @@ def _parse_int_body(read_at, chunks: list, alphabet: int, keep=True) -> np.ndarr
     table = np.empty(chunks[-1][3] if keep else 0, dtype=_symbol_dtype(alphabet))
     top = np.iinfo(table.dtype).max
 
-    def parse(part):
-        for start, stop, first, end in part:
-            chunk = read_at(start, stop - start)
-            values = None
-            if len(chunk) == stop - start:
-                values = _parse_digit_chunk(chunk) if alphabet <= 10 else None
-                if values is None:
-                    values = _parse_int_chunk(chunk)
-            del chunk
-            if values is None or values.size != end - first or values.max() > top:
-                return False
-            if keep:
-                table[first:end] = values
-            del values  # before the next chunk's are made
+    def parse(chunk):
+        start, stop, first, end = chunk
+        body = read_at(start, stop - start)
+        values = None
+        if len(body) == stop - start:
+            values = _parse_digit_chunk(body) if alphabet <= 10 else None
+            if values is None:
+                values = _parse_int_chunk(body)
+        if values is None or values.size != end - first or values.max() > top:
+            return False
+        if keep:
+            table[first:end] = values
         return True
 
-    parts = [[c] for c in chunks] if alphabet > 10 else [chunks]
-    return table if all(_steps.in_threads(parse, parts)) else None
+    return table if all(_steps.in_threads(parse, chunks)) else None
 
 
 def _decode_wire_json(data: bytes):

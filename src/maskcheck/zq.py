@@ -75,20 +75,29 @@ class ZqElement:
                 f"modulus mismatch: {self.modulus.q} vs {other.modulus.q}"
             )
 
+    @classmethod
+    def _reduced(cls, value: int, modulus: Modulus) -> "ZqElement":
+        """The element of an int the ring's own arithmetic made, reduced
+        once and not checked again."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "value", value % modulus.q)
+        object.__setattr__(element, "modulus", modulus)
+        return element
+
     def __add__(self, other: "ZqElement") -> "ZqElement":
         self._check_same_modulus(other)
-        return ZqElement(self.value + other.value, self.modulus)
+        return ZqElement._reduced(self.value + other.value, self.modulus)
 
     def __sub__(self, other: "ZqElement") -> "ZqElement":
         self._check_same_modulus(other)
-        return ZqElement(self.value - other.value, self.modulus)
+        return ZqElement._reduced(self.value - other.value, self.modulus)
 
     def __mul__(self, other: "ZqElement") -> "ZqElement":
         self._check_same_modulus(other)
-        return ZqElement(self.value * other.value, self.modulus)
+        return ZqElement._reduced(self.value * other.value, self.modulus)
 
     def __neg__(self) -> "ZqElement":
-        return ZqElement(-self.value, self.modulus)
+        return ZqElement._reduced(-self.value, self.modulus)
 
     def __int__(self) -> int:
         return self.value
@@ -119,7 +128,10 @@ class BitWord:
             raise TypeError(f"expected BitWord, got {type(other).__name__}")
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        return BitWord(self.width, self.bits ^ other.bits)
+        word = object.__new__(BitWord)  # two words of one width make a third: no check
+        object.__setattr__(word, "width", self.width)
+        object.__setattr__(word, "bits", self.bits ^ other.bits)
+        return word
 
     def __repr__(self):
         return f"BitWord({self.width}, 0x{self.bits:x})"
@@ -150,7 +162,7 @@ def arith_reparam_is_bijection(
     argument, so it can serve as an independent oracle.
     """
     qq = _as_modulus(q).q
-    if qq > cap:
+    if qq > (cap := _integer(cap, "cap")):
         raise ValueError(f"q={qq} exceeds enumeration cap {cap}")
     s1v = s1.value if isinstance(s1, ZqElement) else _integer(s1, "s1") % qq
     images = np.sort((np.arange(qq, dtype=np.int64) - s1v) % qq)

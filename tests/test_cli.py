@@ -830,6 +830,40 @@ class TestOutputStability:
             assert out1 == out2, args
 
 
+class TestOpenblasThreads:
+    """numpy's OpenBLAS pool, which no command calls, starts no thread from
+    `main` unless the caller asks for one."""
+
+    VAR = "OPENBLAS_NUM_THREADS"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or _steps.usable_cpus() < 2,
+                        reason="needs /proc and two usable CPUs")
+    def test_main_ends_on_one_thread(self):
+        script = ("import os, sys\nfrom maskcheck import cli\ncode = cli.main()\n"
+                  "print(len(os.listdir('/proc/self/task')))\nsys.exit(code)")
+        env = {k: v for k, v in os.environ.items() if k != self.VAR}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script, "witness", "--q", "3"],
+                              capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == b"1"
+
+    def test_default_before_numpy_loads_keeps_callers_value(self, monkeypatch, capsys):
+        monkeypatch.setenv(self.VAR, "2")
+        monkeypatch.delitem(sys.modules, "numpy")  # `bounds` imports no numpy
+        assert run(capsys, "bounds", "--q", "5", "--w", "8")[0] == 0
+        assert os.environ[self.VAR] == "2"
+        monkeypatch.delenv(self.VAR)
+        assert run(capsys, "bounds", "--q", "5", "--w", "8")[0] == 0
+        assert os.environ[self.VAR] == "1"
+
+    def test_loaded_numpy_leaves_environment_alone(self, monkeypatch, capsys):
+        monkeypatch.delenv(self.VAR, raising=False)
+        environ = dict(os.environ)
+        assert run(capsys, "witness", "--q", "3")[0] == 0
+        assert dict(os.environ) == environ
+
+
 class TestStreamRng:
     def test_streams_are_independent(self):
         a = stream_rng(7, "alpha").integers(0, 1 << 30, size=8)

@@ -158,7 +158,7 @@ def refuse_json_loads(monkeypatch, path):
 
 # (document, PARSE_CHUNK).  A table body starts after the 55 bytes of
 # HEADER and is read PARSE_CHUNK bytes at a time from there; every read
-# but the first cuts a chunk at its first comma, on one thread.
+# but the first cuts a chunk at its first comma.
 HEADER = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": ['
 EDGES = {
     "trailing-comma-at-cut": (HEADER + "0,1,1,0,]}", 7),
@@ -398,9 +398,9 @@ def test_pinned_header_cases(tmp_path, name):
 @pytest.mark.parametrize("name", EDGES)
 def test_pinned_edges_split_across_three_threads(tmp_path, monkeypatch, name):
     """The pinned cuts again, with three threads sharing three times the
-    pinned PARSE_CHUNK.  One-digit bodies are parsed on one thread, so each
-    document with alphabet 2 is also read with alphabet 3329, which has the
-    same body and runs its chunks on the three threads."""
+    pinned PARSE_CHUNK.  Each document with alphabet 2 is also read with
+    alphabet 3329, which has the same body and parses its chunks without
+    the one-digit check."""
     text, chunk = EDGES[name]
     force_threads(monkeypatch, 3)
     monkeypatch.setattr(wires, "PARSE_CHUNK", 3 * chunk)
@@ -549,6 +549,82 @@ def test_each_pitfall_matches_reference(tmp_path, entry):
 def test_separator_pitfalls_match_reference(tmp_path, table):
     doc = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": %s}' % table
     assert_same_as_reference(tmp_path / "wire.json", doc.encode())
+
+
+# Separators of one-digit runs, even ones and uneven ones, which json.loads
+# reads or refuses as a whole document.
+DIGIT_SEPARATORS = [", ", ",", " , ", "\t,\r\n", "\n"]
+UNEVEN_BODIES = ["0, 1,1, 0, 1, 0, 1, 1, 0", "0,1,1,0,1,0,1,1 ,0", "0 ,1 , 1,0,1,0,1,1,0",
+                 "0,\n1,\r\n1,0,1,0,1,1,0", "0" + ", " * 40 + "1, 1, 0, 1, 0, 1, 1, 0",
+                 "0, 1,11, 0, 1, 0, 1, 1, 0"]  # a digit in a separator's last place
+
+
+@pytest.mark.parametrize("sep", DIGIT_SEPARATORS)
+@pytest.mark.parametrize("lead,trail", [("", ""), (" ", ""), ("", "\n"), ("\r\n  ", " \t")])
+@pytest.mark.parametrize("n", [2, 7])
+def test_digit_chunk_matches_json_loads(sep, lead, trail, n):
+    """A run of one-digit values with blanks around it, a leading blank as
+    after a cut at a comma, is read as json.loads reads it, and one that
+    json.loads refuses (no comma between values) is refused."""
+    body = lead + sep.join("0918273"[:n]) + trail
+    try:
+        expected = json.loads("[" + body + "]")
+    except json.JSONDecodeError:
+        expected = None
+    got = wires._parse_digit_chunk(body.encode())
+    assert (None if got is None else got.tolist()) == expected
+    assert got is None or got.dtype == np.uint8
+
+
+@pytest.mark.parametrize("body", [
+    *UNEVEN_BODIES, "", " \n", "1", " 1\n", ",", "0,", ",0", "0, ", "0,,1", "0 1", "01",
+    "0,10", "10,0", "0,1,-1", "/", "0,/", ":", "0,:", "0,1, :", "0, 1, 1 2",
+    " " * 64 + "0, 1", "0, 1" + " " * 65, "0, 1" + " " * 64 + ", 1",
+])
+def test_digit_chunk_refuses_other_runs(body):
+    """None for uneven separators, a value alone, bytes below "0" or above
+    "9", values of two digits, blank values and blank ends longer than the
+    bounded looks; the multi-digit parse and json.loads then decide."""
+    assert wires._parse_digit_chunk(body.encode()) is None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk", [4, 1 << 20])
+@pytest.mark.parametrize("body", [*(s.join("011010110") for s in DIGIT_SEPARATORS),
+                                  *UNEVEN_BODIES, " 0,1,1,0,1,0,1,1,0\n"])
+def test_digit_bodies_load_like_json_loads(tmp_path, monkeypatch, body, chunk, threads):
+    """Bodies of each separator, cut at every comma or read whole, give the
+    reference's table, and where that is a table json.loads is not used."""
+    force_threads(monkeypatch, threads)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", chunk)
+    path = tmp_path / "wire.json"
+    doc = '{"q": 3, "alphabet": 2, "order": "s0_major", "table": [%s]}' % body
+    assert_same_as_reference(path, doc.encode())
+    expected = outcome(reference_wire, path)
+    if expected[0] == "wire":
+        refuse_json_loads(monkeypatch, path)
+        assert outcome(mc.load_wire, path) == expected
+
+
+def test_one_digit_body_is_one_thread_item_per_chunk(tmp_path, monkeypatch):
+    """A Boolean body of several chunks reaches `_steps.in_threads` as one
+    item per chunk, so its chunks are parsed on the threads."""
+    force_threads(monkeypatch, 2)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 64)
+    w = mc.make_wire(7, np.random.default_rng(3).integers(0, 2, 49))
+    path = tmp_path / "wire.json"
+    mc.save_wire(w, path)
+    data = path.read_bytes()
+    _, chunks = wires._split_int_wire(lambda offset, size: data[offset:offset + size])
+    in_threads, items = _steps.in_threads, []
+
+    def recorded(fn, its):
+        items.append(list(its))
+        yield from in_threads(fn, its)
+
+    monkeypatch.setattr(_steps, "in_threads", recorded)
+    assert np.array_equal(mc.load_wire(path).table, w.table)
+    assert len(chunks) > 2 and items == [chunks]
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 20])

@@ -176,6 +176,13 @@ class TestWireConstruction:
         with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
             w(s0, s1)
 
+    @pytest.mark.parametrize("share,shares", [
+        ("s0", (1.0, 0)), ("s0", (True, 0)), ("s1", (0, 1.0)), ("s1", (0, False)),
+    ])
+    def test_call_refuses_shares_that_are_not_integers(self, share, shares):
+        with pytest.raises(ValueError, match=f"{share} must be an integer"):
+            mc.t6_witness(3)(*shares)
+
     @pytest.mark.parametrize("q,alphabet,dtype", [
         (2, 2, np.uint8), (2, 256, np.uint8), (2, 257, np.uint16),
         (2, 3329, np.uint16), (2, 65536, np.uint16), (2, 70000, np.int32),
@@ -710,6 +717,11 @@ class TestTranslationBijection:
         w = mc.t6_witness(5)
         with pytest.raises(ValueError, match="cap"):
             mc.translation_bijection_check(w, 0, 1, cap=3)
+
+    @pytest.mark.parametrize("cap", [2.5, True, 5.0])
+    def test_cap_must_be_an_integer(self, cap):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            mc.translation_bijection_check(mc.t6_witness(5), 0, 1, cap=cap)
 
 
 class TestWireJson:

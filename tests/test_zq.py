@@ -40,6 +40,16 @@ class TestZqElement:
         for r in (a + b, a - b, a * b, -a):
             assert 0 <= r.value < 7
 
+    @pytest.mark.parametrize("q", [7, 3329, 8380417, 2**70 + 1])
+    def test_arithmetic_results_equal_built_elements(self, q):
+        """A result of the ring's own arithmetic equals, hashes and prints
+        as the element built from the same int, and is a ZqElement."""
+        a, b = E(q, q - 2), E(q, 5)
+        for r, v in ((a + b, q + 3), (a - b, q - 7), (a * b, 5 * (q - 2)), (-a, 2)):
+            built = E(q, v)
+            assert type(r) is mc.ZqElement and r.modulus is a.modulus
+            assert (r, hash(r), repr(r), r.value) == (built, hash(built), repr(built), v % q)
+
     def test_modulus_mismatch_raises(self):
         with pytest.raises(ValueError):
             E(5, 1) + E(7, 1)
@@ -109,12 +119,26 @@ class TestBijectivity:
             mc.arith_reparam_is_bijection(8380417, 1)
         assert mc.arith_reparam_is_bijection(8380417, 1, cap=8380417)
 
+    @pytest.mark.parametrize("cap", [2.5, True, 5.0])
+    def test_cap_must_be_an_integer(self, cap):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            mc.arith_reparam_is_bijection(5, 1, cap=cap)
+        assert mc.arith_reparam_is_bijection(5, 1, cap=np.int64(5))
+
 
 class TestBoolReparam:
     def test_examples(self):
         w = mc.BitWord(24, 0xABCDEF)
         assert mc.bool_reparam(w, w).bits == 0
         assert mc.bool_reparam(mc.BitWord(1, 1), mc.BitWord(1, 0)).bits == 1
+
+    @pytest.mark.parametrize("k", [1, 24, 64, 200])
+    def test_xor_result_equals_built_word(self, k):
+        x, s1 = mc.BitWord(k, (1 << k) - 1), mc.BitWord(k, 1)
+        r, built = x ^ s1, mc.BitWord(k, (1 << k) - 2)
+        assert type(r) is mc.BitWord
+        assert (r, hash(r), repr(r), r.width, r.bits) == (
+            built, hash(built), repr(built), k, (1 << k) - 2)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
