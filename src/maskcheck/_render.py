@@ -3,10 +3,10 @@
 Only the runs that print a marginal table or write a wire table import
 this module: `classify` (its handler is here), the json output of
 `witness` and `save_wire`.  classify renders every wire's marginals, in
-every format, from the one stream of its marginal rows
-(`wires._marginal_stream`).  The renderer writes non-negative integers
-into a byte buffer with numpy, a step of rows at a time, so no Python int
-or str is made per entry and the temporaries stay a few MB.
+every format, from the one stream of its marginal rows, whose pass keeps
+its analysis on the wire (`WireFunction._stream`).  The renderer writes
+non-negative integers into a byte buffer with numpy, a step of rows at a
+time: no Python int or str is made per entry, and temporaries stay a few MB.
 """
 
 from __future__ import annotations
@@ -75,13 +75,11 @@ def _list_rows(blocks: Iterable[str]):
 
 def _marginal_texts(wire):
     """The ",[a,b],[c,d]" texts of a wire's marginal table from its
-    `_marginal_stream`: a block is rendered (on a thread of the pass, where
+    `_stream`: a block is rendered (on a thread of the pass, where
     it counts) only where it differs from row 0, and row 0's text stands
     for the others."""
-    from .wires import _marginal_stream
-
     row = _render_rows(wire._row0[None])
-    for rows, text in _marginal_stream(wire, _render_rows):
+    for rows, text in wire._stream(_render_rows):
         yield row * (rows.stop - rows.start) if text is None else text
 
 

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -108,14 +109,9 @@ class WireFunction:
         if alphabet < 1:
             raise ValueError(f"alphabet_size must be >= 1, got {alphabet}")
         _check_cell_cap(q, alphabet)
-        arr = np.asarray(self.table)
+        arr = _integer_array(self.table, "table entry")
         if arr.ndim != 1 or arr.size != q * q:
             raise ValueError(f"table has {arr.size} entries, expected q^2 = {q * q}")
-        if arr.dtype.kind not in "biu":  # floats, strings, or ints beyond int64
-            arr = np.asarray(self.table, dtype=object)
-            for i, entry in enumerate(arr):
-                if not isinstance(entry, (int, np.integer)):
-                    raise ValueError(f"table entry {entry!r} at index {i} is not an integer")
         if arr.size and (arr.min() < 0 or arr.max() >= alphabet):
             for _, part in _steps.steps(1, arr.size, 1):  # the first bad entry, a step at a time
                 hits = (arr[part] < 0) | (arr[part] >= alphabet)
@@ -147,11 +143,12 @@ class WireFunction:
         """(verdict code, mutual information in bits, read-only marginal
         table).  A wire whose marginal table is larger than a step is
         analysed without that table (None here) by the end of its
-        `_marginal_stream`, which any pass of the stream may reach first;
-        any other as a batch of one by `_analyze`."""
+        `_stream`, which any pass of the stream may reach first; any other
+        as a batch of one by `_analyze`."""
         q, alphabet = self.q, self.alphabet_size
         if _in_blocks(q, alphabet):
-            return _result(_marginal_stream(self))
+            deque(self._stream(), maxlen=0)
+            return self.__dict__["_analysis"]
         codes, m = _analyze(q, self.table[None, :], alphabet, "wire")
         m = m[0].astype(_COUNT_DTYPE, copy=False)  # a bincount's counts are int64
         m.setflags(write=False)
@@ -171,12 +168,71 @@ class WireFunction:
 
     @cached_property
     def _marginals(self) -> np.ndarray:
-        """The read-only marginal table, filled from `_marginal_stream`."""
+        """The read-only marginal table, filled from `_stream`."""
         m = np.empty((self.q, self.alphabet_size), dtype=_COUNT_DTYPE)
-        for rows, counts in _marginal_stream(self, lambda counts: counts):
+        for rows, counts in self._stream(lambda counts: counts):
             m[rows] = self._row0 if counts is None else counts
         m.setflags(write=False)
         return m
+
+    def _stream(self, fn=None, what: str = "wire"):
+        """The marginal table, one step of secret rows at a time in secret
+        order: yields (rows, fn(counts)) for a block of rows `counts`, or
+        (rows, None) where every row of the block equals row 0 (`_row0`).
+
+        A wire whose marginal table fits in a step streams the one block its
+        analysis holds, and a larger one whose cached analysis has a constant
+        marginal yields None for every step, counting nothing.  Any other is
+        counted a block at a time (`_count_block`) on threads, a bounded window
+        of blocks ahead of the caller (`_steps.in_threads`); each block is
+        compared with row 0 (the marginal is constant iff all are equal), given
+        to fn and dropped.  A block that differs gives its key histogram
+        (`_keys`), one equal to row 0 counts row 0's keys once a row, and the
+        pass merges the histograms it holds past STEP_CELLS keys.  The end
+        keeps the wire's analysis, (verdict code, mutual information in bits,
+        None), as `_analysis`, raising TheoryViolation, named by `what`, where
+        the wire is value-independent but its marginal is not constant.
+        """
+        q, alphabet = self.q, self.alphabet_size
+        if not _in_blocks(q, alphabet):
+            yield slice(0, q), None if has_constant_marginal(self) else fn(self._analysis[2])
+            return
+        blocks = [rows for _, rows in _steps.steps(1, q, max(q, alphabet))]
+        if "_analysis" in self.__dict__ and has_constant_marginal(self):  # not recounted
+            yield from ((rows, None) for rows in blocks)
+            return
+        table, vi, row0 = self.table, self._value_independent, self._row0
+        base = _diagonal_cells(q, blocks[0].stop)
+
+        def count(rows):
+            counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
+            same = bool((counts == row0).all())
+            hist = [] if same or vi else [_keys(counts, alphabet)]
+            return same, hist, None if same or fn is None else fn(counts)
+
+        histograms, row0_rows = [], 0
+        for rows, (same, hist, out) in zip(blocks, _steps.in_threads(count, blocks)):
+            row0_rows += (rows.stop - rows.start) * same
+            histograms += hist
+            if sum(len(k) for k, _ in histograms[1:]) > _steps.STEP_CELLS:
+                histograms = [_merge(histograms)]
+            yield rows, out
+        code = int(_verdict_codes(q, np.array([vi]), np.array([row0_rows == q]), what)[0])
+        bits = 0.0 if row0_rows == q else _information_bits(
+            q, alphabet, *_merge([*histograms, _keys(row0, alphabet, row0_rows)]))
+        self.__dict__["_analysis"] = (code, bits, None)
+
+
+def _integer_array(values, what: str) -> np.ndarray:
+    """`values` as an integer array (a Boolean counts), of dtype object past int64;
+    raises ValueError naming the first other entry, in row-major order."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":  # floats, strings, or ints beyond int64
+        arr = np.asarray(values, dtype=object)
+        for i, entry in enumerate(arr.flat):
+            if not isinstance(entry, (int, np.integer)):
+                raise ValueError(f"{what} {entry!r} at index {i} is not an integer")
+    return arr
 
 
 def _check_cell_cap(q: int, alphabet_size: int):
@@ -318,64 +374,6 @@ def _information_bits(q: int, alphabet: int, keys: np.ndarray, n: np.ndarray) ->
                      in zip(mass.tolist(), h.tolist(), colsum.tolist())) / (q * q)
 
 
-def _marginal_stream(w: WireFunction, fn=None, what: str = "wire"):
-    """A wire's marginal table, one step of secret rows at a time in secret
-    order: yields (rows, fn(counts)) for a block of rows `counts`, or
-    (rows, None) where every row of the block equals row 0 (`w._row0`).
-
-    A wire whose marginal table fits in a step streams the one block its
-    analysis holds, and a larger one whose cached analysis has a constant
-    marginal yields None for every step, counting nothing.  Any other is
-    counted a block at a time (`_count_block`) on threads, a bounded window
-    of blocks ahead of the caller (`_steps.in_threads`); each block is
-    compared with row 0 (the marginal is constant iff all are equal), given
-    to fn and dropped.  A block that differs gives its key histogram
-    (`_keys`), one equal to row 0 counts row 0's keys once a row, and the
-    caller merges the histograms it holds past STEP_CELLS keys.  The end
-    completes the wire's analysis, (verdict code, mutual information in
-    bits, None), and returns it, raising TheoryViolation, named by `what`,
-    where the wire is value-independent but its marginal is not constant.
-    """
-    q, alphabet = w.q, w.alphabet_size
-    if not _in_blocks(q, alphabet):
-        yield slice(0, q), None if has_constant_marginal(w) else fn(w._analysis[2])
-        return
-    blocks = [rows for _, rows in _steps.steps(1, q, max(q, alphabet))]
-    if "_analysis" in w.__dict__ and has_constant_marginal(w):  # cached, so not recounted
-        yield from ((rows, None) for rows in blocks)
-        return
-    table, vi, row0 = w.table, w._value_independent, w._row0
-    base = _diagonal_cells(q, blocks[0].stop)
-
-    def count(rows):
-        counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
-        same = bool((counts == row0).all())
-        hist = [] if same or vi else [_keys(counts, alphabet)]
-        return same, hist, None if same or fn is None else fn(counts)
-
-    histograms, row0_rows = [], 0
-    for rows, (same, hist, out) in zip(blocks, _steps.in_threads(count, blocks)):
-        row0_rows += (rows.stop - rows.start) * same
-        histograms += hist
-        if sum(len(k) for k, _ in histograms[1:]) > _steps.STEP_CELLS:
-            histograms = [_merge(histograms)]
-        yield rows, out
-    code = int(_verdict_codes(q, np.array([vi]), np.array([row0_rows == q]), what)[0])
-    bits = 0.0 if row0_rows == q else _information_bits(
-        q, alphabet, *_merge([*histograms, _keys(row0, alphabet, row0_rows)]))
-    w.__dict__["_analysis"] = analysis = (code, bits, None)
-    return analysis
-
-
-def _result(gen):
-    """The return value of a generator, run to its end."""
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
-
-
 def _analyze(q: int, cells: np.ndarray, alphabet: int,
              what: str) -> tuple[np.ndarray, np.ndarray]:
     """Verdict codes (n,) and marginal tables (n, q, alphabet) of a batch.
@@ -388,7 +386,7 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int,
     compares its columns with its diagonals.
 
     It is meant for a marginal table of at most one step (q * alphabet
-    cells, see `_in_blocks`); a larger one is analysed by `_marginal_stream`.
+    cells, see `_in_blocks`); a larger one is analysed by `WireFunction._stream`.
     The keys t + `_diagonal_keys` are scattered into the n*q histograms
     `_steps.steps` of STEP_CELLS cells at a time, counting in `_COUNT_DTYPE`;
     a batch of one step takes one bincount (int64 counts), cheaper per
@@ -459,26 +457,29 @@ def classify(w: WireFunction) -> Verdict:
 def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
     """Verdict codes for many flat s0-major tables at once.
 
-    `cells` has shape (n, q*q) and non-negative entries; the alphabet is
-    taken as the largest entry plus one, and a row is held to the cell cap
-    of one wire before the marginals are allocated.  A row whose marginal
-    table is larger than a step is classified as a `WireFunction`, by its
-    `_marginal_stream`.  The result holds one code per row, indexing into
-    VERDICT_BY_CODE.  The soundness cross-check runs on every row, same as
-    `classify`.
+    `cells` has shape (n, q*q) and non-negative integer entries; the
+    alphabet is taken as the largest entry plus one, and a row is held to
+    the cell cap of one wire before the marginals are allocated.  A row
+    whose marginal table is larger than a step is classified as a
+    `WireFunction`, by its `_stream`.  The result holds one code per row,
+    indexing into VERDICT_BY_CODE.  The soundness cross-check runs on every
+    row, same as `classify`.
     """
-    cells = np.asarray(cells, dtype=np.int64)
+    q = _as_modulus(q).q
+    cells = _integer_array(cells, "cell")
     if cells.ndim != 2 or cells.shape[1] != q * q:
         raise ValueError(f"cells must have shape (n, {q * q})")
     if cells.min(initial=0) < 0:
         raise ValueError("cells must be non-negative")
     alphabet = int(cells.max(initial=0)) + 1
     _check_cell_cap(q, alphabet)
-    if _in_blocks(q, alphabet):
-        return np.array([_result(_marginal_stream(WireFunction(q, alphabet, row),
-                                                  what=f"bulk row {i}"))[0]
-                         for i, row in enumerate(cells)], dtype=np.int8)
-    return _analyze(q, cells, alphabet, "bulk row {}")[0]
+    if not _in_blocks(q, alphabet):
+        return _analyze(q, cells.astype(np.int64, copy=False), alphabet, "bulk row {}")[0]
+    codes = np.empty(len(cells), dtype=np.int8)
+    for i, row in enumerate(cells):
+        deque((w := WireFunction(q, alphabet, row))._stream(what=f"bulk row {i}"), maxlen=0)
+        codes[i] = w._analysis[0]
+    return codes
 
 
 @dataclass(frozen=True)

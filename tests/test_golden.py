@@ -39,6 +39,7 @@ import numpy as np
 import pytest
 
 import maskcheck as mc
+from maskcheck import _steps, wires
 from maskcheck.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -141,6 +142,20 @@ def run_case(name, fmt, tmp):
     return out, GOLDEN / f"{name}.{FORMATS[fmt]}"
 
 
+def mismatched(cases, tmp):
+    """The golden files, or the digests kept of them, that the stdout of
+    these cases does not equal."""
+    names = []
+    for name, fmt in cases:
+        out, golden = run_case(name, fmt, tmp)
+        if (name, fmt) in DIGEST_CASES:
+            out = (hashlib.sha256(out).hexdigest() + "\n").encode()
+            golden = Path(f"{golden}.sha256")
+        if out != golden.read_bytes():
+            names.append(golden.name)
+    return names
+
+
 @pytest.mark.parametrize("name,fmt", CASES)
 def test_golden_stdout(name, fmt, tmp_path):
     out, golden = run_case(name, fmt, tmp_path)
@@ -148,13 +163,21 @@ def test_golden_stdout(name, fmt, tmp_path):
 
 
 def test_golden_residue_wire_digest(tmp_path):
-    mismatched = []
-    for name, fmt in DIGEST_CASES:
-        out, golden = run_case(name, fmt, tmp_path)
-        digest = Path(f"{golden}.sha256").read_text()
-        if hashlib.sha256(out).hexdigest() + "\n" != digest:
-            mismatched.append(golden.name)
-    assert not mismatched
+    assert mismatched(DIGEST_CASES, tmp_path) == []
+
+
+def test_goldens_at_small_steps(tmp_path, monkeypatch):
+    """Every case prints its golden bytes with steps of 512 cells, parse
+    chunks of 4096 bytes and at most 2 threads.  perm-q31's marginal table
+    of 961 cells is analysed densely at the defaults but counted by the
+    block pass (`WireFunction._stream`) at 512, and so are the Boolean
+    q = 257 wires' tables of 514."""
+    assert not wires._in_blocks(31, 31)
+    monkeypatch.setattr(_steps, "STEP_CELLS", 512)
+    monkeypatch.setattr(wires, "PARSE_CHUNK", 4096)
+    monkeypatch.setattr(_steps, "MAX_THREADS", 2)
+    assert wires._in_blocks(31, 31) and wires._in_blocks(257, 2)
+    assert mismatched(CASES + DIGEST_CASES, tmp_path) == []
 
 
 @pytest.mark.parametrize("name", [name for name, fmt in CASES + DIGEST_CASES

@@ -132,15 +132,31 @@ def test_integer_arguments_have_one_rule():
                             ("__init__.py", "operator.index")]
 
 
+def test_only_wire_function_touches_an_instance_dict():
+    """Only `WireFunction`'s methods read or write an instance `__dict__`:
+    the marginal pass stores the analysis that `_analysis` caches on the
+    wire itself, so that cache has one owner."""
+    uses = []
+    for path in sorted(Path(mc.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owned = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "WireFunction"
+                 for node in ast.walk(cls)}
+        uses += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                 and id(node) not in owned]
+    assert uses == []
+
+
 # The private methods of every NamedTuple, which no module of the package defines.
 NAMEDTUPLE_API = {"_replace", "_make", "_asdict", "_fields"}
 
 
 def test_cited_private_names_exist():
-    """Every private name in backticks in a module or a test, alone or
-    after a module's name, is a def, a class, an assignment target, an
-    argument, an attribute store or a module stem of the package, so that
-    no comment cites a name the code no longer has."""
+    """Every private name in backticks in a module, a test or the README,
+    alone or after a module's name, is a def, a class, an assignment
+    target, an argument, an attribute store or a module stem of the
+    package, so that no comment cites a name the code no longer has."""
     src = Path(mc.__file__).resolve().parent
     defined = set(NAMEDTUPLE_API)
     for path in src.glob("*.py"):
@@ -156,7 +172,8 @@ def test_cited_private_names_exist():
                 defined.add(node.arg)
     private = re.compile(r"(?<!\w)_[A-Za-z0-9]\w*")  # not a dunder
     stale = []
-    for path in sorted([*src.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+    tests = Path(__file__).parent
+    for path in sorted([*src.glob("*.py"), *tests.glob("*.py"), tests.parent / "README.md"]):
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             for span in re.findall(r"`([^`]+)`", line):
                 stale += [f"{path.name}:{n}: {name}" for name in private.findall(span)
@@ -219,6 +236,10 @@ NOT_INTEGERS = [
         one_stage(), "s0.c0", "a", [(1.7, 0.2)]), id="extract_wire_function-context-float"),
     pytest.param("n_values", lambda: mc.bias_profile(True, 5), id="bias_profile-n-bool"),
     pytest.param("q", lambda: mc.bias_profile(16, True), id="bias_profile-q-bool"),
+    pytest.param("q", lambda: mc.classify_cells_bulk(2.0, np.zeros((1, 4))),
+                 id="classify_cells_bulk-q-float"),
+    pytest.param("q", lambda: mc.classify_cells_bulk(True, np.zeros((1, 1), dtype=np.int64)),
+                 id="classify_cells_bulk-q-bool"),
 ]
 
 

@@ -329,7 +329,7 @@ class TestDenseKernel:
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_block_marginals_match_reparam_histograms(self, monkeypatch, threads):
         """Residue wires (alphabet q) whose marginal table is larger than a
-        step of 160 cells, counted by `_marginal_stream` on 1 to 4 threads in
+        step of 160 cells, counted by `WireFunction._stream` on 1 to 4 threads in
         blocks of secret rows whose last one is short, against histograms of
         the rows of `reparam_table`."""
         monkeypatch.setattr(_steps, "STEP_CELLS", 160)
@@ -408,7 +408,7 @@ class TestMarginalStream:
     @settings(max_examples=300, deadline=None)
     @given(stream_wires(), st.sampled_from([1, 2]), st.booleans())
     def test_stream_matches_reparam_histograms(self, wire, threads, classified):
-        """Every (rows, v) of `_marginal_stream`, on 1 and 2 threads, fresh
+        """Every (rows, v) of `WireFunction._stream`, on 1 and 2 threads, fresh
         or after `classify`, against histograms of the rows of
         `reparam_table`: v is None iff each of those rows equals row 0,
         else it is those rows; the blocks cover the secrets in order."""
@@ -421,7 +421,7 @@ class TestMarginalStream:
             mp.setattr(_steps, "usable_cpus", lambda: threads)
             if classified:
                 mc.classify(w)
-            for rows, v in wires._marginal_stream(w, lambda counts: counts.copy()):
+            for rows, v in w._stream(lambda counts: counts.copy()):
                 block = expected[rows]
                 assert (v is None) == bool((block == expected[0]).all())
                 if v is not None:
@@ -549,6 +549,21 @@ class TestBulkClassifier:
         with pytest.raises(ValueError, match="non-negative"):
             mc.classify_cells_bulk(2, np.array([[0, 1, -1, 0]]))
 
+    def test_modulus_zero_rejected(self):
+        with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+            mc.classify_cells_bulk(0, np.zeros((1, 0), dtype=np.int64))
+
+    @pytest.mark.parametrize("cells,message", [
+        ([[0.5, 1.7, 1.2, 0.9]], "cell 0.5 at index 0 is not an integer"),
+        ([["0", "1", "1", "0"]], "cell '0' at index 0 is not an integer"),
+        ([[0, 1, 1, 0], [0, 1, 2**70, 0]], "q=2 with alphabet 1180591620717411303425 needs"),
+    ])
+    def test_non_integer_cells_rejected(self, cells, message):
+        """Floats, strings and an integer beyond int64 are refused, as the
+        `WireFunction` gate refuses them, not cast or overflowed."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            mc.classify_cells_bulk(2, cells)
+
     def test_cell_cap_refused_before_the_marginals(self, monkeypatch):
         """A row whose marginal table (q * alphabet cells) is above the
         cap is refused like a WireFunction, and one at the cap is not."""
@@ -637,7 +652,7 @@ class TestMutualInformation:
         assert mc.mutual_information(w).bits == math.log2(q)
 
     # A step of 20 cells streams each wire below whose marginal table is
-    # larger (`_marginal_stream`, all at q >= 11), in blocks of 1 to 4 rows
+    # larger (`WireFunction._stream`, all at q >= 11), in blocks of 1 to 4 rows
     # whose key histograms are merged many times.
     @pytest.mark.parametrize("step", [_steps.STEP_CELLS, 20])
     def test_within_4_ulps_of_a_decimal_reference(self, monkeypatch, step):
