@@ -61,13 +61,15 @@ def _check_modulus(q) -> int:
 
 
 def _word(value, name: str):
-    """An int array as it is (a batch of words), any other value through `_integer`."""
+    """An int array (dtype object past int64) as it is, any other value through `_integer`."""
+    if getattr(value, "ndim", 0) and value.dtype.kind not in "iuO":
+        raise ValueError(f"{name} must be an integer, got an array of dtype {value.dtype}")
     return value if getattr(value, "ndim", 0) else _integer(value, name)
 
 
 def _outside(value, limit: int):
     """The least or greatest entry of an int or int array outside [0, limit), else None."""
-    ends = (value,) if isinstance(value, int) else (int(value.min()), int(value.max()))
+    ends = (value,) if isinstance(value, int) else (value.min(initial=0), value.max(initial=0))
     for end in ends:
         if not 0 <= end < limit:
             return end

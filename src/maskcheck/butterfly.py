@@ -324,8 +324,9 @@ def conjecture_sweep(q: int, n_stages: int, twiddle_set=None,
             raise ValueError(f"twiddle {t} repeats twiddle {given[r]} mod {q}; "
                              "twiddles must be distinct mod q")
         given[r] = t
-    twiddle_set = tuple(given)
-    secret_roles = tuple(secret_roles)
+    twiddle_set, secret_roles = tuple(given), tuple(secret_roles)
+    if not (twiddle_set and secret_roles):  # no configuration: a vacuous clean report
+        raise ValueError("sweep needs at least one twiddle and one secret role")
     for i, role in enumerate(secret_roles):
         if role in secret_roles[:i]:
             raise ValueError(f"secret role {role!r} repeats; roles must be distinct")

@@ -144,17 +144,16 @@ class WireFunction:
         table).  A wire whose marginal table is larger than a step is
         analysed without that table (None here) by the end of its
         `_stream`, which any pass of the stream may reach first; any other
-        as a batch of one by `_analyze`."""
+        by `_analyze` as a batch of one, with `_value_independent`."""
         q, alphabet = self.q, self.alphabet_size
         if _in_blocks(q, alphabet):
             deque(self._stream(), maxlen=0)
             return self.__dict__["_analysis"]
-        codes, m = _analyze(q, self.table[None, :], alphabet, "wire")
+        vi, (cm, m) = self._value_independent, _analyze(q, self.table[None, :], alphabet)
+        code = int(_verdict_codes(q, np.array([vi]), cm, "wire")[0])
         m = m[0].astype(_COUNT_DTYPE, copy=False)  # a bincount's counts are int64
         m.setflags(write=False)
-        if VERDICT_BY_CODE[codes[0]] is not Verdict.NON_CONSTANT_MARGINAL:
-            return int(codes[0]), 0.0, m
-        return int(codes[0]), _information_bits(q, alphabet, *_keys(m, alphabet)), m
+        return code, 0.0 if cm[0] else _information_bits(q, alphabet, *_keys(m, alphabet)), m
 
     @cached_property
     def _value_independent(self) -> bool:
@@ -374,37 +373,27 @@ def _information_bits(q: int, alphabet: int, keys: np.ndarray, n: np.ndarray) ->
                      in zip(mass.tolist(), h.tolist(), colsum.tolist())) / (q * q)
 
 
-def _analyze(q: int, cells: np.ndarray, alphabet: int,
-             what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict codes (n,) and marginal tables (n, q, alphabet) of a batch.
+def _analyze(q: int, cells: np.ndarray, alphabet: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant-marginal predicates (n,) and marginal tables (n, q, alphabet)
+    of n flat s0-major integer tables t[s0, s1] with entries in [0, alphabet).
 
-    `cells` holds n flat s0-major integer tables t[s0, s1] with entries
-    in [0, alphabet).  For a fixed mask s1, s0 = x - s1 runs over Z_q as the
-    secret x does: value independence is every column t[:, s1] constant,
-    that is every row t[s0] equal to t[0], and secret x's histogram counts
-    the diagonal s0 + s1 = x.  The soundness check of each row thus
-    compares its columns with its diagonals.
-
-    It is meant for a marginal table of at most one step (q * alphabet
-    cells, see `_in_blocks`); a larger one is analysed by `WireFunction._stream`.
-    The keys t + `_diagonal_keys` are scattered into the n*q histograms
-    `_steps.steps` of STEP_CELLS cells at a time, counting in `_COUNT_DTYPE`;
-    a batch of one step takes one bincount (int64 counts), cheaper per
-    call than add.at.  Both predicates are compared step by step.
+    For a fixed mask s1, s0 = x - s1 runs over Z_q as the secret x does, so
+    secret x's histogram counts the diagonal s0 + s1 = x: the int64 keys
+    t + `_diagonal_keys` are bincounted.  Whole wires whose tables and
+    marginal tables fit in a step take one bincount; one wire whose marginal
+    table fits in a step but whose table does not sums the bincounts of
+    steps of its rows (`_steps.steps`).  A larger marginal table is counted
+    by `WireFunction._stream`.
     """
-    n = len(cells)
-    t = cells.reshape(n, q, q)
+    n, size = len(cells), len(cells) * q * alphabet
+    t, keys = cells.reshape(n, q, q), _diagonal_keys(q, n, alphabet)
     if t.size <= _steps.STEP_CELLS:
-        m = np.bincount((t + _diagonal_keys(q, n, alphabet)).ravel(),
-                        minlength=n * q * alphabet)
+        m = np.bincount(np.add(t, keys, dtype=np.int64).ravel(), minlength=size)
     else:
-        keys = _diagonal_keys(q, n, alphabet)
-        m = np.zeros(n * q * alphabet, dtype=_COUNT_DTYPE)
-        one = m.dtype.type(1)  # an untyped 1 leaves add.at's fast path
-        for wires, rows in _steps.steps(n, q, q):
-            np.add.at(m, (t[wires, rows] + keys[wires, rows]).ravel(), one)
+        m = sum(np.bincount(np.add(t[wires, rows], keys[wires, rows], dtype=np.int64).ravel(),
+                            minlength=size) for wires, rows in _steps.steps(n, q, q))
     m = m.reshape(n, q, alphabet)
-    return _verdict_codes(q, _rows_equal(t), _rows_equal(m), what), m
+    return _rows_equal(m), m
 
 
 def is_value_independent(w: WireFunction) -> bool:
@@ -461,9 +450,10 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
     alphabet is taken as the largest entry plus one, and a row is held to
     the cell cap of one wire before the marginals are allocated.  A row
     whose marginal table is larger than a step is classified as a
-    `WireFunction`, by its `_stream`.  The result holds one code per row,
-    indexing into VERDICT_BY_CODE.  The soundness cross-check runs on every
-    row, same as `classify`.
+    `WireFunction`, by its `_stream`; the others by `_analyze`, a group of
+    rows whose tables and marginal tables fit in a step at a time.  The
+    result holds one code per row, indexing into VERDICT_BY_CODE; the
+    soundness cross-check runs on every row, same as `classify`.
     """
     q = _as_modulus(q).q
     cells = _integer_array(cells, "cell")
@@ -473,13 +463,19 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
         raise ValueError("cells must be non-negative")
     alphabet = int(cells.max(initial=0)) + 1
     _check_cell_cap(q, alphabet)
-    if not _in_blocks(q, alphabet):
-        return _analyze(q, cells.astype(np.int64, copy=False), alphabet, "bulk row {}")[0]
-    codes = np.empty(len(cells), dtype=np.int8)
-    for i, row in enumerate(cells):
-        deque((w := WireFunction(q, alphabet, row))._stream(what=f"bulk row {i}"), maxlen=0)
-        codes[i] = w._analysis[0]
-    return codes
+    if _in_blocks(q, alphabet):
+        codes = np.empty(len(cells), dtype=np.int8)
+        for i, row in enumerate(cells):
+            deque((w := WireFunction(q, alphabet, row))._stream(what=f"bulk row {i}"), maxlen=0)
+            codes[i] = w._analysis[0]
+        return codes
+    vi, row_cells = _rows_equal(cells.reshape(len(cells), q, q)), q * max(q, alphabet)
+    if len(cells) * row_cells <= _steps.STEP_CELLS:  # the batch fits in a step: one call
+        cm = _analyze(q, cells, alphabet)[0]
+    else:
+        cm = np.concatenate([_analyze(q, cells[wires], alphabet)[0]
+                             for wires, _ in _steps.steps(len(cells), 1, row_cells)])
+    return _verdict_codes(q, vi, cm, "bulk row {}")
 
 
 @dataclass(frozen=True)

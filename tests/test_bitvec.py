@@ -140,6 +140,16 @@ class TestUremReparam:
         assert str(array.value) == str(scalar.value) == (
             f"x + q produced {value}, outside the 12-bit unsigned range")
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, object])
+    def test_empty_batches_give_empty_results(self, dtype):
+        """An empty batch has no word outside the range: both word ops and
+        the bound check return empty arrays instead of failing to reduce."""
+        cfg, empty = mc.WidthConfig(ML_KEM_Q, 24), np.zeros(0, dtype=dtype)
+        assert mc.urem_reparam(cfg, empty, empty).shape == (0,)
+        assert mc.urem_reparam(cfg, 5, empty).shape == (0,)
+        assert mc.urem_recombine(cfg, empty, empty).shape == (0,)
+        assert [b.shape for b in mc.no_overflow_bounds(ML_KEM_Q, empty, empty)] == [(0,), (0,)]
+
     def test_inadmissible_width_rejected(self):
         cfg = mc.WidthConfig(8388608, 24)
         with pytest.raises(ValueError, match="inadmissible"):

@@ -259,6 +259,15 @@ class TestConjectureSweep:
         with pytest.raises(ValueError, match=message):
             mc.conjecture_sweep(3, 1, twiddle_set=twiddles)
 
+    @pytest.mark.parametrize("kwargs", [{"twiddle_set": ()}, {"secret_roles": ()},
+                                        {"twiddle_set": [], "secret_roles": []}])
+    def test_sweep_without_configurations_refused(self, kwargs):
+        """No twiddle or no role leaves no configuration, whose report would
+        be vacuously clean."""
+        with pytest.raises(ValueError,
+                           match="^sweep needs at least one twiddle and one secret role$"):
+            mc.conjecture_sweep(3, 1, **kwargs)
+
     @pytest.mark.parametrize("roles,again", [(("a", "a", "b"), "a"), (("b", "b"), "b"),
                                              (("b", "a", "b"), "b")])
     def test_roles_repeated_refused(self, roles, again):

@@ -105,6 +105,18 @@ def test_threads_start_in_steps_alone():
     assert importers == ["_steps.py"]
 
 
+def test_marginals_are_counted_by_bincount_alone():
+    """No module calls `np.add.at`: every marginal count of the package is
+    a `np.bincount`, a step at a time."""
+    calls = []
+    for path in sorted(Path(mc.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "at"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "add"):
+                calls.append((path.name, node.lineno))
+    assert calls == []
+
+
 def test_integer_arguments_have_one_rule():
     """`_integer` is the one rule for an integer argument: no module
     imports `numbers`, and only `__init__` calls `operator.index` or asks
@@ -223,6 +235,16 @@ NOT_INTEGERS = [
                  id="urem_reparam-s1-float"),
     pytest.param("s0", lambda: mc.urem_recombine(mc.WidthConfig(5, 8), 2.5, 1),
                  id="urem_recombine-s0-float"),
+    pytest.param("x", lambda: mc.urem_reparam(mc.WidthConfig(5, 8), np.array([1.5, 2.0]), 0),
+                 id="urem_reparam-x-float-array"),
+    pytest.param("x", lambda: mc.urem_reparam(mc.WidthConfig(5, 8), np.array([True, False]), 0),
+                 id="urem_reparam-x-bool-array"),
+    pytest.param("x", lambda: mc.urem_reparam(mc.WidthConfig(5, 8), np.array(["1", "2"]), 0),
+                 id="urem_reparam-x-str-array"),
+    pytest.param("s0", lambda: mc.urem_recombine(mc.WidthConfig(5, 8), np.array([2.5]), 1),
+                 id="urem_recombine-s0-float-array"),
+    pytest.param("x", lambda: mc.no_overflow_bounds(5, np.array([1.5]), 0),
+                 id="no_overflow_bounds-x-float-array"),
     pytest.param("alphabet_size", lambda: mc.make_wire(2, [0, 1, 1, 0], alphabet_size=2.5),
                  id="make_wire-alphabet-float"),
     pytest.param("alphabet_size", lambda: mc.make_wire(2, [0, 1, 1, 0], alphabet_size=True),

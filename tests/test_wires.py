@@ -280,25 +280,28 @@ class TestDenseKernel:
         rng = np.random.default_rng(100 * n + alphabet)
         for q in (1, 2, 3, 5, 7):
             rows = [batch_row(rng, q, alphabet, i) for i in range(n)]
-            codes, m = _analyze(q, np.array(rows, dtype=np.int64), alphabet, "row {}")
+            cm, m = _analyze(q, np.array(rows, dtype=np.int64), alphabet)
+            codes = mc.classify_cells_bulk(q, np.array(rows))
             assert m.shape == (n, q, alphabet)
-            for row, code, hists in zip(rows, codes, m):
+            for row, code, constant, hists in zip(rows, codes, cm, m):
                 assert hists.tolist() == [
                     naive_hist(q, row, x, alphabet) for x in range(q)
                 ]
+                assert constant == naive_constant_marginal(q, row, alphabet)
                 vi = naive_is_vi(q, row)
                 assert (VERDICT_BY_CODE[code] is mc.Verdict.VALUE_INDEPENDENT) == vi
-                cm = naive_constant_marginal(q, row, alphabet)
-                assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == cm
+                assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == constant
 
-    # 20 cells per step: two q = 3 wires, or blocks of two q = 7 rows that
-    # leave one over; 50: one q = 7 wire, or the whole q = 3 batch; 1: one row.
+    # 20 cells per step: bulk groups of two q = 3 Boolean rows, or steps of
+    # two q = 7 rows that leave one over; 50: the whole q = 3 Boolean batch,
+    # or one q = 7 row; 1: one row.
     @pytest.mark.parametrize("step", [1, 20, 50])
     @pytest.mark.parametrize("alphabet", [2, 11])
     def test_steps_match_reparam_histograms(self, monkeypatch, step, alphabet):
-        """Marginals and verdicts of single wires and of bulk batches, counted
-        in steps smaller than a wire or a batch, against histograms of the
-        rows of `reparam_table`; the mutual information is unchanged."""
+        """Marginals and verdicts of single wires, and of bulk batches cut
+        into groups, counted in steps smaller than a wire or a batch, against
+        histograms of the rows of `reparam_table`; the mutual information is
+        unchanged."""
         rng = np.random.default_rng(step * alphabet)
         batches = {q: np.array([batch_row(rng, q, alphabet, i) for i in range(5)])
                    for q in (3, 7)}
@@ -309,20 +312,21 @@ class TestDenseKernel:
             if q * q > step:
                 assert len(_steps.steps(1, q, q)) > 1
             if 5 * q * q > step:
-                assert len(_steps.steps(5, q, q)) > 1
-            codes, m = _analyze(q, rows, alphabet, "row {}")
-            assert mc.classify_cells_bulk(q, rows).tolist() == codes.tolist()
-            for row, code, hists, bits in zip(rows, codes, m, mi[q]):
+                assert len(_steps.steps(5, 1, q * q)) > 1
+            codes = mc.classify_cells_bulk(q, rows)
+            for row, code, bits in zip(rows, codes, mi[q]):
+                cm, m = _analyze(q, row[None, :], alphabet)
                 w = mc.make_wire(q, row, alphabet)
                 r = mc.reparam_table(w)
                 expected = np.array([np.bincount(x, minlength=alphabet) for x in r])
-                assert hists.tolist() == expected.tolist()
+                assert m[0].tolist() == expected.tolist()
                 assert mc.marginal_table(w).tolist() == expected.tolist()
                 vi = bool((r == r[0]).all())
-                cm = bool((expected == expected[0]).all())
+                constant = bool((expected == expected[0]).all())
+                assert cm.tolist() == [constant]
                 assert VERDICT_BY_CODE[code] is mc.classify(w)
                 assert (VERDICT_BY_CODE[code] is mc.Verdict.VALUE_INDEPENDENT) == vi
-                assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == cm
+                assert (VERDICT_BY_CODE[code] is not mc.Verdict.NON_CONSTANT_MARGINAL) == constant
                 assert mc.mutual_information(w).bits == bits
 
 
@@ -357,7 +361,9 @@ class TestDenseKernel:
         w = mc.make_wire(3, [0, 1, 1, 0, 0, 1, 1, 1, 0])
         path = tmp_path / "wire.json"
         mc.save_wire(w, path)
-        calls = itertools.count()  # `_analyze` compares tables, then marginals
+        # Value independence (the tables' compare) is read before `_analyze`
+        # compares the marginals: calls alternate tables, then marginals.
+        calls = itertools.count()
         monkeypatch.setattr(wires, "_rows_equal",
                             lambda a: np.full(len(a), next(calls) % 2 == 0))
         with pytest.raises(mc.TheoryViolation, match="^wire at q=3 is value-independent"):
@@ -528,6 +534,7 @@ class TestBulkClassifier:
         for q in (2, 3, 5, 7):
             cells = rng.integers(0, 2, size=(64, q * q))
             codes = mc.classify_cells_bulk(q, cells)
+            assert mc.classify_cells_bulk(q, cells.astype(np.uint64)).tolist() == codes.tolist()
             for row, code in zip(cells, codes):
                 w = mc.make_wire(q, row)
                 assert mc.classify(w) is mc.wires.VERDICT_BY_CODE[code]
@@ -563,6 +570,21 @@ class TestBulkClassifier:
         `WireFunction` gate refuses them, not cast or overflowed."""
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             mc.classify_cells_bulk(2, cells)
+
+    def test_batch_holds_a_step_of_marginal_tables(self):
+        """64 rows of 4 cells whose largest entry is 32767 have 2^16-cell
+        marginal tables, one a step: the batch counts one row's at a time,
+        within 2 MiB traced, not the 32 MiB of all 64 at once."""
+        cells = np.zeros((64, 4), dtype=np.int64)
+        cells[:, 1] = 32767
+        tracemalloc.start()
+        try:
+            codes = mc.classify_cells_bulk(2, cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes.tolist() == [2] * 64
+        assert peak <= 2 << 20, peak
 
     def test_cell_cap_refused_before_the_marginals(self, monkeypatch):
         """A row whose marginal table (q * alphabet cells) is above the
