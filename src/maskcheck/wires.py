@@ -379,20 +379,16 @@ def _analyze(q: int, cells: np.ndarray, alphabet: int) -> tuple[np.ndarray, np.n
 
     For a fixed mask s1, s0 = x - s1 runs over Z_q as the secret x does, so
     secret x's histogram counts the diagonal s0 + s1 = x: the int64 keys
-    t + `_diagonal_keys` are bincounted.  Whole wires whose tables and
-    marginal tables fit in a step take one bincount; one wire whose marginal
-    table fits in a step but whose table does not sums the bincounts of
-    steps of its rows (`_steps.steps`).  A larger marginal table is counted
-    by `WireFunction._stream`.
+    t + `_diagonal_keys` are bincounted, one bincount per `_steps.steps`
+    step, and summed.  n >= 1 whole wires whose tables and marginal tables
+    fit in a step take one step; one wire whose marginal table fits in a
+    step but whose table does not takes a step of its rows at a time.  A
+    larger marginal table is counted by `WireFunction._stream`.
     """
     n, size = len(cells), len(cells) * q * alphabet
     t, keys = cells.reshape(n, q, q), _diagonal_keys(q, n, alphabet)
-    if t.size <= _steps.STEP_CELLS:
-        m = np.bincount(np.add(t, keys, dtype=np.int64).ravel(), minlength=size)
-    else:
-        m = sum(np.bincount(np.add(t[wires, rows], keys[wires, rows], dtype=np.int64).ravel(),
-                            minlength=size) for wires, rows in _steps.steps(n, q, q))
-    m = m.reshape(n, q, alphabet)
+    m = sum(np.bincount((t[wires, rows] + keys[wires, rows]).ravel(), minlength=size)
+            for wires, rows in _steps.steps(n, q, q)).reshape(n, q, alphabet)
     return _rows_equal(m), m
 
 
@@ -469,12 +465,10 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
             deque((w := WireFunction(q, alphabet, row))._stream(what=f"bulk row {i}"), maxlen=0)
             codes[i] = w._analysis[0]
         return codes
-    vi, row_cells = _rows_equal(cells.reshape(len(cells), q, q)), q * max(q, alphabet)
-    if len(cells) * row_cells <= _steps.STEP_CELLS:  # the batch fits in a step: one call
-        cm = _analyze(q, cells, alphabet)[0]
-    else:
-        cm = np.concatenate([_analyze(q, cells[wires], alphabet)[0]
-                             for wires, _ in _steps.steps(len(cells), 1, row_cells)])
+    cells = cells.astype(np.int64, copy=False)  # the cap bounds every entry
+    vi, cm = _rows_equal(cells.reshape(len(cells), q, q)), np.empty(len(cells), dtype=bool)
+    for wires, _ in _steps.steps(len(cells), 1, q * max(q, alphabet)):
+        cm[wires] = _analyze(q, cells[wires], alphabet)[0]
     return _verdict_codes(q, vi, cm, "bulk row {}")
 
 

@@ -186,7 +186,7 @@ class TestWireConstruction:
     @pytest.mark.parametrize("q,alphabet,dtype", [
         (2, 2, np.uint8), (2, 256, np.uint8), (2, 257, np.uint16),
         (2, 3329, np.uint16), (2, 65536, np.uint16), (2, 70000, np.int32),
-        (300, 2, np.uint8),  # marginals scattered in steps, not one bincount
+        (300, 2, np.uint8),  # marginals counted over several steps of rows
     ])
     def test_table_and_marginals_take_narrow_dtypes(self, q, alphabet, dtype):
         table = np.arange(q * q) % 2 * (alphabet - 1)
@@ -534,7 +534,8 @@ class TestBulkClassifier:
         for q in (2, 3, 5, 7):
             cells = rng.integers(0, 2, size=(64, q * q))
             codes = mc.classify_cells_bulk(q, cells)
-            assert mc.classify_cells_bulk(q, cells.astype(np.uint64)).tolist() == codes.tolist()
+            for dtype in (np.uint64, object):
+                assert mc.classify_cells_bulk(q, cells.astype(dtype)).tolist() == codes.tolist()
             for row, code in zip(cells, codes):
                 w = mc.make_wire(q, row)
                 assert mc.classify(w) is mc.wires.VERDICT_BY_CODE[code]
