@@ -1,12 +1,12 @@
 """classify's output path, and the json text of marginal and wire tables.
 
-Only the runs that print a marginal table or write a wire table import
-this module: `classify` (its handler is here), the json output of
-`witness` and `save_wire`.  classify renders every wire's marginals, in
-every format, from the one stream of its marginal rows, whose pass keeps
-its analysis on the wire (`WireFunction._stream`).  The renderer writes
-non-negative integers into a byte buffer with numpy, a step of rows at a
-time: no Python int or str is made per entry, and temporaries stay a few MB.
+Only `classify` (its handler is here), `wires.wire_json` and `save_wire`
+load this module, which imports neither `cli` nor `wires` as it loads.
+classify renders every wire's marginals, in every format, from the one
+stream of its marginal rows, whose pass keeps its analysis on the wire
+(`WireFunction._stream`).  The renderer writes non-negative integers into
+a byte buffer with numpy, a step of rows at a time: no Python int or str
+is made per entry, and temporaries stay a few MB.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
-from . import cli as _cli
 from ._steps import steps
 
 if TYPE_CHECKING:
@@ -92,17 +91,9 @@ def _table_text(table: np.ndarray, sep: str = ","):
         yield sep + text if i else text
 
 
-def wire_json(wire):
-    """wire_to_dict(wire) as compact JSON text, in pieces (`_table_text`)."""
-    from .wires import WIRE_ORDER
+def cmd_classify(args):
+    from . import cli as _cli  # handlers read the traced names off `cli`
 
-    yield (f'{{"alphabet":{wire.alphabet_size},"order":"{WIRE_ORDER}",'
-           f'"q":{wire.q},"table":[')
-    yield from _table_text(wire.table)
-    yield "]}"
-
-
-def cmd_classify(args) -> _cli.Result:
     try:
         wire = _cli.load_wire(args.wire)
     except OSError as exc:

@@ -61,10 +61,16 @@ def _check_modulus(q) -> int:
 
 
 def _word(value, name: str):
-    """An int array (dtype object past int64) as it is, any other value through `_integer`."""
-    if getattr(value, "ndim", 0) and value.dtype.kind not in "iuO":
+    """An int array as it is; any other value, and each entry of an object
+    array (the dtype past int64) that is not an int, through `_integer`."""
+    if not getattr(value, "ndim", 0):
+        return _integer(value, name)
+    if value.dtype.kind not in "iuO":
         raise ValueError(f"{name} must be an integer, got an array of dtype {value.dtype}")
-    return value if getattr(value, "ndim", 0) else _integer(value, name)
+    if value.dtype.kind == "O" and set(map(type, value.flat)) - {int}:
+        value = value.copy()
+        value.flat = [_integer(entry, name) for entry in value.flat]
+    return value
 
 
 def _outside(value, limit: int):

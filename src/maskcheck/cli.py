@@ -276,6 +276,8 @@ def cmd_urem_check(args) -> Result:
 
 
 def cmd_witness(args) -> Result:
+    from .wires import wire_json
+
     wire = _cli.t6_witness(args.q)
     verdict = _cli.classify(wire)
     mi = _cli.mutual_information(wire)
@@ -285,17 +287,12 @@ def cmd_witness(args) -> Result:
         except OSError as exc:
             raise ValueError(f"cannot write {args.wire_out}: {exc}") from exc
 
-    def wire_json():  # wire_to_dict's text, q^2 entries rendered in steps, for json only
-        from ._render import wire_json
-
-        return wire_json(wire)
-
     doc = {
         "q": wire.q,
         "verdict": verdict.value,
         "mutual_information_bits": mi.bits,
         "mutual_information_is_zero": mi.is_zero,
-        "wire": wire_json,
+        "wire": wire_json(wire),  # its q^2 entries are rendered only by the json output
     }
     return Result(doc, lambda: [
         f"indicator-of-zero witness at q={wire.q}",

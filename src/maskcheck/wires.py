@@ -17,6 +17,8 @@ explicit.  In the vocabulary of netlist screening tools, VALUE_INDEPENDENT
 is the class such tools may safely label secure, CONSTANT_MARGINAL_ONLY is
 the class they conservatively reject despite its leak-free distribution,
 and NON_CONSTANT_MARGINAL is genuinely distinguishable by an observer.
+
+Wire file format: `wire_to_dict`, `wire_json`, `save_wire`, `load_wire`.
 """
 
 from __future__ import annotations
@@ -312,7 +314,9 @@ def _diagonal_keys(q: int, n: int, alphabet: int) -> np.ndarray:
 def _rows_equal(a: np.ndarray) -> np.ndarray:
     """(n,) bools of an (n, rows, cols) batch: does every row of a[b] equal
     its row 0?  A step's results are one per wire of its group, or one per
-    row block of its wire."""
+    row block of its wire.  A batch of at most a step is compared in one
+    call, for the sweep's ~33,000 small batch comparisons: stepped, a fresh
+    `butterfly --q 7 --stages 3` took 1.18 s, not 1.02 s, on 2 CPUs."""
     if a.size <= _steps.STEP_CELLS:
         return (a == a[:, :1]).all(axis=(1, 2))
     parts = [(a[wires, rows] == a[wires, :1]).all(axis=(1, 2))
@@ -827,9 +831,18 @@ def load_wire(path) -> WireFunction:
     return wire_from_dict(_decode_wire_json(data))
 
 
+def wire_json(w: WireFunction):
+    """wire_to_dict(w) as compact JSON text, in pieces (`_render._table_text`)."""
+    from ._render import _table_text
+
+    yield f'{{"alphabet":{w.alphabet_size},"order":"{WIRE_ORDER}","q":{w.q},"table":['
+    yield from _table_text(w.table)
+    yield "]}"
+
+
 def save_wire(w: WireFunction, path):
     """Write json.dumps(wire_to_dict(w)) and a newline to `path`, the table
-    rendered a step of entries at a time (`_render._table_text`)."""
+    rendered as `wire_json` renders it."""
     from ._render import _table_text
 
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,13 +10,12 @@ Two reparametrizations are provided: arithmetic (secret x, mask s1 give the
 first share s0 = x - s1 mod q) and Boolean (XOR masking on k-bit words).
 Both come with checkable round-trip oracles and an enumerative bijectivity
 oracle, kept deliberately independent of the algebra they are checking.
+Only that oracle loads numpy, when it runs; the ring arithmetic loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _integer
 
@@ -161,6 +160,8 @@ def arith_reparam_is_bijection(
     This is intentionally a brute-force image count, not an algebraic
     argument, so it can serve as an independent oracle.
     """
+    import numpy as np
+
     qq = _as_modulus(q).q
     if qq > (cap := _integer(cap, "cap")):
         raise ValueError(f"q={qq} exceeds enumeration cap {cap}")

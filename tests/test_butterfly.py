@@ -47,6 +47,9 @@ class TestMaskedButterfly:
         c, d = mc.butterfly_masked(stage(5, 2), masked(5, 1, 2), masked(5, 4, 0))
         assert c.recombine().value == 1
         assert d.recombine().value == 0
+        a = mc.mask_value(mc.Modulus(5).element(3), mc.Modulus(5).element(2))
+        assert (a.share0.value, a.share1.value, a.q) == (1, 2, 5)
+        assert stage(5, 2).modulus == mc.Modulus(5)
 
     def test_zero_masks_propagate(self):
         c, d = mc.butterfly_masked(stage(7, 3), masked(7, 4, 0), masked(7, 2, 0))
@@ -157,6 +160,12 @@ class TestWireExtraction:
     def test_context_length_checked(self):
         with pytest.raises(ValueError, match="one per stage"):
             mc.extract_wire_function([stage(5, 2)], "s0.c0", "a", [(0, 0), (1, 1)])
+
+    def test_pipeline_checked(self):
+        with pytest.raises(ValueError, match="^pipeline must contain at least one stage$"):
+            mc.extract_wire_function([], "s0.c0", "a", [])
+        with pytest.raises(ValueError, match="^modulus mismatch in pipeline: 7 vs 5$"):
+            mc.extract_wire_function([stage(5, 2), stage(7, 3)], "s0.c0", "a", [(0, 0)] * 2)
 
     def test_invalid_role(self):
         with pytest.raises(ValueError, match="secret_role"):

@@ -288,6 +288,8 @@ class TestPackedDenseAgreement:
         for q in (2, 3):
             for idx in (0, 1, (1 << (q * q)) - 1, 5):
                 assert mc.wire_to_index(mc.index_to_wire(q, idx)) == idx
+        with pytest.raises(ValueError, match="^only Boolean wires have a packed index$"):
+            mc.wire_to_index(mc.make_wire(2, [0, 1, 2, 0], alphabet_size=3))
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):

@@ -558,10 +558,10 @@ class TestWitness:
 
     def test_table_listed_for_json_only(self, capsys, monkeypatch):
         """The wire's q^2-entry table is rendered only when json prints it."""
-        def refused(wire):
+        def refused(table, sep=","):
             raise AssertionError("the wire table was rendered")
 
-        monkeypatch.setattr(_render, "wire_json", refused)
+        monkeypatch.setattr(_render, "_table_text", refused)
         golden = Path(__file__).parent / "data" / "golden"
         for fmt, ext in (("human", "txt"), ("csv", "csv")):
             code, out, _ = run(capsys, "witness", "--q", "5", "--format", fmt)
@@ -975,7 +975,7 @@ class TestJsonEmitter:
         w = mc.make_wire(q, table, alphabet_size=alphabet)
         original, _steps.STEP_CELLS = _steps.STEP_CELLS, budget
         try:
-            text = "".join(_render.wire_json(w))
+            text = "".join(wires.wire_json(w))
             mc.save_wire(w, tmp_path / "wire.json")
         finally:
             _steps.STEP_CELLS = original

@@ -92,6 +92,43 @@ def test_cli_import_loads_no_pool_machinery(tmp_path):
             assert not numpy, argv
 
 
+# Each library call, run in a fresh process after `import maskcheck`: the
+# maskcheck submodules it loads, and the other modules it must leave
+# unloaded.  Ring arithmetic loads no numpy, and writing a wire file loads
+# neither the CLI nor argparse.
+LIBRARY_CALLS = [
+    pytest.param("""
+m = mc.Modulus(3329)
+x, s1 = m.element(5), mc.ZqElement(3000, m)
+assert (x * s1 + x).value == 1689 and mc.arith_reparam_round_trip(x, s1)
+assert (mc.BitWord(8, 5) ^ mc.BitWord(8, 3)).bits == 6
+""", "zq", "numpy", id="ring-arithmetic"),
+    pytest.param("mc.save_wire(mc.t6_witness(3), sys.argv[1])",
+                 "_render _steps wires zq", "argparse", id="save_wire"),
+]
+
+LIBRARY_SCRIPT = """
+import json, sys
+import maskcheck as mc
+{call}
+print(json.dumps([sorted(m.partition(".")[2] for m in sys.modules
+                         if m.startswith("maskcheck.")), sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("call,modules,unloaded", LIBRARY_CALLS)
+def test_library_calls_load_only_their_layers(tmp_path, call, modules, unloaded):
+    """A library call imports the layers it calls and none above them."""
+    src = Path(mc.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_SCRIPT.format(call=call),
+                           str(tmp_path / "wire.json")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, everything = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == modules.split()
+    assert [m for m in unloaded.split() if m in everything] == []
+
+
 def test_threads_start_in_steps_alone():
     """Only `_steps` imports threading, so every thread, lock and in-flight
     bound of the package is set in one module."""
@@ -241,6 +278,15 @@ NOT_INTEGERS = [
                  id="urem_reparam-x-bool-array"),
     pytest.param("x", lambda: mc.urem_reparam(mc.WidthConfig(5, 8), np.array(["1", "2"]), 0),
                  id="urem_reparam-x-str-array"),
+    pytest.param("x", lambda: mc.urem_reparam(mc.WidthConfig(5, 8),
+                                              np.array([1.5], dtype=object), 0),
+                 id="urem_reparam-x-float-object-array"),
+    pytest.param("s1", lambda: mc.urem_reparam(mc.WidthConfig(5, 8), 1,
+                                               np.array([True], dtype=object)),
+                 id="urem_reparam-s1-bool-object-array"),
+    pytest.param("s0", lambda: mc.urem_recombine(mc.WidthConfig(5, 8),
+                                                 np.array([2, "1"], dtype=object), 1),
+                 id="urem_recombine-s0-str-object-array"),
     pytest.param("s0", lambda: mc.urem_recombine(mc.WidthConfig(5, 8), np.array([2.5]), 1),
                  id="urem_recombine-s0-float-array"),
     pytest.param("x", lambda: mc.no_overflow_bounds(5, np.array([1.5]), 0),
@@ -323,8 +369,9 @@ def test_index_objects_are_read_as_their_int():
 
 
 def test_numpy_word_operands_do_not_wrap():
-    """Scalar word operands are read as ints; an int array keeps its
-    min/max scan.  Each result here wraps in int64."""
+    """Scalar word operands, and the numpy ints of an object array, are
+    read as ints; an int array keeps its min/max scan.  Each result here
+    wraps in int64.  The object array passed in is left as it is."""
     cfg = mc.WidthConfig(2**62 + 1, 64)
     s0 = mc.urem_reparam(cfg, np.int64(2**62), np.int64(0))
     assert (s0, type(s0)) == (4611686018427387904, int)
@@ -332,6 +379,10 @@ def test_numpy_word_operands_do_not_wrap():
     assert mc.no_overflow_bounds(np.int64(2**62 + 1), np.int64(2**62), np.int64(0)) == (
         True, True)
     assert mc.urem_reparam(mc.WidthConfig(5, 8), np.array([4, 0]), 1).tolist() == [3, 4]
+    x = np.array([np.int64(2**62), 0], dtype=object)
+    s0 = mc.urem_reparam(cfg, x, np.array([0, np.uint64(2**62)], dtype=object))
+    assert s0.tolist() == [2**62, 1] and [type(v) for v in s0] == [int, int]
+    assert type(x[0]) is np.int64
 
 
 def test_numpy_alphabet_meets_the_cell_cap():

@@ -27,6 +27,7 @@ class TestModulus:
     def test_represents_nist_moduli_exactly(self):
         for q in NIST_MODULI:
             assert mc.Modulus(q).q == q
+        assert repr(mc.Modulus(5)) == "Modulus(5)"
 
 
 class TestZqElement:
@@ -34,6 +35,7 @@ class TestZqElement:
         assert E(5, 7).value == 2
         assert E(5, -1).value == 4
         assert E(1, 123).value == 0
+        assert int(E(5, 7)) == 2
 
     def test_arithmetic_stays_canonical(self):
         a, b = E(7, 6), E(7, 5)
@@ -55,6 +57,8 @@ class TestZqElement:
             E(5, 1) + E(7, 1)
         with pytest.raises(ValueError):
             mc.arith_reparam(E(5, 1), E(7, 1))
+        with pytest.raises(TypeError, match="^expected ZqElement, got int$"):
+            E(5, 1) + 3
 
 
 class TestArithReparam:
@@ -143,10 +147,14 @@ class TestBoolReparam:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             mc.bool_reparam(mc.BitWord(8, 1), mc.BitWord(9, 1))
+        with pytest.raises(TypeError, match="^expected BitWord, got int$"):
+            mc.BitWord(8, 1) ^ 1
 
     def test_bits_out_of_range(self):
         with pytest.raises(ValueError):
             mc.BitWord(4, 16)
+        with pytest.raises(ValueError, match="^width must be >= 0, got -1$"):
+            mc.BitWord(-1, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(
