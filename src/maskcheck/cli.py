@@ -5,6 +5,11 @@ butterfly.  Every subcommand supports --format json|csv|human; JSON output
 carries a versioned "schema" field and is byte-identical across runs for
 identical arguments (including worker counts and seeds).
 
+This module holds the parser, `main`, the output formats and the census
+handler.  The parser names each other subcommand's handler by its module
+(`_render` for classify, `_commands` for the rest), which `_run` imports
+only when it dispatches, so a run compiles no handler but its own.
+
 Exit codes: 0 success (any verdict counts as success for classify),
 2 malformed input or invalid parameters, 3 a theory-contradicting result
 (a soundness violation, an encoding mismatch, a bias bound failure).  Code
@@ -17,6 +22,7 @@ a stdout that fails otherwise (a full disk, say) exits 2.  An interrupt
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -33,9 +39,6 @@ SCHEMA = "maskcheck/1"
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_THEORY_VIOLATION = 3
-
-# Residue count arrays are omitted from bias output above this q.
-FULL_COUNTS_MAX_Q = 1 << 16
 
 # urem-check checks its pairs (q^2, or --samples) a step at a time: the cap
 # bounds the run's time, not what it holds.  Larger runs are refused up front.
@@ -139,14 +142,9 @@ def _emit(result: Result, fmt: str, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each computes a Result; a ValueError means bad input.
+# Subcommands: each computes a Result; a ValueError means bad input.  census
+# is handled here, classify in `_render`, the others in `_commands`.
 # ---------------------------------------------------------------------------
-
-
-def cmd_classify(args) -> Result:
-    from ._render import cmd_classify
-
-    return cmd_classify(args)
 
 
 def cmd_census(args) -> Result:
@@ -169,169 +167,6 @@ def cmd_census(args) -> Result:
         ("CONSTANT_MARGINAL_ONLY", report.count_conservative),
         ("NON_CONSTANT_MARGINAL", report.count_non_constant),
     ], alarm=alarm)
-
-
-def cmd_bias(args) -> Result:
-    profile = _cli.bias_profile(args.n, args.q)
-    bounds_ok = _cli.verify_bounds(profile)
-    doc = {
-        "n": profile.n_values,
-        "q": profile.q,
-        "min_count": profile.min_count,
-        "max_count": profile.max_count,
-        "ratio": profile.ratio_str,
-        "divides_exactly": profile.divides_exactly,
-        "floor_bound": profile.floor_bound,
-        "ceil_bound": profile.ceil_bound,
-        "bounds_verified": bounds_ok,
-    }
-    csv = None
-    if profile.q <= FULL_COUNTS_MAX_Q:
-        doc["counts"] = counts = profile.counts
-        csv = lambda: [("residue", "count"), *enumerate(counts)]
-    else:
-        doc["counts_omitted"] = f"q > {FULL_COUNTS_MAX_Q}, summary only"
-    return Result(doc, lambda: [
-        f"bias profile of {{0..{profile.n_values - 1}}} mod {profile.q}",
-        f"  min count: {profile.min_count}   max count: {profile.max_count}",
-        f"  ratio: {profile.ratio_str}   divides exactly: {profile.divides_exactly}",
-        f"  bounds [floor, ceil] = [{profile.floor_bound}, {profile.ceil_bound}]"
-        f"   verified: {bounds_ok}",
-    ], csv=csv, alarm=None if bounds_ok else "residue counts violate the floor/ceil bounds")
-
-
-def cmd_bounds(args) -> Result:
-    cfg = _cli.WidthConfig(args.q, args.w)
-    # Corner inputs of the no-overflow range double as a smoke check.
-    corners_ok = all(_cli.no_overflow_bounds(cfg.q, 0, cfg.q - 1)
-                     + _cli.no_overflow_bounds(cfg.q, cfg.q - 1, 0))
-    doc = {
-        "q": cfg.q,
-        "width": cfg.width,
-        "admissible": cfg.admissible,
-        "two_q": 2 * cfg.q,
-        "width_capacity": 1 << cfg.width,
-        "intermediate_min": 1,
-        "intermediate_max_exclusive": 2 * cfg.q,
-        "corner_checks_ok": corners_ok,
-    }
-    verdict = "admissible" if cfg.admissible else "NOT admissible"
-    return Result(doc, lambda: [
-        f"q={cfg.q} at width {cfg.width}: {verdict} "
-        f"(2q = {2 * cfg.q} vs 2^w = {1 << cfg.width})",
-        f"intermediate x + q - s1 ranges over [1, {2 * cfg.q})",
-        f"corner checks ok: {corners_ok}",
-    ], alarm=None if corners_ok else "no-overflow corner check failed")
-
-
-def cmd_urem_check(args) -> Result:
-    cfg = _cli.WidthConfig(args.q, args.w)
-    if args.samples < 1:
-        raise ValueError(f"samples must be >= 1, got {args.samples}")
-    cfg.require_admissible()
-    q = args.q
-    mode = "exhaustive" if args.exhaustive or q * q <= args.samples else "sampled"
-    n_pairs = q * q if mode == "exhaustive" else args.samples
-    if n_pairs > UREM_MAX_PAIRS:
-        raise ValueError(
-            f"{n_pairs} pairs to check, above the cap of {UREM_MAX_PAIRS}")
-    if mode == "sampled" and q > 1 << 63:
-        raise ValueError(f"q={q} is above 2^63, but sampled residues "
-                         "are drawn as int64")
-    import numpy as np
-
-    from ._steps import steps
-
-    rng = stream_rng(args.seed, "urem-check") if mode == "sampled" else None
-    mismatches = 0
-    round_trip_failures = 0
-    for _, rows in steps(1, n_pairs, 1):
-        if mode == "exhaustive":
-            x, s1 = np.divmod(np.arange(rows.start, rows.stop), q)
-        else:
-            x, s1 = rng.integers(0, q, size=(2, rows.stop - rows.start))
-        if 2 * q >= 1 << 63:  # x + q would wrap in int64
-            x, s1 = x.astype(object), s1.astype(object)
-        s0 = _cli.urem_reparam(cfg, x, s1)
-        mismatches += int(np.count_nonzero(s0 != (x - s1) % q))
-        round_trip_failures += int(np.count_nonzero(_cli.urem_recombine(cfg, s0, s1) != x))
-    doc = {
-        "q": q,
-        "width": args.w,
-        "mode": mode,
-        "seed": args.seed,
-        "pairs_checked": n_pairs,
-        "mismatches": mismatches,
-        "round_trip_failures": round_trip_failures,
-    }
-    alarm = None
-    if mismatches or round_trip_failures:
-        alarm = "word-level encoding disagrees with ring arithmetic"
-    return Result(doc, lambda: [
-        f"urem encoding check at q={q}, width {args.w} ({mode}, "
-        f"{n_pairs} pairs, seed {args.seed})",
-        f"  mismatches vs ring subtraction: {mismatches}",
-        f"  round-trip failures: {round_trip_failures}",
-    ], alarm=alarm)
-
-
-def cmd_witness(args) -> Result:
-    from .wires import wire_json
-
-    wire = _cli.t6_witness(args.q)
-    verdict = _cli.classify(wire)
-    mi = _cli.mutual_information(wire)
-    if args.wire_out:
-        try:
-            _cli.save_wire(wire, args.wire_out)
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.wire_out}: {exc}") from exc
-
-    doc = {
-        "q": wire.q,
-        "verdict": verdict.value,
-        "mutual_information_bits": mi.bits,
-        "mutual_information_is_zero": mi.is_zero,
-        "wire": wire_json(wire),  # its q^2 entries are rendered only by the json output
-    }
-    return Result(doc, lambda: [
-        f"indicator-of-zero witness at q={wire.q}",
-        f"verdict: {verdict.value}",
-        f"mutual information: {mi.bits} bits (exactly zero: {mi.is_zero})",
-        "a constant-marginal wire that is not value-independent: the "
-        "conservative gap is real at this modulus",
-    ])
-
-
-def cmd_butterfly(args) -> Result:
-    report = _cli.conjecture_sweep(
-        q=args.q,
-        n_stages=args.stages,
-        twiddle_set=args.twiddles,
-        secret_roles=tuple(args.roles.split(",")),
-        include_adversarial=not args.no_adversarial,
-    )
-    doc = report.to_dict()
-    taps = doc["tap_verdict_counts"]  # only the nonzero counts, in verdict order
-
-    def human():
-        yield (f"butterfly sweep: q={report.q}, {report.n_stages} stage(s), "
-               f"twiddles {list(report.twiddle_set)}, roles {list(report.secret_roles)}")
-        yield f"configurations: {report.n_configurations}"
-        yield f"clean: {report.clean}"
-        for tap in sorted(taps):
-            yield f"  {tap}: {taps[tap]}"
-        yield report.note
-
-    alarm = None
-    if not report.clean:
-        alarm = (f"sweep flagged {len(report.non_constant_marginal)} sharewise "
-                 f"non-constant-marginal taps and "
-                 f"{len(report.value_independent_adversarial)} "
-                 "value-independent recombination probes")
-    return Result(doc, human, csv=lambda: [("tap", "verdict", "count"), *(
-        (tap, verdict, n) for tap in sorted(taps) for verdict, n in taps[tap].items()
-    )], alarm=alarm)
 
 
 # ---------------------------------------------------------------------------
@@ -372,36 +207,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = f"{__package__}._commands"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "human"), default="human",
         help="output format (default: human)",
     )
 
-    def command(name, func, help):
+    def command(name, module, help):
+        """A subcommand whose handler, cmd_<name with "_" for "-">, is
+        defined in `module`, which `_run` imports when it dispatches."""
         p = sub.add_parser(name, parents=[common], help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(module=module)
         return p
 
-    p = command("classify", cmd_classify, "classify a wire-function JSON file")
+    p = command("classify", f"{__package__}._render", "classify a wire-function JSON file")
     p.add_argument("wire", help="path to a wire-function JSON file")
 
-    p = command("census", cmd_census, "exhaustive verdict census at small q")
+    p = command("census", __name__, "exhaustive verdict census at small q")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility, must be >= 1; the count "
                         "always runs in one process (default: 1)")
 
-    p = command("bias", cmd_bias, "residue bias of {0..N-1} reduced mod q")
+    p = command("bias", commands, "residue bias of {0..N-1} reduced mod q")
     p.add_argument("--n", type=int, required=True,
                    help="sample-space size N (e.g. 4096 for a 12-bit RNG)")
     p.add_argument("--q", type=int, required=True)
 
-    p = command("bounds", cmd_bounds, "width admissibility and overflow range")
+    p = command("bounds", commands, "width admissibility and overflow range")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, required=True, help="register width in bits")
 
-    p = command("urem-check", cmd_urem_check,
+    p = command("urem-check", commands,
                 "word-level vs ring reparametrization equivalence")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", type=int, default=24)
@@ -410,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="check all q^2 pairs instead of sampling")
 
-    p = command("witness", cmd_witness,
+    p = command("witness", commands,
                 "the constant-marginal, non-value-independent wire")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--wire-out", default=None,
                    help="also write the wire-function JSON to this path")
 
-    p = command("butterfly", cmd_butterfly, "masked butterfly composition sweep")
+    p = command("butterfly", commands, "masked butterfly composition sweep")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--stages", type=int, default=1)
     p.add_argument("--twiddles", type=int_list, default=None,
@@ -441,8 +279,10 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    handler = getattr(importlib.import_module(args.module),
+                      "cmd_" + args.command.replace("-", "_"))
     try:
-        result = args.func(args)
+        result = handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -40,7 +40,8 @@ def test_public_imports_are_exported():
 # loads and which of hashlib, fractions, dataclasses and inspect (which
 # dataclasses imports).  numpy is allowed for the other subcommands;
 # census, bounds, bias and the paths that run none must leave it unloaded.  Only
-# the subcommands that print a marginal or wire table load the renderer.
+# the subcommands that print a marginal or wire table load the renderer, and
+# only bias, bounds, urem-check, witness and butterfly load their handlers.
 DC = "dataclasses inspect"
 ENTRY_PATHS = [
     (["--version"], "cli", ""),
@@ -48,11 +49,12 @@ ENTRY_PATHS = [
     (["urem-check", "--q", "7", "--seed", "-1"], "cli", ""),  # a usage error
     (["census", "--q", "3"], "census cli", ""),
     (["classify", "{wire}"], "_render _steps cli wires zq", DC),
-    (["witness", "--q", "3"], "_steps cli wires zq", DC),
-    (["butterfly", "--q", "2"], "_steps butterfly cli wires zq", DC),
-    (["bias", "--n", "16", "--q", "5"], "cli rngbias", "fractions"),
-    (["bounds", "--q", "5", "--w", "8"], "bitvec cli", DC),
-    (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "_steps bitvec cli", f"hashlib {DC}"),
+    (["witness", "--q", "3"], "_commands _steps cli wires zq", DC),
+    (["butterfly", "--q", "2"], "_commands _steps butterfly cli wires zq", DC),
+    (["bias", "--n", "16", "--q", "5"], "_commands cli rngbias", "fractions"),
+    (["bounds", "--q", "5", "--w", "8"], "_commands bitvec cli", DC),
+    (["urem-check", "--q", "7", "--w", "8", "--samples", "5"], "_commands _steps bitvec cli",
+     f"hashlib {DC}"),
 ]
 
 ENTRY_SCRIPT = """
