@@ -306,4 +306,7 @@ def _run(args) -> int:
 
 
 if __name__ == "__main__":
+    # Under `python -m maskcheck.cli` the handler modules' `from . import cli`
+    # must bind this module, not compile a second copy of it.
+    sys.modules.setdefault(f"{__package__}.cli", _cli)
     sys.exit(main())

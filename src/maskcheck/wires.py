@@ -176,7 +176,7 @@ class WireFunction:
         m.setflags(write=False)
         return m
 
-    def _stream(self, fn=None):
+    def _stream(self, fn=None, what: str = "wire"):
         """The marginal table, one step of secret rows at a time in secret
         order: yields (rows, fn(counts)) for a block of rows `counts`, or
         (rows, None) where every row of the block equals row 0 (`_row0`).
@@ -191,8 +191,8 @@ class WireFunction:
         (`_keys`), one equal to row 0 counts row 0's keys once a row, and the
         pass merges the histograms it holds past STEP_CELLS keys.  The end
         keeps the wire's analysis, (verdict code, mutual information in bits,
-        None), as `_analysis`, raising TheoryViolation where the wire is
-        value-independent but its marginal is not constant.
+        None), as `_analysis`, raising TheoryViolation, named by `what`, where
+        the wire is value-independent but its marginal is not constant.
         """
         q, alphabet = self.q, self.alphabet_size
         if not _in_blocks(q, alphabet):
@@ -218,7 +218,7 @@ class WireFunction:
             if sum(len(k) for k, _ in histograms[1:]) > _steps.STEP_CELLS:
                 histograms = [_merge(histograms)]
             yield rows, out
-        code = int(_verdict_codes(q, np.array([vi]), np.array([row0_rows == q]), "wire")[0])
+        code = int(_verdict_codes(q, np.array([vi]), np.array([row0_rows == q]), what)[0])
         bits = 0.0 if row0_rows == q else _information_bits(
             q, alphabet, *_merge([*histograms, _keys(row0, alphabet, row0_rows)]))
         self.__dict__["_analysis"] = (code, bits, None)
@@ -443,47 +443,17 @@ def classify(w: WireFunction) -> Verdict:
     return VERDICT_BY_CODE[w._analysis[0]]
 
 
-def _sorted_diagonals(q: int, tables: np.ndarray, x0: int, base: np.ndarray) -> np.ndarray:
-    """(len(tables), len(base), q): the diagonals t[(x - s1) % q, s1] of
-    secrets x0 .. x0 + len(base) - 1 of flat s0-major tables, gathered
-    through `base` (`_diagonal_cells`), each sorted."""
-    return np.sort(np.take(tables, base + x0 * q, axis=1, mode="wrap"))
-
-
-def _diagonals_match(q: int, cells: np.ndarray) -> np.ndarray:
-    """Constant-marginal predicates (n,) of n flat s0-major tables, without
-    counting: two secrets' histograms are equal iff their diagonals are
-    equal multisets, so every secret's sorted diagonal is compared with
-    secret 0's.  One `_steps.steps` step at a time on `_steps.in_threads`:
-    groups of whole tables, or row blocks of one large table."""
-    steps = _steps.steps(len(cells), q, q)
-    base = _diagonal_cells(q, steps[0][1].stop if steps else 0)
-
-    def matches(step):
-        wires, rows = step
-        tables = cells[wires]
-        row0 = _sorted_diagonals(q, tables, 0, base[:1])
-        diagonals = _sorted_diagonals(q, tables, rows.start, base[:rows.stop - rows.start])
-        return (diagonals == row0).all(axis=(1, 2))
-
-    cm = np.ones(len(cells), dtype=bool)
-    for (wires, _), match in zip(steps, _steps.in_threads(matches, steps)):
-        cm[wires] &= match
-    return cm
-
-
 def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
     """Verdict codes for many flat s0-major tables at once.
 
     `cells` has shape (n, q*q) and non-negative integer entries; the
     alphabet is taken as the largest entry plus one, and a row is held to
-    the cell cap of one wire before anything is allocated.  Rows whose
-    marginal tables are no wider than their tables and fit in a step are
-    counted by `_analyze`, a group of rows that fits in a step at a time;
-    wider or larger ones are compared by their sorted diagonals
-    (`_diagonals_match`), which counts nothing.  The result holds one code
-    per row, indexing into VERDICT_BY_CODE; the soundness cross-check runs
-    on every row, same as `classify`.
+    the cell cap of one wire before the marginals are allocated.  A row
+    whose marginal table is larger than a step is classified as a
+    `WireFunction`, by its `_stream`; the others by `_analyze`, a group of
+    rows whose tables and marginal tables fit in a step at a time.  The
+    result holds one code per row, indexing into VERDICT_BY_CODE; the
+    soundness cross-check runs on every row, same as `classify`.
     """
     q = _as_modulus(q).q
     cells = _integer_array(cells, "cell")
@@ -493,16 +463,16 @@ def classify_cells_bulk(q: int, cells: np.ndarray) -> np.ndarray:
         raise ValueError("cells must be non-negative")
     alphabet = int(cells.max(initial=0)) + 1
     _check_cell_cap(q, alphabet)
-    wide = q * alphabet > min(q * q, _steps.STEP_CELLS)
-    dtype = _symbol_dtype(alphabet) if wide else np.int64  # the cap bounds every entry
-    cells = cells.astype(dtype, copy=False)
-    vi = _rows_equal(cells.reshape(len(cells), q, q))
-    if wide:
-        cm = _diagonals_match(q, cells)
-    else:
-        cm = np.empty(len(cells), dtype=bool)
-        for wires, _ in _steps.steps(len(cells), 1, q * q):
-            cm[wires] = _analyze(q, cells[wires], alphabet)[0]
+    if _in_blocks(q, alphabet):
+        codes = np.empty(len(cells), dtype=np.int8)
+        for i, row in enumerate(cells):
+            deque((w := WireFunction(q, alphabet, row))._stream(what=f"bulk row {i}"), maxlen=0)
+            codes[i] = w._analysis[0]
+        return codes
+    cells = cells.astype(np.int64, copy=False)  # the cap bounds every entry
+    vi, cm = _rows_equal(cells.reshape(len(cells), q, q)), np.empty(len(cells), dtype=bool)
+    for wires, _ in _steps.steps(len(cells), 1, q * max(q, alphabet)):
+        cm[wires] = _analyze(q, cells[wires], alphabet)[0]
     return _verdict_codes(q, vi, cm, "bulk row {}")
 
 

@@ -94,6 +94,23 @@ def test_cli_import_loads_no_pool_machinery(tmp_path):
             assert not numpy, argv
 
 
+@pytest.mark.parametrize("argv", [["bias", "--n", "16", "--q", "5"], ["classify", "{wire}"]])
+def test_module_run_imports_cli_once(tmp_path, argv):
+    """`python -m maskcheck.cli` runs its handlers against the running
+    module: `maskcheck.cli` is never imported as a second copy."""
+    wire = tmp_path / "wire.json"
+    wire.write_text('{"q": 2, "alphabet": 2, "order": "s0_major", "table": [0, 1, 1, 0]}')
+    argv = [arg.format(wire=wire) for arg in argv]
+    src = Path(mc.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "maskcheck.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "maskcheck.cli" not in imported and "maskcheck" in imported
+    assert proc.stdout
+
+
 # Each library call, run in a fresh process after `import maskcheck`: the
 # maskcheck submodules it loads, and the other modules it must leave
 # unloaded.  Ring arithmetic loads no numpy, and writing a wire file loads

@@ -357,8 +357,7 @@ class TestDenseKernel:
         """Where a wire's tables compare equal but its marginal tables do
         not, the kernel raises TheoryViolation naming the wire: `classify`
         the wire, `classify_cells_bulk` its row, and the CLI exits 3 with
-        nothing on stdout; so does `classify` for a wire counted in blocks,
-        and `classify_cells_bulk` for a row compared by sorted diagonals."""
+        nothing on stdout; so do both, for a wire counted in blocks."""
         w = mc.make_wire(3, [0, 1, 1, 0, 0, 1, 1, 1, 0])
         path = tmp_path / "wire.json"
         mc.save_wire(w, path)
@@ -374,8 +373,8 @@ class TestDenseKernel:
         assert cli.main(["classify", str(path)]) == 3
         out, err = capsys.readouterr()
         assert not out and err.startswith("theory violation: wire at q=3 ")
-        # A value-independent residue wire counted in blocks, or compared by
-        # sorted diagonals, where every block after secret 0's is one column off.
+        # A value-independent residue wire counted in blocks, where every
+        # block after secret 0's is counted one column off.
         monkeypatch.undo()
         q, table = 13, np.tile(np.arange(13) % 3, 13)
         monkeypatch.setattr(_steps, "STEP_CELLS", 20)
@@ -383,9 +382,6 @@ class TestDenseKernel:
         count_block = wires._count_block
         monkeypatch.setattr(wires, "_count_block", lambda q, t, a, base, x0: np.roll(
             count_block(q, t, a, base, x0), int(x0 > 0), axis=1))
-        sorted_diagonals = wires._sorted_diagonals
-        monkeypatch.setattr(wires, "_sorted_diagonals", lambda q, t, x0, base: np.roll(
-            sorted_diagonals(q, t, x0, base), int(x0 > 0), axis=-1))
         with pytest.raises(mc.TheoryViolation, match="^bulk row 0 at q=13 is value-independent"):
             mc.classify_cells_bulk(q, np.vstack([table, table]))
         with pytest.raises(mc.TheoryViolation, match="^wire at q=13 "):
@@ -532,27 +528,6 @@ class TestClassify:
             mc.classify(mc.make_wire(2, table))
 
 
-@st.composite
-def narrow_batches(draw):
-    """(q, alphabet, cells) of 1 to 9 rows at q <= 7 with an alphabet of
-    at most q: functions of s1, of s0 or of s0 + s1, random tables, a
-    function of s0 with one cell changed, and the witness."""
-    q = draw(st.integers(1, 7))
-    alphabet = draw(st.integers(1, q))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    s0, s1 = np.divmod(np.arange(q * q), q)
-    rows = []
-    for _ in range(draw(st.integers(1, 9))):
-        g = rng.integers(0, alphabet, q)
-        changed = g[s0]
-        changed[rng.integers(q * q)] = rng.integers(alphabet)
-        kinds = [g[s1], g[s0], g[(s0 + s1) % q], rng.integers(0, alphabet, q * q), changed]
-        if alphabet >= 2:
-            kinds.append(mc.t6_witness(q).table)
-        rows.append(kinds[draw(st.integers(0, len(kinds) - 1))])
-    return q, alphabet, np.array(rows, dtype=np.int64)
-
-
 class TestBulkClassifier:
     def test_matches_scalar_classify(self):
         rng = np.random.default_rng(21)
@@ -611,48 +586,6 @@ class TestBulkClassifier:
             tracemalloc.stop()
         assert codes.tolist() == [2] * 64
         assert peak <= 2 << 20, peak
-
-    def test_wide_rows_compared_by_sorted_diagonals(self, monkeypatch):
-        """Rows whose marginal tables are wider than their tables, or larger
-        than a step, get the verdicts of `classify` on each row as a wire,
-        from their sorted diagonals: neither `_analyze` nor a `WireFunction`
-        is called."""
-        rng = np.random.default_rng(23)
-        boolean = np.array([batch_row(rng, 2, 2, i) for i in range(64)])
-        batches = [
-            (2, boolean * 32767),  # 2^16-cell marginal tables of 4-cell rows
-            (5, np.array([batch_row(rng, 5, 9, i) for i in range(16)])),
-            (13, np.array([batch_row(rng, 13, 13, i) for i in range(8)])),  # row blocks
-        ]
-        batches[1][1][0] = mc.t6_witness(5).table * 8
-        expected = [[mc.classify(mc.make_wire(q, row, int(cells.max()) + 1)).value
-                     for row in cells] for q, cells in batches]
-        assert {v for codes in expected for v in codes} == {v.value for v in mc.Verdict}
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("called")
-
-        monkeypatch.setattr(wires, "_analyze", refuse)
-        monkeypatch.setattr(wires, "WireFunction", refuse)
-        for (q, cells), verdicts in zip(batches, expected):
-            if q == 13:  # 169 cells: a step of 20 is one row of 13
-                monkeypatch.setattr(_steps, "STEP_CELLS", 20)
-            codes = mc.classify_cells_bulk(q, cells)
-            assert [VERDICT_BY_CODE[code].value for code in codes] == verdicts, q
-
-    @settings(max_examples=300, deadline=None)
-    @given(narrow_batches(), st.sampled_from([1, 20, _steps.STEP_CELLS]),
-           st.sampled_from([1, 2]))
-    def test_sorted_diagonals_agree_with_the_count(self, batch, step, threads):
-        """The sorted-diagonal predicate, a second path that counts nothing,
-        agrees with `_analyze`'s constant-marginal predicate on narrow
-        batches, in steps of one row to whole groups, on 1 and 2 threads."""
-        q, alphabet, cells = batch
-        expected = _analyze(q, cells, alphabet)[0].tolist()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_steps, "STEP_CELLS", step)
-            mp.setattr(_steps, "usable_cpus", lambda: threads)
-            assert wires._diagonals_match(q, cells).tolist() == expected
 
     def test_cell_cap_refused_before_the_marginals(self, monkeypatch):
         """A row whose marginal table (q * alphabet cells) is above the
