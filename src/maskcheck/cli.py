@@ -15,13 +15,22 @@ Exit codes: 0 success (any verdict counts as success for classify),
 (a soundness violation, an encoding mismatch, a bias bound failure).  Code
 3 never occurs in a correct build; CI should treat it as an alarm, not a
 test failure.  A reader that closes stdout early does not change the code;
-a stdout that fails otherwise (a full disk, say) exits 2.  An interrupt
-(Ctrl-C) exits 130 with one "error: interrupted" line and no traceback.
+a stdout that fails otherwise (a full disk, say) exits 2.  A run that runs
+out of memory exits 2 with one "error: out of memory" line, and an
+interrupt (Ctrl-C) exits 130 with one "error: interrupted" line; neither
+prints a traceback.
+
+A process that calls `main` skips the interpreter's final cyclic garbage
+collection: `main` registers `gc.freeze` to run at exit, so objects held
+in reference cycles at exit are not finalized.  A library caller of
+`main` inherits that at its own exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib
 import json
 import os
@@ -43,6 +52,9 @@ EXIT_THEORY_VIOLATION = 3
 # urem-check checks its pairs (q^2, or --samples) a step at a time: the cap
 # bounds the run's time, not what it holds.  Larger runs are refused up front.
 UREM_MAX_PAIRS = 1 << 24
+
+# The `gc.freeze` that `main` registers with atexit, None until `main` runs.
+_exit_hook = None
 
 def __getattr__(name: str):
     """Binds a public name of the package here the first time it is read
@@ -269,6 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand of `argv` (default: sys.argv[1:]) and return its
+    exit code.  At interpreter exit `gc.freeze` moves every live object
+    into the permanent generation, so the final cyclic collection does not
+    walk the module graph (numpy's above all); objects held in reference
+    cycles are then not finalized.  The hook is registered once per
+    process, however often `main` runs, and changes nothing before exit."""
+    global _exit_hook
+    if _exit_hook is None:
+        _exit_hook = atexit.register(gc.freeze)
     if "numpy" not in sys.modules:  # no command calls BLAS: keep its idle pool off a CPU
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
@@ -285,6 +306,9 @@ def _run(args) -> int:
         result = handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:  # a backstop: inputs are to be refused before this
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_BAD_INPUT
     except _theory_violation() as exc:
         print(f"theory violation: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import io
 import json
@@ -336,6 +337,18 @@ class TestCensus:
         except KeyboardInterrupt:  # uncaught, it would end the test session
             pytest.fail("KeyboardInterrupt escaped main")
         assert result == (130, "", "error: interrupted\n")
+
+    @pytest.mark.parametrize("detail,line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 8.00 GiB", "error: out of memory: Unable to allocate 8.00 GiB\n"),
+    ])
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, detail, line):
+        """A run that runs out of memory: one error line and exit 2, no traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(cli, "run_census", exhausted)
+        assert run(capsys, "census", "--q", "2") == (2, "", line)
 
 
 class TestBias:
@@ -862,6 +875,58 @@ class TestOpenblasThreads:
         environ = dict(os.environ)
         assert run(capsys, "witness", "--q", "3")[0] == 0
         assert dict(os.environ) == environ
+
+
+class TestExitFreeze:
+    """`main` registers `gc.freeze` with atexit, once per process, so the
+    interpreter's final cyclic collection skips what is alive at exit."""
+
+    SCRIPT = """
+import atexit, gc, json
+frozen = []
+freeze = gc.freeze
+def counted():
+    frozen.append(1)
+    freeze()
+gc.freeze = counted
+before = atexit._ncallbacks()
+def report():  # registered first, so it runs after the hook
+    print(json.dumps([gc.get_freeze_count() > 0, len(frozen)]))
+atexit.register(report)
+from maskcheck.cli import main
+codes = [main(["bounds", "--q", "5", "--w", "8"]) for _ in range(3)]
+print(json.dumps([codes, atexit._ncallbacks() - before]))
+"""
+
+    def script_output(self, script):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        return [json.loads(line) for line in proc.stdout.splitlines()[-2:]]
+
+    def test_frozen_at_exit_by_one_hook(self):
+        """Three calls of `main` register one hook (and the script's own
+        checker); it runs once, before the checker, and freezes the heap."""
+        assert self.script_output(self.SCRIPT) == [[[0, 0, 0], 2], [True, 1]]
+
+    def test_import_registers_nothing(self):
+        script = ("import atexit, json\nbefore = atexit._ncallbacks()\n"
+                  "import maskcheck.cli\nprint(json.dumps(atexit._ncallbacks() - before))\n"
+                  "print(json.dumps(maskcheck.cli._exit_hook))")
+        assert self.script_output(script) == [0, None]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_gc_state_alone(self, capsys, enabled):
+        """An in-process call freezes nothing and leaves collection on or off."""
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert run(capsys, "census", "--q", "2")[0] == 0
+            assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestStreamRng:

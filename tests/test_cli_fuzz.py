@@ -3,7 +3,8 @@
 Generated argv for every subcommand and malformed wire documents must end
 in exit 0, or in exit 2 with nothing on stdout; no exception escapes and
 exit 3 (a theory violation) never fires.  An argv that argparse rejects
-exits 2 through SystemExit, as the console script would.
+exits 2 through SystemExit, as the console script would.  A handler that
+runs out of memory, whatever its arguments, ends in exit 2 and one line.
 
 Values include bools, floats, negative, huge and malformed numbers, but
 work stays cheap: census q <= 4 (at most 65,536 wires), --samples <= 1000,
@@ -11,17 +12,19 @@ butterfly q <= 3 with <= 2 stages, and values above a size cap only where
 that cap rejects them before any work.
 """
 
+import importlib
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from maskcheck.cli import main
+from maskcheck.cli import build_parser, main
 
 HUGE = st.integers(10**20, 10**40) | st.integers(-(10**40), -(10**20))
 # Spellings argparse's int() rejects, next to ones it accepts.
@@ -149,6 +152,7 @@ def check_contract(argv):
     if code == 2:
         assert out.getvalue() == "", argv
         assert err.getvalue(), argv
+    return code, err.getvalue()
 
 
 FUZZ = settings(max_examples=80, deadline=None,
@@ -171,3 +175,28 @@ def test_malformed_wire_documents(text, fmt):
         path = Path(tmp) / "wire.json"
         path.write_text(text)
         check_contract(["classify", str(path), "--format", fmt])
+
+
+OUT_OF_MEMORY_ARGV = dict(ARGV, classify=command("classify", st.just(["{tmp}/wire.json"]), FORMAT))
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_MEMORY_ARGV))
+@FUZZ
+@given(data=st.data(), detail=st.sampled_from(["", "Unable to allocate 8.00 GiB"]))
+def test_out_of_memory_exits_2(name, data, detail):
+    """Each subcommand's handler, replaced by one that raises MemoryError."""
+    def exhausted(args):
+        raise MemoryError(detail)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{tmp}", tmp) for a in data.draw(OUT_OF_MEMORY_ARGV[name])]
+        try:
+            with redirect_stderr(io.StringIO()):
+                args = build_parser().parse_args(argv)
+        except SystemExit:  # argparse rejected the argv: no handler runs
+            return
+        handler = "cmd_" + args.command.replace("-", "_")
+        with mock.patch.object(importlib.import_module(args.module), handler, exhausted):
+            code, err = check_contract(argv)
+    assert code == 2, argv
+    assert err == "error: out of memory" + (f": {detail}" if detail else "") + "\n", argv
