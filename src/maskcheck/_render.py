@@ -41,14 +41,14 @@ def _render_rows(block: np.ndarray) -> str:
     lengths = digits + np.uint8(1)
     lengths[:, 0] += 2
     ends = np.cumsum(lengths.ravel(), dtype=np.intp)
-    buf = np.empty(int(ends[-1]), dtype=np.uint8)
-    buf[ends - 1] = ord(",")
+    # Every byte that is not a digit, "[" or "]" is a comma.
+    buf = np.full(int(ends[-1]), ord(","), dtype=np.uint8)
     buf[ends[cols - 1::cols] - 1] = ord("]")
-    opens = ends[::cols] - digits[:, 0] - 2
-    buf[opens] = ord("[")
-    buf[opens - 1] = ord(",")
-    # Digits right to left; an entry drops out after its leading digit.
-    pos, x = ends - 2, block.ravel()
+    buf[ends[::cols] - digits[:, 0] - 2] = ord("[")
+    # Digits right to left, from each entry's last, whose positions are
+    # the ends moved in place; an entry drops out after its leading digit.
+    pos, x = ends, block.ravel()
+    pos -= 2
     while pos.size:
         quotient = x // 10
         buf[pos] = (x - quotient * 10).astype(np.uint8) + np.uint8(ord("0"))

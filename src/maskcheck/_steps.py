@@ -10,10 +10,10 @@ import threading
 # and `classify_packed` step 2^16 entries, pairs or indices.
 STEP_CELLS = 1 << 16
 
-# Threads at most, one per usable CPU.  Of what they run, np.fromstring,
-# the one-digit chunk check's compares, np.take, np.bincount and the
-# renderer's numpy steps release the GIL; bytes.translate and isdigit,
-# which a multi-digit chunk parse also runs, hold it.
+# Threads at most, one per usable CPU.  Of what they run, the chunk
+# checks' byte counts and compares, np.fromstring, the block count's
+# strided copies and np.bincount, and the renderer's numpy steps release
+# the GIL; the Python between the calls holds it.
 MAX_THREADS = 8
 ITEMS_PER_THREAD = 4  # per thread, items `in_threads` takes ahead: bounds results held
 

@@ -46,7 +46,7 @@ DEFAULT_CELL_CAP = 1 << 26
 # Bytes of a wire file that the loader reads, or parses, at once (a chunk
 # of the table body is cut at a comma): a residue file is then held as its
 # table and about this much besides.
-PARSE_CHUNK = 1 << 20
+PARSE_CHUNK = 1 << 19
 
 
 class TheoryViolation(RuntimeError):
@@ -203,10 +203,9 @@ class WireFunction:
             yield from ((rows, None) for rows in blocks)
             return
         table, vi, row0 = self.table, self._value_independent, self._row0
-        base = _diagonal_cells(q, blocks[0].stop)
 
         def count(rows):
-            counts = _count_block(q, table, alphabet, base[:rows.stop - rows.start], rows.start)
+            counts = _count_block(q, table, alphabet, rows.stop - rows.start, rows.start)
             same = bool((counts == row0).all())
             hist = [] if same or vi else [_keys(counts, alphabet)]
             return same, hist, None if same or fn is None else fn(counts)
@@ -278,7 +277,8 @@ def reparam_table(w: WireFunction) -> np.ndarray:
     Row x is the wire's output over all masks for secret x.  The analysis
     never builds this view (see `_analyze`); it is here to be printed.
     """
-    return w.table[_diagonal_cells(w.q, w.q)]
+    x, s1 = np.ogrid[:w.q, :w.q]
+    return w.table[(x - s1) % w.q * w.q + s1]
 
 
 # Verdict codes of the analysis kernels: the order of Verdict's members.
@@ -331,24 +331,34 @@ def _in_blocks(q: int, alphabet: int) -> bool:
     return q * alphabet > _steps.STEP_CELLS
 
 
-def _diagonal_cells(q: int, rows: int) -> np.ndarray:
-    """base[j, s1] = ((j - s1) % q) * q + s1, the flat index of the cell
-    (j - s1, s1), for j < rows; adding x0 * q, mod q^2, moves it to secret
-    x0 + j."""
-    j, s1 = np.ogrid[:rows, :q]
-    return (j - s1) % q * q + s1
+def _count_block(q: int, table: np.ndarray, alphabet: int, rows: int, x0: int) -> np.ndarray:
+    """Marginal histograms of secrets x0 .. x0 + rows - 1 of a flat s0-major
+    table, (rows, alphabet) in `_COUNT_DTYPE`.
 
+    Secret x counts its diagonal t[(x - s1) % q, s1], the cells at flat
+    index x*q - s1*(q - 1), plus q^2 where s1 > x.  So the block's cells
+    are copied, in the table's dtype, from two strided views of the table:
+    the columns s1 <= x0, where no row of the block wraps, and s1 >= x0 +
+    rows, where every row does; the few between are gathered by index.
+    Each row is bincounted into its own row of the result, so no temporary
+    is an int64 array of the block's size.
+    """
+    cells, size = np.empty((rows, q), table.dtype), table.itemsize
+    split = x0 + rows  # <= q
 
-def _count_block(q: int, table: np.ndarray, alphabet: int, base: np.ndarray,
-                 x0: int) -> np.ndarray:
-    """Marginal histograms of secrets x0 .. x0 + len(base) - 1 of a flat
-    s0-major table, (len(base), alphabet) in `_COUNT_DTYPE`: gathers their
-    diagonals t[(x - s1) % q, s1] through `base` (`_diagonal_cells`),
-    offsets each row's keys by its row and bincounts them into its rows."""
-    keys = np.take(table, base + x0 * q, mode="wrap")
-    keys = keys + np.arange(0, len(base) * alphabet, alphabet)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=len(base) * alphabet)
-    return counts.reshape(len(base), alphabet).astype(_COUNT_DTYPE)
+    def diagonals(start, cols):  # rows x cols cells, from flat index start
+        return np.ndarray((rows, cols), table.dtype, table, start * size,
+                          (q * size, (1 - q) * size))
+
+    cells[:, :x0 + 1] = diagonals(x0 * q, x0 + 1)
+    if split < q:
+        cells[:, split:] = diagonals(q * q - rows * q + split, q - split)
+    j, s1 = np.ogrid[:rows, x0 + 1:split]
+    cells[:, x0 + 1:split] = table[(x0 + j - s1) % q * q + s1]
+    counts = np.empty((rows, alphabet), dtype=_COUNT_DTYPE)
+    for row, line in zip(counts, cells):
+        row[:] = np.bincount(line, minlength=alphabet)
+    return counts
 
 
 def _keys(counts: np.ndarray, alphabet: int, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +425,7 @@ def marginal_histogram(w: WireFunction, x) -> np.ndarray:
     counted as the one row of a block (`_count_block`).
     """
     x = _as_residue(x, w.q)
-    row = _count_block(w.q, w.table, w.alphabet_size, _diagonal_cells(w.q, 1), x)[0]
+    row = _count_block(w.q, w.table, w.alphabet_size, 1, x)[0]
     row.setflags(write=False)
     return row
 
@@ -621,39 +631,57 @@ def _parse_digit_chunk(body: bytes) -> np.ndarray | None:
     return values if values.max() <= 9 else None
 
 
+def _digits_and_runs(body: bytes) -> tuple[int, int] | None:
+    """(digit bytes, digit runs) of a run of digits, commas and JSON blanks,
+    or None where it holds any other byte.  The bytes are counted in place,
+    an eighth of the run at a time, by numpy calls that release the GIL, so
+    no temporary is larger than that eighth."""
+    raw = np.frombuffer(body, np.uint8)
+    step = max(-(-raw.size // 8), 1)
+    digits = runs = other = 0
+    before = False  # is the byte before this eighth a digit?
+    for start in range(0, raw.size, step):
+        part = raw[start:start + step]
+        digit = (part ^ np.uint8(ord("0"))) < 10
+        digits += int(np.count_nonzero(digit))
+        runs += int(np.count_nonzero(digit[1:] > digit[:-1])) + int(digit[0] > before)
+        before = bool(digit[-1])
+        other += int(np.count_nonzero(part == ord(",")) + np.count_nonzero(part == ord(" ")))
+        if np.count_nonzero(part < ord(" ")):  # a tab or a newline, which are rare
+            other += sum(int(np.count_nonzero(part == c)) for c in b"\t\n\r")
+    return (digits, runs) if digits + other == raw.size else None
+
+
 def _parse_int_chunk(body: bytes) -> np.ndarray | None:
     """The entries of a run of comma-separated plain non-negative integers.
 
     Returns None for any run that json.loads would not read as exactly
-    these integers.  Without commas and whitespace it must be all digits.
-    The values go through np.fromstring, which alone is too lenient: it
-    reads "01", reads a blank run as 0, skips a trailing comma and
-    saturates at INT64_MAX, so the ends, the digit count and the maximum
-    are checked, the ends in place.  It is given no count: with one, a run
-    of fewer entries leaves the rest of the array unwritten, so the caller
-    compares the number of values with the entries it expects.  Only the
-    count of the digits is kept while np.fromstring fills the int64 array,
-    and the digit widths are counted a step of values at a time.
+    these integers, but for one check left to the caller: it compares the
+    number of values with the entries it expects, one more than the run's
+    commas.  The bytes must be digits, commas and JSON blanks, with at
+    least one digit (`_digits_and_runs`).  The values go through
+    np.fromstring, which releases the GIL but alone is too lenient: it
+    reads a blank value between commas as 0, "01" as 1, skips a trailing
+    comma and saturates at INT64_MAX.  It must read the whole run (it raises
+    ValueError where it stops early), one value per digit run, which
+    refuses a blank value, and every digit must belong to a value written
+    without leading zeros, the widths counted a step of values at a time;
+    the maximum is checked too.  With these, and the caller's comma count,
+    only a run that json.loads reads as these integers is accepted.
     """
-    digits = body.translate(None, b"," + _JSON_WS_BYTES)
-    if not digits.isdigit():
+    counts = _digits_and_runs(body)
+    if counts is None or not counts[1]:
         return None
-    n_digits = len(digits)
-    del digits
-    blank = re.compile(rb"[ \t\n\r]*")
-    if (blank.match(body).end() == body.find(b",")
-            or blank.match(body, body.rfind(b",") + 1).end() == len(body)):
-        return None  # a comma first or last, which json.loads refuses
+    n_digits, runs = counts
     try:
-        # The space in the separator eats the blanks after each comma, so
-        # a blank value between commas fails instead of reading as 0.
-        arr = np.fromstring(body, dtype=np.int64, sep=", ")
+        arr = np.fromstring(body, dtype=np.int64, sep=",")
     except ValueError:
+        return None
+    if arr.size != runs:
         return None
     top = int(arr.max())
     if top >= _INT64_MAX:
         return None
-    # Every digit must belong to one value written without leading zeros.
     widths = arr.size + sum(np.count_nonzero(arr[part] >= 10 ** k)
                             for _, part in _steps.steps(1, arr.size, 1)
                             for k in range(1, len(str(top))))

@@ -47,6 +47,10 @@ TAMPERED_RUNS = "tests/test_rngbias.py::TestRejection::test_tampered_runs"
 KNOWN_PROFILES = ("tests/test_rngbias.py::TestKnownProfiles::test_twelve_bit_rng_vs_3329",
                   "tests/test_rngbias.py::TestKnownProfiles::test_4096_mod_5")
 
+WIRES = "src/maskcheck/wires.py"
+BLOCK_COUNTS = ("tests/test_wires.py::TestDenseKernel::test_block_marginals_match_reparam_histograms",
+                "tests/test_cli.py::TestClassify::test_residue_stdout_same_in_blocks_on_threads")
+
 MUTANTS = [
     # The hook that freezes the heap at exit.
     Mutant("exit-hook-removed", CLI,
@@ -88,6 +92,28 @@ MUTANTS = [
            "[(0, b, a + 1), (b, self.q, a)]",
            "[(0, b, a), (b, self.q, a)]",
            KNOWN_PROFILES + ("tests/test_rngbias.py::TestClosedFormAgainstBruteForce::test_grid",)),
+    # The multi-digit chunk check and the block count of residue marginals.
+    Mutant("digit-run-guard-removed", WIRES,
+           "    if arr.size != runs:\n",
+           "    if False:\n",
+           ("tests/test_wire_parse.py::test_separator_pitfalls_match_reference"
+            "[blank-value-and-leading-zero]",)),
+    Mutant("newline-not-counted", WIRES,
+           'for c in b"\\t\\n\\r")',
+           'for c in b"\\t\\r")',
+           ("tests/test_wire_parse.py::test_pinned_chunk_and_window_edges[whitespace-around-cut]",)),
+    Mutant("count-block-rows-reversed", WIRES,
+           "for row, line in zip(counts, cells):",
+           "for row, line in zip(counts[::-1], cells):",
+           BLOCK_COUNTS),
+    Mutant("count-block-no-minlength", WIRES,
+           "row[:] = np.bincount(line, minlength=alphabet)",
+           "row[:] = np.bincount(line)",
+           BLOCK_COUNTS),
+    Mutant("count-block-wrapped-view-shifted", WIRES,
+           "diagonals(q * q - rows * q + split, q - split)",
+           "diagonals(q * q - rows * q + split - 1, q - split)",
+           BLOCK_COUNTS),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

@@ -144,6 +144,29 @@ class TestClassify:
         assert json.loads((tmp_path / "out.json").read_text())["verdict"] == RESIDUE_VERDICTS[kind]
         assert peak <= table_bytes + 5 * wires.PARSE_CHUNK < 2 * table_bytes
 
+    def test_block_pass_peak_at_default_budgets(self, tmp_path, monkeypatch):
+        """A json classify of the recombined q = 1031 wire on two threads, at
+        the default step and chunk budgets, traces at most 3.75 MiB beside
+        its uint16 table: the block pass counts and renders each block
+        without int64 arrays of its size, so its two workers and the
+        rendered blocks they hold ahead stay below that (2.9-3.1 MiB; 4.1-4.6
+        MiB when each block made three int64 arrays of its size and rendered
+        from a second position array)."""
+        q = 1031
+        monkeypatch.setattr(_steps, "usable_cpus", lambda: 2)
+        path = tmp_path / "wire.json"
+        mc.save_wire(mc.make_wire(q, residue_table("recombined", q), alphabet_size=q), path)
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "out.json", "w") as out, redirect_stdout(out):
+                code = main(["classify", str(path), "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads((tmp_path / "out.json").read_text())["verdict"] == "NON_CONSTANT_MARGINAL"
+        assert peak - q * q * np.dtype(np.uint16).itemsize <= 3.75 * 2**20
+
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_residue_stdout_same_in_blocks_on_threads(self, capsys, monkeypatch, tmp_path,
                                                       threads):
@@ -190,9 +213,9 @@ class TestClassify:
         mc.save_wire(mc.make_wire(q, residue_table(kind, q), alphabet_size=q), path)
         calls, real = [], wires._count_block
 
-        def counted(q, table, alphabet, base, x0):
-            calls.append((x0, len(base)))
-            return real(q, table, alphabet, base, x0)
+        def counted(q, table, alphabet, rows, x0):
+            calls.append((x0, rows))
+            return real(q, table, alphabet, rows, x0)
 
         monkeypatch.setattr(wires, "_count_block", counted)
         assert run(capsys, "classify", str(path), "--format", fmt)[0] == 0
@@ -728,8 +751,8 @@ class TestTheoryViolationExits3:
         mc.save_wire(mc.make_wire(q, np.tile(np.arange(q) % 5, q), alphabet_size=q), path)
         real = wires._count_block
 
-        def skewed(q, table, alphabet, base, x0):
-            counts = real(q, table, alphabet, base, x0)
+        def skewed(q, table, alphabet, rows, x0):
+            counts = real(q, table, alphabet, rows, x0)
             if x0 <= q - 1 < x0 + len(counts):
                 counts[q - 1 - x0] = np.roll(counts[q - 1 - x0], 1)
             return counts

@@ -160,10 +160,15 @@ def refuse_json_loads(monkeypatch, path):
 # HEADER and is read PARSE_CHUNK bytes at a time from there; every read
 # but the first cuts a chunk at its first comma.
 HEADER = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": ['
+RESIDUE_HEADER = '{"q": 2, "alphabet": 3329, "order": "s0_major", "table": ['
 EDGES = {
     "trailing-comma-at-cut": (HEADER + "0,1,1,0,]}", 7),
     "blank-value-after-cut": (HEADER + "0,1, ,0]}", 3),
     "blank-value-before-cut": (HEADER + "0,1, ,0]}", 5),
+    # A blank value in a residue body, which only the multi-digit parse
+    # reads, cut into the chunks "10,11" and " ,12", or "10,11, " and "12".
+    "residue-blank-value-after-cut": (RESIDUE_HEADER + "10,11, ,12]}", 4),
+    "residue-blank-value-before-cut": (RESIDUE_HEADER + "10,11, ,12]}", 6),
     "whitespace-around-cut": (HEADER + "0 ,\t1 , 1 ,\n0]}", 4),
     "leading-zero-chunk": (HEADER + "00,1,1,0]}", 1),
     "bracket-in-long-string": (
@@ -205,7 +210,6 @@ def record_reads(monkeypatch):
     return reads
 
 
-RESIDUE_HEADER = '{"q": 2, "alphabet": 3329, "order": "s0_major", "table": ['
 # (document, PARSE_CHUNK, a test that one of the reads passes).  The
 # HEADER's '"table"' runs from byte 45 to 51, its ":" is byte 52 and its
 # "[" byte 54.
@@ -545,6 +549,14 @@ def test_each_pitfall_matches_reference(tmp_path, entry):
     "[0, ,010,1]", "[0, ,10,1 1]", "[ ,010,1,1]",
     # A second "table" key after an invalid first body: json.loads rejects it.
     '[+1,0,0,0], "table": [0,1,1,0]',
+    # A blank value between commas, which np.fromstring(sep=",") reads as a
+    # 0: refused by one value per digit run.  In "1,  ,01" the 0 and the
+    # leading zero of 01 cancel in the digit-width count.
+    pytest.param("[1, , 2, 0]", id="blank-value"),
+    pytest.param("[1,\t,2,0]", id="tab-value"),
+    pytest.param("[1,  ,01,0]", id="blank-value-and-leading-zero"),
+    # A blank before a comma, which json.loads reads (2 is outside the alphabet).
+    pytest.param("[0,1 ,2,0]", id="blank-before-comma"),
 ])
 def test_separator_pitfalls_match_reference(tmp_path, table):
     doc = '{"q": 2, "alphabet": 2, "order": "s0_major", "table": %s}' % table

@@ -380,8 +380,8 @@ class TestDenseKernel:
         monkeypatch.setattr(_steps, "STEP_CELLS", 20)
         assert wires._in_blocks(q, 3)
         count_block = wires._count_block
-        monkeypatch.setattr(wires, "_count_block", lambda q, t, a, base, x0: np.roll(
-            count_block(q, t, a, base, x0), int(x0 > 0), axis=1))
+        monkeypatch.setattr(wires, "_count_block", lambda q, t, a, rows, x0: np.roll(
+            count_block(q, t, a, rows, x0), int(x0 > 0), axis=1))
         with pytest.raises(mc.TheoryViolation, match="^bulk row 0 at q=13 is value-independent"):
             mc.classify_cells_bulk(q, np.vstack([table, table]))
         with pytest.raises(mc.TheoryViolation, match="^wire at q=13 "):
