@@ -12,8 +12,8 @@ STEP_CELLS = 1 << 16
 
 # Threads at most, one per usable CPU.  Of what they run, the chunk
 # checks' byte counts and compares, np.fromstring, the block count's
-# strided copies and np.bincount, and the renderer's numpy steps release
-# the GIL; the Python between the calls holds it.
+# strided copies and np.bincount's count, and the renderer's numpy steps
+# release the GIL; the Python between the calls holds it.
 MAX_THREADS = 8
 ITEMS_PER_THREAD = 4  # per thread, items `in_threads` takes ahead: bounds results held
 
